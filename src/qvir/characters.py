@@ -13,7 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from qvir.qseries import QSeries, inv_pochhammer, pochhammer, pochhammer_inf
+from qvir.linalg import Echelon
+from qvir.qseries import QSeries, _min_trunc, frac_str, inv_pochhammer, pochhammer_inf
 
 
 class NotPositiveDefinite(ValueError):
@@ -68,7 +69,7 @@ class TQSeries:
         return bool(self.parts)
 
     def __add__(self, other: "TQSeries") -> "TQSeries":
-        t = _mintr(self.trunc, other.trunc)
+        t = _min_trunc(self.trunc, other.trunc)
         out = dict(self.parts)
         for m, s in other.parts.items():
             out[m] = out[m] + s if m in out else s
@@ -114,7 +115,7 @@ class TQSeries:
 
     def agreement(self, other: "TQSeries"):
         """Compare mod min trunc; return (order, first mismatch (m, e) or None)."""
-        t = _mintr(self.trunc, other.trunc)
+        t = _min_trunc(self.trunc, other.trunc)
         worst = None
         for m in set(self.parts) | set(other.parts):
             _, first = self.t_component(m).truncate(t).agreement(other.t_component(m).truncate(t))
@@ -123,8 +124,8 @@ class TQSeries:
         return t, worst
 
     def equal_mod(self, other: "TQSeries", n=None) -> bool:
-        lhs = self if n is None else TQSeries(self.parts, _mintr(self.trunc, Fraction(n)))
-        rhs = other if n is None else TQSeries(other.parts, _mintr(other.trunc, Fraction(n)))
+        lhs = self if n is None else TQSeries(self.parts, _min_trunc(self.trunc, Fraction(n)))
+        rhs = other if n is None else TQSeries(other.parts, _min_trunc(other.trunc, Fraction(n)))
         return lhs.agreement(rhs)[1] is None
 
     def to_json_dict(self) -> dict:
@@ -137,7 +138,7 @@ class TQSeries:
         return {
             "trunc": int(self.trunc) if self.trunc is not None and self.trunc.denominator == 1
                      else (None if self.trunc is None else str(self.trunc)),
-            "coeffs": [[n, [[m, _fs(c)] for m, c in sorted(row)]]
+            "coeffs": [[n, [[m, frac_str(c)] for m, c in sorted(row)]]
                        for n, row in sorted(by_q.items())],
         }
 
@@ -152,18 +153,6 @@ class TQSeries:
 
     def __repr__(self):
         return "TQSeries(t-degrees %s + O(q^%s))" % (self.t_degrees(), self.trunc)
-
-
-def _mintr(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _fs(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -427,24 +416,18 @@ def e8_cartan_matrix() -> list[list[int]]:
 
 @lru_cache(maxsize=1)
 def e8_cartan_inverse() -> tuple:
-    """Exact inverse of the E8 Cartan matrix (an integer matrix, det = 1)."""
-    m = [[Fraction(x) for x in row] for row in e8_cartan_matrix()]
+    """Exact inverse of the E8 Cartan matrix (an integer matrix, det = 1):
+    the right half of the reduced echelon form of [A | I]."""
     n = 8
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        f = m[col][col]
-        m[col] = [x / f for x in m[col]]
-        inv[col] = [x / f for x in inv[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
-    assert all(x.denominator == 1 for row in inv for x in row)
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    ech = Echelon()
+    for i, row in enumerate(e8_cartan_matrix()):
+        aug = {j: x for j, x in enumerate(row) if x}
+        aug[n + i] = 1
+        ech.insert(aug)
+    reduced = ech.reduced()
+    # the primitive reduced rows are [I | A^-1] exactly when A^-1 is integral
+    assert all(reduced.get(i, {}).get(i) == 1 for i in range(n))
+    return tuple(tuple(reduced[i].get(n + j, 0) for j in range(n)) for i in range(n))
 
 
 def e8_nahm_data() -> NahmData:
@@ -482,10 +465,6 @@ def _k1k2_terms(trunc, extra_linear=(0, 0), offset=0):
     return out
 
 
-def _ip(j: int, trunc) -> QSeries:
-    return inv_pochhammer(j, trunc)
-
-
 def quasiparticle_chi(trunc) -> QSeries:
     """Double sum over k >= 0 of q^(4k1^2+3k1k2+k2^2) (1 - q^k1 + q^(k1+k2))
     divided by (q)_{k1} (q)_{k2}."""
@@ -494,7 +473,7 @@ def quasiparticle_chi(trunc) -> QSeries:
     for k1, k2, e in _k1k2_terms(n):
         bracket = QSeries.from_terms([(0, 1), (k1, -1), (k1 + k2, 1)]) if k1 + k2 > 0 \
             else QSeries.one()
-        term = _ip(k1, n - e) * _ip(k2, n - e) * bracket.truncate(n - e)
+        term = inv_pochhammer(k1, n - e) * inv_pochhammer(k2, n - e) * bracket.truncate(n - e)
         out = out + term.shift(e)
     return out.truncate(n)
 
@@ -518,7 +497,8 @@ def module_character(which: str, side: str, trunc) -> QSeries:
         out = QSeries.zero(n)
         for k1, k2, e in _k1k2_terms(n):
             bracket = QSeries.from_terms([(0, 1), (4 * k1 + 2 * k2 + 1, -1)])
-            out = out + (_ip(k1, n - e) * _ip(k2, n - e) * bracket.truncate(n - e)).shift(e)
+            term = inv_pochhammer(k1, n - e) * inv_pochhammer(k2, n - e) * bracket.truncate(n - e)
+            out = out + term.shift(e)
         return out.truncate(n)
     if which == "V_half":
         if side == "Classical":
@@ -536,7 +516,8 @@ def module_character(which: str, side: str, trunc) -> QSeries:
         for k1, k2, e0 in _k1k2_terms(n - half, extra_linear=(2, 0)):
             e = e0 + half
             bracket = QSeries.from_terms([(0, 1), (8 * k1 + 4 * k2 + 6, -1)])
-            out = out + (_ip(k1, n - e) * _ip(k2, n - e) * bracket.truncate(n - e)).shift(e)
+            term = inv_pochhammer(k1, n - e) * inv_pochhammer(k2, n - e) * bracket.truncate(n - e)
+            out = out + term.shift(e)
         return out.truncate(n)
     if which == "V_sixteenth":
         if side == "Classical":
@@ -549,7 +530,8 @@ def module_character(which: str, side: str, trunc) -> QSeries:
         out = QSeries.zero(n)
         for k1, k2, e in _k1k2_terms(n):
             bracket = QSeries.from_terms([(k1 + k2, 1), (4 * k1 + k2 + 1, 1)])
-            out = out + (_ip(k1, n - e) * _ip(k2, n - e) * bracket.truncate(n - e)).shift(e)
+            term = inv_pochhammer(k1, n - e) * inv_pochhammer(k2, n - e) * bracket.truncate(n - e)
+            out = out + term.shift(e)
         return out.truncate(n)
     raise ValueError("unknown module %r" % (which,))
 
@@ -562,7 +544,7 @@ def v_half_sum_form(trunc) -> QSeries:
     k = 1
     while 2 * k * k - 2 * k + half < n:
         e = 2 * k * k - 2 * k + half
-        out = out + _ip(2 * k - 1, n - e).shift(e)
+        out = out + inv_pochhammer(2 * k - 1, n - e).shift(e)
         k += 1
     return out
 
@@ -574,7 +556,7 @@ def v_sixteenth_sum_form(trunc) -> QSeries:
     k = 0
     while Fraction(k * (k + 1), 2) < n:
         e = Fraction(k * (k + 1), 2)
-        out = out + _ip(k, n - e).shift(e)
+        out = out + inv_pochhammer(k, n - e).shift(e)
         k += 1
     return out
 
@@ -620,9 +602,6 @@ def class_closed_form(which: str, trunc) -> TQSeries:
     return out
 
 
-closed_form_ABCDE = class_closed_form
-
-
 def class_quasiparticle_form(which: str, trunc) -> TQSeries:
     """Quasiparticle double sums for the five classes: prefactor times
     sum over (k1, k2) of t^(2k1+k2) q^(4k1^2+3k1k2+k2^2+linear)."""
@@ -637,7 +616,7 @@ def class_quasiparticle_form(which: str, trunc) -> TQSeries:
     out = TQSeries.zero(n)
     for k1, k2, e0 in _k1k2_terms(n - pre_q, extra_linear=lin):
         e = e0 + pre_q
-        term = (_ip(k1, n - e) * _ip(k2, n - e)).shift(e).truncate(n)
+        term = (inv_pochhammer(k1, n - e) * inv_pochhammer(k2, n - e)).shift(e).truncate(n)
         out = out + TQSeries({pre_t + 2 * k1 + k2: term}, n)
     return out
 
@@ -649,8 +628,8 @@ def P_of_t_q(trunc) -> TQSeries:
     for k1, k2, e in _k1k2_terms(n):
         bracket = QSeries.from_terms([(0, 1), (k1, -1), (k1 + k2, 1)]) if k1 + k2 > 0 \
             else QSeries.one()
-        term = (_ip(k1, n - e) * _ip(k2, n - e) * bracket.truncate(n - e)).shift(e)
-        out = out + TQSeries({2 * k1 + k2: term.truncate(n)}, n)
+        term = inv_pochhammer(k1, n - e) * inv_pochhammer(k2, n - e) * bracket.truncate(n - e)
+        out = out + TQSeries({2 * k1 + k2: term.shift(e).truncate(n)}, n)
     return out
 
 

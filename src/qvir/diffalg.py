@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 
-from qvir.partitions import partitions_min2, partitions_min2_length, count_min2
-from qvir.qseries import QSeries
+from qvir.linalg import Echelon, int_row
+from qvir.partitions import grevlex_key, partitions_min2, partitions_min2_length, count_min2
+from qvir.qseries import QSeries, frac_str
 
 
 class ZeroPolynomial(ArithmeticError):
@@ -33,10 +33,6 @@ class LeadingMonomialMismatch(ArithmeticError):
 # ---------------------------------------------------------------------------
 # monomials and the grevlex order
 # ---------------------------------------------------------------------------
-
-
-def grevlex_key(mono: tuple):
-    return (sum(mono), tuple(-x for x in mono))
 
 
 def grevlex_less(lam: tuple, mu: tuple) -> bool:
@@ -147,7 +143,7 @@ class DiffPoly:
 
     def to_json_dict(self) -> dict:
         return {"weight": self.weight() if self.terms else 0,
-                "terms": [[list(m), _fs(c)] for m, c in
+                "terms": [[list(m), frac_str(c)] for m, c in
                           sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]),
                                  reverse=True)]}
 
@@ -161,10 +157,6 @@ class DiffPoly:
         if len(items) > 6:
             bits.append("...")
         return "DiffPoly(" + " + ".join(bits or ["0"]) + ")"
-
-
-def _fs(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def derive(f: DiffPoly) -> DiffPoly:
@@ -256,76 +248,6 @@ def _gens_key(gens) -> tuple:
     return tuple(g.key() for g in gens)
 
 
-def _norm_int_row(row: dict) -> dict:
-    if not row:
-        return row
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    lead = min(row)
-    if row[lead] < 0:
-        g = -g
-    if g not in (0, 1):
-        row = {k: v // g for k, v in row.items()}
-    return row
-
-
-def _int_rows_from_poly(f: DiffPoly, index: dict) -> dict:
-    den = 1
-    for c in f.terms.values():
-        den = lcm(den, c.denominator)
-    row = {}
-    for m, c in f.terms.items():
-        row[index[m]] = int(c * den)
-    return row
-
-
-class _Echelon:
-    """Incremental integer echelon with deterministic leftmost pivoting."""
-
-    __slots__ = ("pivots",)
-
-    def __init__(self):
-        self.pivots: dict[int, dict] = {}
-
-    def reduce(self, row: dict) -> dict:
-        steps = 0
-        while row:
-            c = min(row)
-            p = self.pivots.get(c)
-            if p is None:
-                return row
-            a, b = row[c], p[c]
-            g = gcd(a, b)
-            fa, fp = b // g, a // g
-            new = {k: fa * v for k, v in row.items()}
-            for k, v in p.items():
-                s = new.get(k, 0) - fp * v
-                if s:
-                    new[k] = s
-                elif k in new:
-                    del new[k]
-            row = new
-            steps += 1
-            if steps % 16 == 0:
-                row = _norm_int_row(row)
-        return row
-
-    def insert(self, row: dict) -> bool:
-        row = self.reduce(row)
-        if not row:
-            return False
-        row = _norm_int_row(row)
-        self.pivots[min(row)] = row
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
 def _gens_length_homogeneous(gens) -> bool:
     return all(len(g.lengths()) == 1 for g in gens)
 
@@ -338,7 +260,7 @@ def _build_block(gens, d: int, l):
     """
     monos = monomials_of_weight_length(d, l) if l is not None else monomials_of_weight(d)
     index = {m: i for i, m in enumerate(monos)}
-    ech = _Echelon()
+    ech = Echelon()
     for g in gens:
         wg = g.weight()
         for k in range(0, d - wg + 1):
@@ -352,7 +274,7 @@ def _build_block(gens, d: int, l):
             else:
                 mus = partitions_min2(rest)
             for mu in mus:
-                ech.insert(_int_rows_from_poly(dg.mul_monomial(mu), index))
+                ech.insert(int_row(dg.mul_monomial(mu).terms, index))
     return ech, monos, index
 
 
@@ -390,34 +312,11 @@ def ideal_slice(gens, d: int) -> GradedIdealSlice:
     rows = []
     for l in _block_lengths(gens, d):
         ech, monos, _ = _block_cached(gens, d, l)
-        reduced = _back_reduce(ech.pivots)
-        for c, row in reduced.items():
+        for c, row in ech.reduced().items():
             lead = row[c]
             rows.append(DiffPoly({monos[i]: Fraction(v, lead) for i, v in row.items()}))
     rows.sort(key=lambda r: grevlex_key(r.leading_monomial()), reverse=True)
     return GradedIdealSlice(d, rows)
-
-
-def _back_reduce(pivots: dict) -> dict:
-    """Full reduction: clear pivot columns from all other rows."""
-    out = dict(pivots)
-    for c in sorted(out, reverse=True):
-        p = out[c]
-        for c2, row in out.items():
-            if c2 == c or c not in row:
-                continue
-            a, b = row[c], p[c]
-            g = gcd(a, b)
-            fa, fp = b // g, a // g
-            new = {k: fa * v for k, v in row.items()}
-            for k, v in p.items():
-                s = new.get(k, 0) - fp * v
-                if s:
-                    new[k] = s
-                elif k in new:
-                    del new[k]
-            out[c2] = _norm_int_row(new)
-    return out
 
 
 def membership(f: DiffPoly, gens) -> bool:
@@ -434,12 +333,11 @@ def membership(f: DiffPoly, gens) -> bool:
             by_len.setdefault(len(m), {})[m] = c
         for l, terms in by_len.items():
             ech, monos, index = _block_cached(gens, d, l)
-            row = _int_rows_from_poly(DiffPoly(terms), index)
-            if ech.reduce(row):
+            if ech.reduce(int_row(terms, index)):
                 return False
         return True
     ech, monos, index = _block_cached(gens, d, None)
-    return not ech.reduce(_int_rows_from_poly(f, index))
+    return not ech.reduce(int_row(f.terms, index))
 
 
 def hilbert_quotient(gens, n_max: int) -> QSeries:
@@ -517,7 +415,7 @@ def verify_derivative_formulas(k_max: int) -> dict:
                     got = f.terms.get(mono, Fraction(0))
                     if got != want:
                         entry["mismatches"].append(
-                            {"monomial": list(mono), "expected": _fs(want), "actual": _fs(got)})
+                            {"monomial": list(mono), "expected": frac_str(want), "actual": frac_str(got)})
                 floor_key = min(grevlex_key(m) for m in listed)
                 stray = [m for m in f.terms
                          if m not in listed and grevlex_key(m) >= floor_key]
@@ -661,9 +559,9 @@ def _span_search(ingredients, target: tuple):
     d = polys[0].weight()
     monos = monomials_of_weight(d)
     index = {m: i for i, m in enumerate(monos)}
-    ech = _Echelon()
+    ech = Echelon()
     for p in polys:
-        ech.insert(_int_rows_from_poly(p, index))
+        ech.insert(int_row(p.terms, index))
     want = index[target]
     row = ech.pivots.get(want)
     if row is None:

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from qvir.qseries import frac_str
+
 
 class NoConvergence(ArithmeticError):
     pass
@@ -61,7 +63,7 @@ class NahmSolution:
         self.effective_charge = 6 * alpha / mp.pi ** 2
 
     def to_json_dict(self) -> dict:
-        return {"matrix": [[_num(x) for x in row] for row in self.A],
+        return {"matrix": [[frac_str(Fraction(x)) for x in row] for row in self.A],
                 "Q": [float(q) for q in self.Q],
                 "residual": float(self.residual),
                 "alpha": float(self.alpha),
@@ -70,11 +72,6 @@ class NahmSolution:
     def __repr__(self):
         return "NahmSolution(Q=%s, alpha=%s)" % ([float(q) for q in self.Q],
                                                  float(self.alpha))
-
-
-def _num(x):
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def solve_nahm_system(A, tol=None, max_iter=5000) -> NahmSolution:

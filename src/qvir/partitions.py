@@ -256,6 +256,7 @@ def recursion_check(n_max: int) -> dict:
         return t[cls].get((n, m), 0)
 
     failures = []
+    comparisons = 0
     for n in range(1, n_max + 1):
         for m in range(0, n // 2 + 1):
             want = {
@@ -266,15 +267,17 @@ def recursion_check(n_max: int) -> dict:
                 "E": g("C", n - m, m - 1),
             }
             for cls in CLASSES:
+                comparisons += 1
                 if g(cls, n, m) != want[cls]:
                     failures.append({"class": cls, "n": n, "m": m,
                                      "actual": g(cls, n, m), "expected": want[cls]})
             total = sum(g(c, n, m) for c in CLASSES)
+            comparisons += 1
             if g("P", n, m) != total:
                 failures.append({"class": "P", "n": n, "m": m,
                                  "actual": g("P", n, m), "expected": total})
     return {"passed": not failures, "n_max": n_max, "failures": failures[:10],
-            "failure_count": len(failures)}
+            "failure_count": len(failures), "comparisons": comparisons}
 
 
 # ---------------------------------------------------------------------------

@@ -271,8 +271,8 @@ class QSeries:
     def to_json_dict(self) -> dict:
         return {
             "denom": self.denom,
-            "trunc": None if self.trunc is None else _frac_str(self.trunc),
-            "coeffs": [[_frac_str(Fraction(k, self.denom)), _frac_str(c)]
+            "trunc": None if self.trunc is None else frac_str(self.trunc),
+            "coeffs": [[frac_str(Fraction(k, self.denom)), frac_str(c)]
                        for k, c in sorted(self.coeffs.items())],
         }
 
@@ -325,23 +325,12 @@ def _mul_trunc(a: QSeries, b: QSeries):
     return t
 
 
-def _frac_str(f: Fraction) -> str:
+def frac_str(f: Fraction) -> str:
+    """The exact string of a rational, as every JSON report writes it: '3', '-7/2'."""
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 # -- q-combinatorial primitives -------------------------------------------
-
-
-def series_add(a: QSeries, b: QSeries) -> QSeries:
-    return a + b
-
-
-def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    return a * b
-
-
-def series_inverse(a: QSeries, trunc=None) -> QSeries:
-    return a.inverse(trunc)
 
 
 @lru_cache(maxsize=None)

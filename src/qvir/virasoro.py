@@ -13,8 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qvir.characters import MinimalModelLabel
+from qvir.linalg import Echelon, int_row
 from qvir.partitions import partitions_min2, count_min2
 from qvir.partitions import grevlex_key as _grevlex_key
+from qvir.qseries import frac_str
 
 
 class NoSolution(ArithmeticError):
@@ -89,8 +91,8 @@ class VirVector:
         return max((len(m) for m in self.coeffs), default=0)
 
     def to_json_dict(self) -> dict:
-        return {"c": _fs(self.c),
-                "terms": [[list(m), _fs(v)] for m, v in
+        return {"c": frac_str(self.c),
+                "terms": [[list(m), frac_str(v)] for m, v in
                           sorted(self.coeffs.items(), key=lambda t: _grevlex_key(t[0]))]}
 
     def __repr__(self):
@@ -99,10 +101,6 @@ class VirVector:
         if len(items) > 6:
             bits.append("...")
         return "VirVector(c=%s: %s)" % (self.c, " + ".join(bits or ["0"]))
-
-
-def _fs(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 _APPLY_CACHE: dict[tuple, dict] = {}
@@ -179,106 +177,51 @@ def solve_singular_vector(label: MinimalModelLabel) -> VirVector:
     deg = label.singular_degree
     basis = basis_monomials(deg)
     cols = {m: i for i, m in enumerate(basis)}
-    rows = []
+    ech = Echelon()
     for m in (1, 2):
-        targets = {mu: i for i, mu in enumerate(basis_monomials(deg - m))}
-        block = [[Fraction(0)] * len(basis) for _ in targets]
-        for j, mono in enumerate(basis):
+        # one row per target monomial: its coefficient in L_m of each basis vector
+        rows: dict[tuple, dict] = {}
+        for mono in basis:
             for mu, f in _apply_one(c, m, mono).items():
-                block[targets[mu]][j] += f
-        rows.extend(block)
-    null = _nullspace(rows, len(basis))
+                rows.setdefault(mu, {})[mono] = f
+        for row in rows.values():
+            ech.insert(int_row(row, cols))
+    null = ech.nullspace(len(basis))
     if not null:
         raise NoSolution("no singular vector at degree %d" % deg)
     if len(null) > 1:
         raise NonUniqueSolution("nullspace dimension %d" % len(null))
     vec = null[0]
-    lead = (2,) * (deg // 2)
-    pivot = vec[cols[lead]]
+    pivot = vec.get(cols[(2,) * (deg // 2)])
     if not pivot:
         raise NoSolution("solution misses the pure degree-2 monomial")
-    v = VirVector(c, {mono: vec[j] / pivot for j, mono in enumerate(basis)})
+    v = VirVector(c, {basis[j]: x / pivot for j, x in vec.items()})
     if not singular_vector_check(v):
         raise NoSolution("solved vector fails annihilation")
     return v
 
 
-def _nullspace(rows, ncols: int) -> list:
-    m = [r[:] for r in rows]
-    pivots = {}
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        f = m[r][col]
-        m[r] = [x / f for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                g = m[i][col]
-                m[i] = [a - g * b for a, b in zip(m[i], m[r])]
-        pivots[col] = r
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for col, row in pivots.items():
-            vec[col] = -m[row][fc]
-        out.append(vec)
-    return out
-
-
-class _DegreeSpace:
-    """Echelon basis of a subspace of one degree slice, over the PBW basis."""
-
-    __slots__ = ("basis", "index", "pivots")
-
-    def __init__(self, degree: int):
-        self.basis = basis_monomials(degree)
-        self.index = {m: i for i, m in enumerate(self.basis)}
-        self.pivots: dict[int, list] = {}
-
-    def insert(self, v: VirVector) -> bool:
-        vec = [Fraction(0)] * len(self.basis)
-        for mono, c in v.coeffs.items():
-            vec[self.index[mono]] = c
-        for col in sorted(self.pivots):
-            if vec[col]:
-                f = vec[col]
-                vec = [a - f * b for a, b in zip(vec, self.pivots[col])]
-        lead = next((i for i, x in enumerate(vec) if x), None)
-        if lead is None:
-            return False
-        f = vec[lead]
-        self.pivots[lead] = [x / f for x in vec]
-        return True
-
-    def contains(self, v: VirVector) -> bool:
-        vec = [Fraction(0)] * len(self.basis)
-        for mono, c in v.coeffs.items():
-            vec[self.index[mono]] = c
-        for col in sorted(self.pivots):
-            if vec[col]:
-                f = vec[col]
-                vec = [a - f * b for a, b in zip(vec, self.pivots[col])]
-        return not any(vec)
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
+def _basis_index(degree: int) -> dict:
+    """Column of each PBW monomial of the degree: its place in basis_monomials."""
+    return {m: i for i, m in enumerate(basis_monomials(degree))}
 
 
 def submodule_spaces(label: MinimalModelLabel, n_max: int) -> dict:
-    """Degreewise echelon bases of the submodule generated by the singular
-    vector: close the span under every mode of index -n_max..n_max."""
+    """Degreewise echelons of the submodule generated by the singular
+    vector, over the columns of basis_monomials: close the span under every
+    mode of index -n_max..n_max."""
     v = solve_singular_vector(label)
-    spaces: dict[int, _DegreeSpace] = {}
+    spaces: dict[int, Echelon] = {}
+    indexes: dict[int, dict] = {}
+
+    def insert(w: VirVector) -> bool:
+        d = w.degree()
+        if d not in spaces:
+            spaces[d], indexes[d] = Echelon(), _basis_index(d)
+        return spaces[d].insert(int_row(w.coeffs, indexes[d]))
+
+    insert(v)
     queue = [v]
-    spaces[v.degree()] = _DegreeSpace(v.degree())
-    spaces[v.degree()].insert(v)
     while queue:
         u = queue.pop()
         deg = u.degree()
@@ -289,10 +232,7 @@ def submodule_spaces(label: MinimalModelLabel, n_max: int) -> dict:
             if nd < 0 or nd > n_max:
                 continue
             w = apply_mode(m, u)
-            if not w:
-                continue
-            sp = spaces.setdefault(nd, _DegreeSpace(nd))
-            if sp.insert(w):
+            if w and insert(w):
                 queue.append(w)
     return spaces
 
@@ -366,17 +306,12 @@ def lemma_bp_check(pp: int) -> dict:
     # the lift: same coefficients read as PBW monomials; its class modulo the
     # submodule must drop to PBW length <= p'-2
     lift = VirVector(lab.central_charge, {m: c for m, c in sym.terms.items()})
-    spaces = submodule_spaces(lab, w)
-    sp = spaces.get(w)
-    short = _DegreeSpace(w)
-    if sp is not None:
-        for row in sp.pivots.values():
-            short.insert(VirVector(lab.central_charge,
-                                   {short.basis[i]: x for i, x in enumerate(row) if x}))
-    for mono in basis_monomials(w):
+    index = _basis_index(w)
+    short = submodule_spaces(lab, w).get(w, Echelon())
+    for mono, i in index.items():
         if len(mono) <= pp - 2:
-            short.insert(VirVector(lab.central_charge, {mono: 1}))
-    symbol_vanishes = short.contains(lift)
+            short.insert({i: 1})
+    symbol_vanishes = not short.reduce(int_row(lift.coeffs, index))
     return {
         "passed": (kernel_dims[:w] == [0] * w and kernel_dims[w] == 1
                    and not_in_arc_ideal and symbol_vanishes),

@@ -68,6 +68,14 @@ def test_trunc_rejected_for_all():
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["lemma-b", "nahm-alpha"])
+def test_trunc_rejected_where_no_order_is_read(command, capsys):
+    assert main([command, "--trunc", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "%s reads no truncation order" % command in err
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# reduced orders\ntrunc_qseries = 12\nformat = json\n")
