@@ -59,7 +59,7 @@ class TQSeries:
     def t_component(self, m: int) -> QSeries:
         return self.parts.get(m, QSeries.zero(self.trunc))
 
-    def coefficient(self, m: int, e) -> Fraction:
+    def coefficient(self, m: int, e) -> int | Fraction:
         return self.t_component(m).coefficient(e)
 
     def t_degrees(self):
@@ -96,7 +96,7 @@ class TQSeries:
 
     def bigrade(self) -> "TQSeries":
         """Substitute t -> t^(-2), q -> t*q: t^m q^n maps to t^(n-2m) q^n."""
-        out: dict[int, dict[int, Fraction]] = {}
+        out: dict[int, dict[int, int | Fraction]] = {}
         for m, s in self.parts.items():
             if s.denom != 1:
                 raise ValueError("bigrade substitution needs integer q-exponents")
@@ -104,7 +104,8 @@ class TQSeries:
                 tm = n - 2 * m
                 if tm < 0:
                     raise ValueError("negative t-exponent %d at t^%d q^%d" % (tm, m, n))
-                out.setdefault(tm, {})[n] = out.get(tm, {}).get(n, Fraction(0)) + c
+                row = out.setdefault(tm, {})
+                row[n] = row.get(n, 0) + c
         return TQSeries({m: QSeries(cs, self.trunc) for m, cs in out.items()}, self.trunc)
 
     def specialize_t1(self) -> QSeries:
@@ -145,10 +146,10 @@ class TQSeries:
     @classmethod
     def from_json_dict(cls, d: dict) -> "TQSeries":
         trunc = d["trunc"]
-        parts: dict[int, dict[int, Fraction]] = {}
+        parts: dict[int, dict[int, str]] = {}
         for n, row in d["coeffs"]:
             for m, c in row:
-                parts.setdefault(m, {})[n] = Fraction(c)
+                parts.setdefault(m, {})[n] = c  # QSeries parses the exact string
         return cls({m: QSeries(cs, trunc) for m, cs in parts.items()}, trunc)
 
     def __repr__(self):

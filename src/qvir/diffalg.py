@@ -346,7 +346,7 @@ def hilbert_quotient(gens, n_max: int) -> QSeries:
     for d in range(0, n_max + 1):
         dim = count_min2(d) - slice_rank(gens, d)
         if dim:
-            coeffs[d] = Fraction(dim)
+            coeffs[d] = dim
     return QSeries(coeffs, n_max + 1)
 
 

@@ -10,7 +10,6 @@ parts, and the class counts satisfy coupled recurrences verified here.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -175,20 +174,18 @@ def enumerate_P(n: int) -> list:
         if v > remaining:
             walk(remaining, remaining, chosen, mult)
             return
-        for m in range(min(2, remaining // v), -1, -1):
-            if m:
-                mult[v] = m
-                chosen.extend([v] * m)
-            ok = True
+        for m in range(min(2, remaining // v), 0, -1):
+            mult[v] = m
+            chosen.extend([v] * m)
             for pat in by_min.get(v, ()):
                 if all(mult.get(u, 0) >= k for u, k in pat.items()):
-                    ok = False
                     break
-            if ok:
+            else:
                 walk(v - 1, remaining - m * v, chosen, mult)
-            if m:
-                del mult[v]
-                del chosen[len(chosen) - m:]
+            del mult[v]
+            del chosen[len(chosen) - m:]
+        # v left out: every pattern in by_min[v] contains v, so none can match
+        walk(v - 1, remaining, chosen, mult)
 
     walk(n, n, [], {})
     out.sort(key=grevlex_key)
@@ -305,8 +302,8 @@ def class_generating_function(n_max: int):
     from qvir.characters import TQSeries
     from qvir.qseries import QSeries
     t = count_table(n_max)
-    parts: dict[int, dict[int, Fraction]] = {}
+    parts: dict[int, dict[int, int]] = {}
     for (n, m), c in t["P"].items():
-        parts.setdefault(m, {})[n] = Fraction(c)
+        parts.setdefault(m, {})[n] = c
     trunc = n_max + 1
     return TQSeries({m: QSeries(cs, trunc) for m, cs in parts.items()}, trunc)

@@ -7,6 +7,18 @@ or is an exact polynomial (``trunc is None``).  All arithmetic is exact, and
 the truncation order of every result is the largest order justified by the
 operands: min of the truncs for addition, min(trunc_a + ord_b, trunc_b +
 ord_a) for multiplication.
+
+Coefficient rule: a stored coefficient is a Python ``int`` when it is
+integral and a ``Fraction`` only when it is not.  ``QSeries.__init__``
+enforces this for every constructor, so the product, sum and inverse loops
+run on ints for the integer polynomials that dominate the work (q-binomials,
+Pochhammer symbols, the quasiparticle and congruence products) and pay for
+``Fraction``, which reduces by a gcd after every operation, only where a
+true fraction appears.  ``3`` and ``Fraction(3)`` compare and hash alike, so
+equality, hashing and JSON do not depend on which of the two a caller
+passes.  Pitfall: ``int / int`` is a float in Python, so no ``/`` may see a
+coefficient; divide by multiplying with an exact reciprocal
+``Fraction(1, c)`` instead.
 """
 
 from __future__ import annotations
@@ -26,6 +38,21 @@ def _to_frac(x) -> Fraction:
     return Fraction(x)
 
 
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction; x may be anything
+    ``Fraction`` accepts."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _slots_below(t: Fraction, d: int) -> int:
+    """Number of grid slots k/d below t, i.e. ceil(t * d)."""
+    return -(-t.numerator * d // t.denominator)
+
+
 class QSeries:
     __slots__ = ("denom", "trunc", "coeffs")
 
@@ -33,15 +60,17 @@ class QSeries:
         if denom < 1:
             raise ValueError("denom must be a positive integer")
         t = None if trunc is None else _to_frac(trunc)
-        cleaned: dict[int, Fraction] = {}
+        kmax = None if t is None else _slots_below(t, denom)
+        cleaned: dict[int, int | Fraction] = {}
         if coeffs:
             for k, c in coeffs.items():
-                c = _to_frac(c)
-                if c == 0:
+                if type(c) is not int:
+                    c = _exact(c)
+                if not c:
                     continue
                 if k < 0:
                     raise ValueError("negative exponent %r" % (Fraction(k, denom),))
-                if t is not None and Fraction(k, denom) >= t:
+                if kmax is not None and k >= kmax:
                     continue
                 cleaned[k] = c
         self.denom = denom
@@ -56,13 +85,13 @@ class QSeries:
 
     @classmethod
     def one(cls, trunc=None) -> "QSeries":
-        return cls({0: Fraction(1)}, trunc)
+        return cls({0: 1}, trunc)
 
     @classmethod
     def q_power(cls, e, trunc=None) -> "QSeries":
         """The monomial q^e; e may be a Fraction."""
         e = _to_frac(e)
-        return cls({e.numerator: Fraction(1)}, trunc, e.denominator)
+        return cls({e.numerator: 1}, trunc, e.denominator)
 
     @classmethod
     def from_terms(cls, pairs, trunc=None) -> "QSeries":
@@ -71,12 +100,12 @@ class QSeries:
         fpairs = []
         for e, c in pairs:
             e = _to_frac(e)
-            fpairs.append((e, _to_frac(c)))
+            fpairs.append((e, _exact(c)))
             d = lcm(d, e.denominator)
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, int | Fraction] = {}
         for e, c in fpairs:
             k = int(e * d)
-            coeffs[k] = coeffs.get(k, Fraction(0)) + c
+            coeffs[k] = coeffs.get(k, 0) + c
         return cls(coeffs, trunc, d)
 
     # -- basic structure ---------------------------------------------------
@@ -94,15 +123,15 @@ class QSeries:
             return None
         return Fraction(min(self.coeffs), self.denom)
 
-    def coefficient(self, e) -> Fraction:
+    def coefficient(self, e) -> int | Fraction:
         """Coefficient of q^e.  Raises for exponents at or above the truncation."""
         e = _to_frac(e)
         if self.trunc is not None and e >= self.trunc:
             raise ValueError("coefficient of q^%s is unknown (trunc %s)" % (e, self.trunc))
         k = e * self.denom
         if k.denominator != 1:
-            return Fraction(0)
-        return self.coeffs.get(int(k), Fraction(0))
+            return 0
+        return self.coeffs.get(int(k), 0)
 
     __getitem__ = coefficient
 
@@ -125,7 +154,7 @@ class QSeries:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _with_denom(self, d: int) -> dict[int, Fraction]:
+    def _with_denom(self, d: int) -> dict[int, int | Fraction]:
         f = d // self.denom
         if f == 1:
             return self.coeffs
@@ -138,7 +167,7 @@ class QSeries:
         t = _min_trunc(self.trunc, other.trunc)
         out = dict(self._with_denom(d))
         for k, c in other._with_denom(d).items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return QSeries(out, t, d)
 
     __radd__ = __add__
@@ -154,7 +183,7 @@ class QSeries:
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
-            c = _to_frac(other)
+            c = _exact(other)
             if c == 0:
                 return QSeries({}, self.trunc, self.denom)
             return QSeries({k: v * c for k, v in self.coeffs.items()}, self.trunc, self.denom)
@@ -168,7 +197,7 @@ class QSeries:
         b = sorted(other._with_denom(d).items())
         if len(b) < len(a):
             a, b = b, a
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         bmin = b[0][0] if b else 0
         for ka, ca in a:
             if bound is not None and ka + bmin >= bound:
@@ -177,7 +206,7 @@ class QSeries:
                 k = ka + kb
                 if bound is not None and k >= bound:
                     break
-                out[k] = out.get(k, Fraction(0)) + ca * cb
+                out[k] = out.get(k, 0) + ca * cb
         return QSeries(out, t, d)
 
     __rmul__ = __mul__
@@ -198,23 +227,21 @@ class QSeries:
     def inverse(self, trunc=None) -> "QSeries":
         """Multiplicative inverse mod q^trunc (defaults to this series' trunc)."""
         t = _min_trunc(self.trunc, None if trunc is None else _to_frac(trunc))
-        if t is None:
-            if set(self.coeffs) <= {0}:
-                c0 = self.coeffs.get(0, Fraction(0))
-                if c0 == 0:
-                    raise ZeroConstantTerm("constant term is zero")
-                return QSeries({0: 1 / c0})
+        if t is None and not set(self.coeffs) <= {0}:
             raise ValueError("an exact non-constant polynomial needs an explicit trunc")
-        c0 = self.coeffs.get(0, Fraction(0))
+        c0 = self.coeffs.get(0, 0)
         if c0 == 0:
             raise ZeroConstantTerm("constant term is zero")
+        r0 = _exact(Fraction(1, c0))  # stays an int for c0 = +-1
+        if t is None:
+            return QSeries({0: r0})
         d = self.denom
-        n = -(-t.numerator * d // t.denominator)  # ceil(t*d): number of known grid slots
+        n = _slots_below(t, d)
         a = self.coeffs
         akeys = sorted(k for k in a if 0 < k < n)
-        inv: dict[int, Fraction] = {0: 1 / c0}
+        inv: dict[int, int | Fraction] = {0: r0}
         for k in range(1, n):
-            s = Fraction(0)
+            s = 0
             for j in akeys:
                 if j > k:
                     break
@@ -222,7 +249,7 @@ class QSeries:
                 if bk is not None:
                     s += a[j] * bk
             if s:
-                inv[k] = -s / c0
+                inv[k] = -s * r0
         return QSeries(inv, t, d)
 
     # -- comparison --------------------------------------------------------
@@ -279,7 +306,7 @@ class QSeries:
     @classmethod
     def from_json_dict(cls, d: dict) -> "QSeries":
         trunc = None if d["trunc"] is None else Fraction(d["trunc"])
-        s = cls.from_terms([(Fraction(e), Fraction(c)) for e, c in d["coeffs"]], trunc)
+        s = cls.from_terms(d["coeffs"], trunc)
         want = int(d["denom"])
         if want % s.denom == 0 and want != s.denom:
             f = want // s.denom
@@ -349,8 +376,7 @@ def pochhammer(n: int, trunc=None) -> QSeries:
     """The exact polynomial (q)_n = (1-q)(1-q^2)...(1-q^n)."""
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
-    coeffs = {i: Fraction(c) for i, c in enumerate(_poch_coeffs(n)) if c}
-    return QSeries(coeffs, trunc)
+    return QSeries(dict(enumerate(_poch_coeffs(n))), trunc)
 
 
 def pochhammer_inf(trunc) -> QSeries:
@@ -359,7 +385,7 @@ def pochhammer_inf(trunc) -> QSeries:
     out = QSeries.one(t)
     j = 1
     while j < t:
-        out = out * QSeries({0: Fraction(1), j: Fraction(-1)}, t)
+        out = out * QSeries({0: 1, j: -1}, t)
         j += 1
     return out
 
@@ -398,5 +424,4 @@ def _qbinom_coeffs(m: int, n: int) -> tuple:
 @lru_cache(maxsize=None)
 def q_binomial(m: int, n: int) -> QSeries:
     """Gaussian binomial coefficient as an exact polynomial; zero out of range."""
-    coeffs = {i: Fraction(c) for i, c in enumerate(_qbinom_coeffs(m, n)) if c}
-    return QSeries(coeffs)
+    return QSeries(dict(enumerate(_qbinom_coeffs(m, n))))

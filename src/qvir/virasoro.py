@@ -237,9 +237,11 @@ def submodule_spaces(label: MinimalModelLabel, n_max: int) -> dict:
     return spaces
 
 
-def quotient_graded_dims(label: MinimalModelLabel, n_max: int) -> list:
-    """Graded dimensions of the simple quotient up to degree n_max."""
-    spaces = submodule_spaces(label, n_max)
+def quotient_graded_dims(label: MinimalModelLabel, n_max: int, spaces=None) -> list:
+    """Graded dimensions of the simple quotient up to degree n_max; ``spaces``
+    is ``submodule_spaces(label, n_max)`` when the caller has built it."""
+    if spaces is None:
+        spaces = submodule_spaces(label, n_max)
     return [count_min2(n) - (spaces[n].rank if n in spaces else 0)
             for n in range(n_max + 1)]
 
@@ -298,7 +300,9 @@ def lemma_bp_check(pp: int) -> dict:
     lab = MinimalModelLabel(3, pp)
     w = 2 * pp + 1
     arc = diffalg.hilbert_quotient((diffalg.DiffPoly({(2,) * (pp - 1): 1}),), w)
-    vir = quotient_graded_dims(lab, w)
+    spaces = submodule_spaces(lab, w)
+    # read the ranks before the symbol test below extends the degree-w echelon
+    vir = quotient_graded_dims(lab, w, spaces)
     kernel_dims = [int(arc.coefficient(d)) - vir[d] for d in range(w + 1)]
     sym = kernel_generator_symbol(pp)
     not_in_arc_ideal = not diffalg.membership(
@@ -307,7 +311,7 @@ def lemma_bp_check(pp: int) -> dict:
     # submodule must drop to PBW length <= p'-2
     lift = VirVector(lab.central_charge, {m: c for m, c in sym.terms.items()})
     index = _basis_index(w)
-    short = submodule_spaces(lab, w).get(w, Echelon())
+    short = spaces.get(w, Echelon())
     for mono, i in index.items():
         if len(mono) <= pp - 2:
             short.insert({i: 1})

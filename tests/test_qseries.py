@@ -201,3 +201,129 @@ def test_exact_zero_annihilates():
     # a truncated zero only vanishes as far as it is known
     zt = QSeries.zero(trunc=3)
     assert (zt * t).trunc == 3
+
+
+# -- the coefficient rule: int when integral, Fraction otherwise -------------
+
+
+def holds_rule(s):
+    """Every stored coefficient is an int exactly when it is integral."""
+    return all((type(c) is int) == (c.denominator == 1) for c in s.coeffs.values())
+
+
+def all_int(s):
+    return bool(s.coeffs) and all(type(c) is int for c in s.coeffs.values())
+
+
+def test_integral_results_hold_ints():
+    a = series([(0, 1), (2, F(-3))], trunc=7)
+    half = series([(0, F(1, 2)), (F(1, 2), F(3, 2))], trunc=6)
+    assert all_int(a) and all_int(QSeries({0: F(4, 2), 3: 5}))
+    assert all_int(a + a) and all_int(half + half) and all_int(half + series([(0, F(1, 2)), (F(1, 2), F(-1, 2))]))
+    assert all_int(a * pochhammer(3)) and all_int(half * QSeries.from_terms([(0, 2)]))
+    assert all_int(a * F(4, 2)) and all_int(half * 2) and all_int(half * F(-4))
+    assert all_int(pochhammer(3).inverse(10)) and all_int(a.inverse())
+    assert all_int(a.shift(F(1, 2))) and all_int(a.shift(3))
+    assert all_int(QSeries.from_terms([(0, F(3)), (F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))]))
+    s = QSeries.from_terms([(F(1, 2), 3), (2, -1)], trunc=F(7, 2))
+    assert all_int(QSeries.from_json_dict(json.loads(json.dumps(s.to_json_dict()))))
+    assert QSeries.one().coefficient(0) == 1 and type(pochhammer(2).coefficient(5)) is int
+
+
+def test_inverse_multiplies_by_exact_reciprocal():
+    inv = series([(0, 2), (1, 1)]).inverse(6)
+    assert all(type(c) is F for c in inv.coeffs.values())
+    assert [inv.coefficient(i) for i in range(6)] == [F((-1) ** i, 2 ** (i + 1)) for i in range(6)]
+    inv = series([(0, -1), (1, 3), (4, -2)]).inverse(9)
+    assert all_int(inv)
+    assert (inv * series([(0, -1), (1, 3), (4, -2)])).equal_mod(QSeries.one(), 9)
+    assert QSeries({0: 2}).inverse().coefficient(0) == F(1, 2)
+    assert all_int(QSeries({0: -1}).inverse())
+
+
+def random_mixed(rng, trunc, denom):
+    """Coefficients drawn as ints, integral Fractions and true Fractions."""
+    coeffs = {}
+    for k in range(trunc * denom):
+        r = rng.random()
+        if r < 0.2:
+            coeffs[k] = rng.randint(-5, 5)
+        elif r < 0.35:
+            coeffs[k] = F(rng.randint(-5, 5))
+        elif r < 0.5:
+            coeffs[k] = F(rng.randint(-5, 5), rng.randint(2, 4))
+    coeffs[0] = rng.choice([1, -1, 2, F(3), F(-2, 3)])
+    return QSeries(coeffs, trunc, denom)
+
+
+def fraction_terms(s):
+    """{exponent: coefficient} with both as Fractions."""
+    return {F(k, s.denom): F(c) for k, c in s.coeffs.items()}
+
+
+def oracle_mul(a, b):
+    """Fraction-only product of two truncated series with nonzero constant terms."""
+    t = min(a.trunc, b.trunc)
+    out = {}
+    for ea, ca in fraction_terms(a).items():
+        for eb, cb in fraction_terms(b).items():
+            if ea + eb < t:
+                out[ea + eb] = out.get(ea + eb, F(0)) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_inverse(a):
+    """Fraction-only power-series inverse on a's grid, below its trunc."""
+    c = {k: F(x) for k, x in a.coeffs.items()}
+    n = -(-a.trunc.numerator * a.denom // a.trunc.denominator)
+    inv = {}
+    for k in range(n):
+        s = F(1 if k == 0 else 0) - sum((c.get(j, F(0)) * inv[k - j] for j in range(1, k + 1)), F(0))
+        inv[k] = s / c[0]
+    return {F(k, a.denom): x for k, x in inv.items() if x}
+
+
+def test_mixed_products_and_inverses_match_fraction_oracle():
+    rng = random.Random(3116)
+    for _ in range(30):
+        da, db = rng.choice([1, 2, 16]), rng.choice([1, 2, 16])
+        a = random_mixed(rng, rng.randint(1, 4), da)
+        b = random_mixed(rng, rng.randint(1, 4), db)
+        prod = a * b
+        assert dict(prod.terms()) == oracle_mul(a, b) and holds_rule(prod)
+        inv = a.inverse()
+        assert dict(inv.terms()) == oracle_inverse(a) and holds_rule(inv)
+        total = a + b
+        assert holds_rule(total) and holds_rule(a * rng.choice([2, F(1, 2), F(6, 3)]))
+
+
+def test_int_and_fraction_coefficients_are_interchangeable():
+    for denom in (1, 2, 16):
+        a = QSeries({0: 3, 5: -2, 7: F(1, 2)}, trunc=4, denom=denom)
+        b = QSeries({0: F(3), 5: F(-4, 2), 7: F(1, 2)}, trunc=4, denom=denom)
+        assert a == b and hash(a) == hash(b)
+        assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+
+def test_integer_polynomials_never_see_fractions(monkeypatch):
+    # structural guard, not a timing: a Fraction default in a loop or a
+    # constructor would bring the slow path back without changing any value,
+    # so check what reaches QSeries.__init__ as well as what it stores
+    from qvir.characters import P_of_t_q, TQSeries
+    from qvir.polyfamilies import family_poly
+    handed = set()
+    init = QSeries.__init__
+
+    def spy(self, coeffs=None, trunc=None, denom=1):
+        handed.update(type(c) for c in (coeffs or {}).values())
+        init(self, coeffs, trunc, denom)
+
+    monkeypatch.setattr(QSeries, "__init__", spy)
+    family_poly.cache_clear()
+    q_binomial.cache_clear()
+    built = [family_poly("vac", "T", 20), q_binomial(30, 15), pochhammer_inf(40)]
+    P = P_of_t_q(12)
+    built += list(P.parts.values()) + list(P.bigrade().parts.values())
+    assert handed == {int}
+    assert all(all_int(s) for s in built)
+    assert all(all_int(s) for s in TQSeries.from_json_dict(P.to_json_dict()).parts.values())
