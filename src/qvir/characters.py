@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from qvir.linalg import Echelon
-from qvir.qseries import QSeries, _min_trunc, frac_str, inv_pochhammer, pochhammer_inf
+from qvir.qseries import (QSeries, _min_trunc, frac_str, inv_pochhammer, pochhammer_inf,
+                          q_binomial)
 
 
 class NotPositiveDefinite(ValueError):
@@ -167,7 +168,6 @@ class MinimalModelLabel:
     __slots__ = ("p", "pp")
 
     def __init__(self, p: int, pp: int):
-        from math import gcd
         if not (2 <= p < pp and gcd(p, pp) == 1):
             raise ValueError("need coprime integers p' > p >= 2")
         self.p = p
@@ -237,22 +237,10 @@ def alt_expression(which: str, trunc) -> QSeries:
             m += 1
         return QSeries.from_terms(terms, n) * pochhammer_inf(n).inverse(n)
     if which == "FermionHalf":
-        plus = QSeries.one(n)
-        minus = QSeries.one(n)
-        m = 1
-        while Fraction(2 * m - 1, 2) < n:
-            e = Fraction(2 * m - 1, 2)
-            plus = plus * QSeries.from_terms([(0, 1), (e, 1)], n)
-            minus = minus * QSeries.from_terms([(0, 1), (e, -1)], n)
-            m += 1
+        plus, minus = _half_odd_products(n)
         return ((plus + minus) * Fraction(1, 2)).reduce_denom()
     if which == "Euler":
-        out = QSeries.zero(n)
-        m = 0
-        while 2 * m * m < n:
-            out = out + inv_pochhammer(2 * m, n - 2 * m * m).shift(2 * m * m)
-            m += 1
-        return out
+        return _single_sum(n, (2, 0), (2, 0))
     if which == "QuintupleProduct":
         out = QSeries.one(n)
         k = 1
@@ -444,42 +432,80 @@ def gordon_matrix(s: int) -> NahmData:
 
 
 # ---------------------------------------------------------------------------
-# quasiparticle sums for the three irreducible modules
+# quasiparticle double sums, single sums, and the three irreducible modules
 # ---------------------------------------------------------------------------
 
 
-def _k1k2_terms(trunc, extra_linear=(0, 0), offset=0):
-    """All (k1, k2) with 4k1^2+3k1k2+k2^2 + linear + offset below trunc."""
+def _quasiparticle_sum(trunc, bracket, linear=(0, 0), offset=0, t_base=0) -> TQSeries:
+    """The Nahm-type double sum for the matrix (8 3; 3 2), mod q^trunc:
+
+        sum over k1, k2 >= 0 of t^(t_base + 2k1 + k2) bracket(k1, k2)
+            * q^(4k1^2 + 3k1k2 + k2^2 + l1 k1 + l2 k2 + offset) / ((q)_k1 (q)_k2)
+
+    where linear = (l1, l2) and bracket is a list of ((a, b, c), coeff), each
+    meaning coeff * q^(a k1 + b k2 + c).  One QSeries is kept per t-degree and
+    the TQSeries is built once at the end.
+    """
     n = Fraction(trunc)
-    out = []
+    l1, l2 = linear
+    parts: dict[int, QSeries] = {}
     k1 = 0
-    while 4 * k1 * k1 + extra_linear[0] * k1 + offset < n:
+    while 4 * k1 * k1 + l1 * k1 + offset < n:
         k2 = 0
         while True:
-            e = 4 * k1 * k1 + 3 * k1 * k2 + k2 * k2 \
-                + extra_linear[0] * k1 + extra_linear[1] * k2 + offset
+            e = 4 * k1 * k1 + 3 * k1 * k2 + k2 * k2 + l1 * k1 + l2 * k2 + offset
             if e >= n:
                 break
-            out.append((k1, k2, e))
+            br = QSeries.from_terms([(a * k1 + b * k2 + c, x) for (a, b, c), x in bracket])
+            term = (inv_pochhammer(k1, n - e) * inv_pochhammer(k2, n - e)
+                    * br.truncate(n - e)).shift(e)
+            m = t_base + 2 * k1 + k2
+            parts[m] = parts[m] + term if m in parts else term
             k2 += 1
         k1 += 1
+    return TQSeries(parts, n)
+
+
+def _single_sum(trunc, exponent, index, offset=0) -> QSeries:
+    """sum over k >= 0 of q^(a k^2 + b k + offset) / (q)_(c k + d) mod q^trunc,
+    for exponent = (a, b) and index = (c, d) with a > 0 and b >= 0."""
+    n = Fraction(trunc)
+    (a, b), (c, d) = exponent, index
+    out = QSeries.zero(n)
+    k = 0
+    e = offset
+    while e < n:
+        out = out + inv_pochhammer(c * k + d, n - e).shift(e)
+        k += 1
+        e = a * k * k + b * k + offset
     return out
+
+
+def _half_odd_products(n: Fraction) -> tuple[QSeries, QSeries]:
+    """prod over m >= 1 of (1 + q^(m-1/2)) and of (1 - q^(m-1/2)), mod q^n."""
+    plus = minus = QSeries.one(n)
+    e = Fraction(1, 2)
+    while e < n:
+        plus = plus * QSeries.from_terms([(0, 1), (e, 1)], n)
+        minus = minus * QSeries.from_terms([(0, 1), (e, -1)], n)
+        e += 1
+    return plus, minus
 
 
 def quasiparticle_chi(trunc) -> QSeries:
     """Double sum over k >= 0 of q^(4k1^2+3k1k2+k2^2) (1 - q^k1 + q^(k1+k2))
-    divided by (q)_{k1} (q)_{k2}."""
-    n = Fraction(trunc)
-    out = QSeries.zero(n)
-    for k1, k2, e in _k1k2_terms(n):
-        bracket = QSeries.from_terms([(0, 1), (k1, -1), (k1 + k2, 1)]) if k1 + k2 > 0 \
-            else QSeries.one()
-        term = inv_pochhammer(k1, n - e) * inv_pochhammer(k2, n - e) * bracket.truncate(n - e)
-        out = out + term.shift(e)
-    return out.truncate(n)
+    divided by (q)_{k1} (q)_{k2}: P(t, q) at t = 1."""
+    return P_of_t_q(trunc).specialize_t1()
 
 
 MODULES = ("V0", "V_half", "V_sixteenth")
+
+# (bracket, linear term, q-offset) of each module's quasiparticle double sum
+_MODULE_SUMS = {
+    "V0": ([((0, 0, 0), 1), ((4, 2, 1), -1)], (0, 0), 0),
+    "V_half": ([((0, 0, 0), 1), ((8, 4, 6), -1)], (2, 0), Fraction(1, 2)),
+    "V_sixteenth": ([((1, 1, 0), 1), ((4, 1, 1), 1)], (0, 0), 0),
+}
 
 
 def module_character(which: str, side: str, trunc) -> QSeries:
@@ -487,79 +513,43 @@ def module_character(which: str, side: str, trunc) -> QSeries:
 
     Classical sides: the fermionic half-sum / half-difference products for
     V0 and V_half, and prod (1+q^m) for V_sixteenth.  New sides: the
-    corresponding two-variable quasiparticle double sums.
+    corresponding two-variable quasiparticle double sums at t = 1.
     """
     n = Fraction(trunc)
     if side not in ("Classical", "New"):
         raise ValueError("side must be Classical or New")
+    if which not in MODULES:
+        raise ValueError("unknown module %r" % (which,))
+    if side == "New":
+        bracket, linear, offset = _MODULE_SUMS[which]
+        return _quasiparticle_sum(n, bracket, linear, offset).specialize_t1()
     if which == "V0":
-        if side == "Classical":
-            return alt_expression("FermionHalf", n)
-        out = QSeries.zero(n)
-        for k1, k2, e in _k1k2_terms(n):
-            bracket = QSeries.from_terms([(0, 1), (4 * k1 + 2 * k2 + 1, -1)])
-            term = inv_pochhammer(k1, n - e) * inv_pochhammer(k2, n - e) * bracket.truncate(n - e)
-            out = out + term.shift(e)
-        return out.truncate(n)
+        return alt_expression("FermionHalf", n)
     if which == "V_half":
-        if side == "Classical":
-            plus = QSeries.one(n)
-            minus = QSeries.one(n)
-            m = 1
-            while Fraction(2 * m - 1, 2) < n:
-                e = Fraction(2 * m - 1, 2)
-                plus = plus * QSeries.from_terms([(0, 1), (e, 1)], n)
-                minus = minus * QSeries.from_terms([(0, 1), (e, -1)], n)
-                m += 1
-            return (plus - minus) * Fraction(1, 2)
-        half = Fraction(1, 2)
-        out = QSeries.zero(n, 2)
-        for k1, k2, e0 in _k1k2_terms(n - half, extra_linear=(2, 0)):
-            e = e0 + half
-            bracket = QSeries.from_terms([(0, 1), (8 * k1 + 4 * k2 + 6, -1)])
-            term = inv_pochhammer(k1, n - e) * inv_pochhammer(k2, n - e) * bracket.truncate(n - e)
-            out = out + term.shift(e)
-        return out.truncate(n)
-    if which == "V_sixteenth":
-        if side == "Classical":
-            out = QSeries.one(n)
-            m = 1
-            while m < n:
-                out = out * QSeries.from_terms([(0, 1), (m, 1)], n)
-                m += 1
-            return out
-        out = QSeries.zero(n)
-        for k1, k2, e in _k1k2_terms(n):
-            bracket = QSeries.from_terms([(k1 + k2, 1), (4 * k1 + k2 + 1, 1)])
-            term = inv_pochhammer(k1, n - e) * inv_pochhammer(k2, n - e) * bracket.truncate(n - e)
-            out = out + term.shift(e)
-        return out.truncate(n)
-    raise ValueError("unknown module %r" % (which,))
+        plus, minus = _half_odd_products(n)
+        return (plus - minus) * Fraction(1, 2)
+    out = QSeries.one(n)
+    m = 1
+    while m < n:
+        out = out * QSeries.from_terms([(0, 1), (m, 1)], n)
+        m += 1
+    return out
+
+
+# sum_{k>=0} q^(2k^2+2k)/(q)_{2k+1} as _single_sum's (exponent, index): the
+# 1/2-sector sum, which is also the limit of the 1/2-sector S family
+_HALF_SUM = ((2, 2), (2, 1))
 
 
 def v_half_sum_form(trunc) -> QSeries:
     """q^(1/2) * sum_{k>=1} q^(2k^2-2k)/(q)_{2k-1}: the classical sum form."""
-    n = Fraction(trunc)
-    half = Fraction(1, 2)
-    out = QSeries.zero(n, 2)
-    k = 1
-    while 2 * k * k - 2 * k + half < n:
-        e = 2 * k * k - 2 * k + half
-        out = out + inv_pochhammer(2 * k - 1, n - e).shift(e)
-        k += 1
-    return out
+    return _single_sum(trunc, *_HALF_SUM, offset=Fraction(1, 2))
 
 
 def v_sixteenth_sum_form(trunc) -> QSeries:
     """sum_{k>=0} q^(k(k+1)/2)/(q)_k: distinct-part partitions."""
-    n = Fraction(trunc)
-    out = QSeries.zero(n)
-    k = 0
-    while Fraction(k * (k + 1), 2) < n:
-        e = Fraction(k * (k + 1), 2)
-        out = out + inv_pochhammer(k, n - e).shift(e)
-        k += 1
-    return out
+    half = Fraction(1, 2)
+    return _single_sum(trunc, (half, half), (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +572,6 @@ def class_closed_form(which: str, trunc) -> TQSeries:
     n = Fraction(trunc)
     if which not in CLASS_NAMES:
         raise ValueError("class must be one of %s" % (CLASS_NAMES,))
-    from qvir.qseries import q_binomial
     shift = {"A": 0, "B": 1, "C": 2, "D": 2, "E": 3}[which]
     out = TQSeries.zero(n)
     m = shift
@@ -606,7 +595,6 @@ def class_closed_form(which: str, trunc) -> TQSeries:
 def class_quasiparticle_form(which: str, trunc) -> TQSeries:
     """Quasiparticle double sums for the five classes: prefactor times
     sum over (k1, k2) of t^(2k1+k2) q^(4k1^2+3k1k2+k2^2+linear)."""
-    n = Fraction(trunc)
     pre_t, pre_q, lin = {
         "A": (0, 0, (2, 2)),
         "B": (1, 2, (5, 3)),
@@ -614,24 +602,12 @@ def class_quasiparticle_form(which: str, trunc) -> TQSeries:
         "D": (2, 4, (8, 4)),
         "E": (3, 8, (11, 5)),
     }[which]
-    out = TQSeries.zero(n)
-    for k1, k2, e0 in _k1k2_terms(n - pre_q, extra_linear=lin):
-        e = e0 + pre_q
-        term = (inv_pochhammer(k1, n - e) * inv_pochhammer(k2, n - e)).shift(e).truncate(n)
-        out = out + TQSeries({pre_t + 2 * k1 + k2: term}, n)
-    return out
+    return _quasiparticle_sum(trunc, [((0, 0, 0), 1)], lin, pre_q, pre_t)
 
 
 def P_of_t_q(trunc) -> TQSeries:
     """Generating function sum p(n, m) t^m q^n as a quasiparticle double sum."""
-    n = Fraction(trunc)
-    out = TQSeries.zero(n)
-    for k1, k2, e in _k1k2_terms(n):
-        bracket = QSeries.from_terms([(0, 1), (k1, -1), (k1 + k2, 1)]) if k1 + k2 > 0 \
-            else QSeries.one()
-        term = inv_pochhammer(k1, n - e) * inv_pochhammer(k2, n - e) * bracket.truncate(n - e)
-        out = out + TQSeries({2 * k1 + k2: term.shift(e).truncate(n)}, n)
-    return out
+    return _quasiparticle_sum(trunc, [((0, 0, 0), 1), ((1, 0, 0), -1), ((1, 1, 0), 1)])
 
 
 def bigraded_character(trunc) -> TQSeries:

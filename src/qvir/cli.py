@@ -192,10 +192,15 @@ def check_functional_eqs(cfg: RunConfig) -> list:
     out.append(_entry("P == A+B+C+D+E", first is None, order,
                       first_failure=None if first is None else json.dumps(
                           {"t_degree": first[0], "q_exponent": str(first[1])})))
-    bg = ch.bigraded_character(n)
-    out.append(_entry("bigraded substitution: t-exponents nonnegative", True, n,
-                      detail="construction raises on a negative exponent"))
-    order, first = bg.specialize_t1().agreement(ch.quasiparticle_chi(n))
+    substitution = "bigraded substitution: t-exponents nonnegative"
+    detail = "construction raises on a negative exponent"
+    try:
+        bg = P.bigrade()
+    except ValueError as exc:
+        return out + [_entry(substitution, False, detail=detail, first_failure=str(exc)),
+                      _entry("bigraded character at t=1", False, first_failure=str(exc))]
+    out.append(_entry(substitution, True, n, detail=detail))
+    order, first = bg.specialize_t1().agreement(P.specialize_t1())
     out.append(_entry("bigraded character at t=1", first is None, order,
                       first_failure=None if first is None else str(first)))
     return out

@@ -176,10 +176,6 @@ def solve_nahm_system(A, tol=None, max_iter=5000) -> NahmSolution:
         return NahmSolution(A, Q, res, alpha)
 
 
-def alpha_of(A, tol=None) -> NahmSolution:
-    return solve_nahm_system(A, tol)
-
-
 def ising_quasiparticle_matrix():
     return [[8, 3], [3, 2]]
 

@@ -134,24 +134,11 @@ def recurrence_check_S(n_max: int) -> dict:
 
 def limit_series(sector: str, trunc) -> QSeries:
     """The infinite-n limit of the S family as a truncated series."""
-    n = Fraction(trunc)
     if sector == "vac":
-        return characters.alt_expression("Euler", n)
-    from qvir.qseries import inv_pochhammer
-    out = QSeries.zero(n)
+        return characters.alt_expression("Euler", trunc)
     if sector == "half":
-        k = 1
-        while 2 * k * k - 2 * k < n:
-            e = 2 * k * k - 2 * k
-            out = out + inv_pochhammer(2 * k - 1, n - e).shift(e)
-            k += 1
-        return out
-    k = 0
-    while 2 * k * k + k < n:
-        e = 2 * k * k + k
-        out = out + inv_pochhammer(2 * k + 1, n - e).shift(e)
-        k += 1
-    return out
+        return characters._single_sum(trunc, *characters._HALF_SUM)
+    return characters._single_sum(trunc, (2, 1), (2, 1))
 
 
 def limit_check(sector: str, n: int, trunc) -> dict:

@@ -76,6 +76,23 @@ def test_trunc_rejected_where_no_order_is_read(command, capsys):
     assert "%s reads no truncation order" % command in err
 
 
+def test_functional_eqs_reports_a_failed_bigrade(monkeypatch):
+    from qvir.characters import TQSeries
+
+    def refuse(self):
+        raise ValueError("negative t-exponent -1 at t^1 q^1")
+
+    monkeypatch.setattr(TQSeries, "bigrade", refuse)
+    rep = run_check("functional-eqs", RunConfig(trunc_tq=6))
+    entries = {c["name"]: c for c in rep["checks"]}
+    for name in ("bigraded substitution: t-exponents nonnegative",
+                 "bigraded character at t=1"):
+        assert not entries[name]["passed"]
+        assert entries[name]["first_failure"] == "negative t-exponent -1 at t^1 q^1"
+    assert not rep["passed"]
+    assert entries["P == A+B+C+D+E"]["passed"]
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# reduced orders\ntrunc_qseries = 12\nformat = json\n")
@@ -169,3 +186,39 @@ def test_golden_diffpoly():
     from qvir.diffalg import GEN_B, build_element
     assert GEN_B.to_json_dict() == load_golden("degree9_generator.json")
     assert build_element("r", 1).to_json_dict() == load_golden("element_r1.json")
+
+
+# every quasiparticle and single sum, pinned with its exact truncation and
+# exponent denominator; the fixture holds to_json_dict() per name and order
+QUASIPARTICLE_SUM_ORDERS = (1, 2, 3, 20)
+
+
+def quasiparticle_sums():
+    from qvir import characters as ch
+    from qvir.polyfamilies import limit_series
+    sums = {"quasiparticle_chi": ch.quasiparticle_chi, "P_of_t_q": ch.P_of_t_q,
+            "v_half_sum_form": ch.v_half_sum_form,
+            "v_sixteenth_sum_form": ch.v_sixteenth_sum_form}
+    for w in ch.MODULES:
+        sums["module_character/%s/New" % w] = \
+            lambda n, w=w: ch.module_character(w, "New", n)
+    sums["module_character/V_half/Classical"] = \
+        lambda n: ch.module_character("V_half", "Classical", n)
+    for w in ch.CLASS_NAMES:
+        sums["class_quasiparticle_form/%s" % w] = \
+            lambda n, w=w: ch.class_quasiparticle_form(w, n)
+    for w in ("Euler", "FermionHalf"):
+        sums["alt_expression/%s" % w] = lambda n, w=w: ch.alt_expression(w, n)
+    for sector in ("half", "sixteenth"):
+        sums["limit_series/%s" % sector] = \
+            lambda n, sector=sector: limit_series(sector, n)
+    return sums
+
+
+@pytest.mark.parametrize("name", sorted(quasiparticle_sums()))
+def test_golden_quasiparticle_sums(name):
+    golden = load_golden("quasiparticle_sums.json")[name]
+    build = quasiparticle_sums()[name]
+    for n in QUASIPARTICLE_SUM_ORDERS:
+        got = json.dumps(build(n).to_json_dict(), sort_keys=True)
+        assert got == json.dumps(golden[str(n)], sort_keys=True), (name, n)

@@ -3,8 +3,7 @@ import pytest
 
 from qvir.characters import e8_nahm_data, gordon_matrix
 from qvir.nahm import (DomainError, PRECISION_DPS, ising_quasiparticle_matrix,
-                       printed_fixed_point, rogers_dilog, solve_nahm_system,
-                       alpha_of)
+                       printed_fixed_point, rogers_dilog, solve_nahm_system)
 
 
 def mpf(x):
@@ -59,7 +58,7 @@ def test_quasiparticle_matrix_fixed_point():
 
 def test_alpha_is_pi2_over_12():
     with mp.workdps(PRECISION_DPS):
-        sol = alpha_of(ising_quasiparticle_matrix())
+        sol = solve_nahm_system(ising_quasiparticle_matrix())
         assert abs(sol.alpha - mp.pi ** 2 / 12) < mpf(10) ** -10
         assert abs(sol.effective_charge - mpf(1) / 2) < mpf(10) ** -10
 

@@ -309,7 +309,8 @@ def test_integer_polynomials_never_see_fractions(monkeypatch):
     # structural guard, not a timing: a Fraction default in a loop or a
     # constructor would bring the slow path back without changing any value,
     # so check what reaches QSeries.__init__ as well as what it stores
-    from qvir.characters import P_of_t_q, TQSeries
+    from qvir.characters import (CLASS_NAMES, MODULES, P_of_t_q, TQSeries,
+                                 class_quasiparticle_form, module_character)
     from qvir.polyfamilies import family_poly
     handed = set()
     init = QSeries.__init__
@@ -324,6 +325,9 @@ def test_integer_polynomials_never_see_fractions(monkeypatch):
     built = [family_poly("vac", "T", 20), q_binomial(30, 15), pochhammer_inf(40)]
     P = P_of_t_q(12)
     built += list(P.parts.values()) + list(P.bigrade().parts.values())
+    built += [module_character(w, "New", 12) for w in MODULES]
+    for w in CLASS_NAMES:
+        built += list(class_quasiparticle_form(w, 12).parts.values())
     assert handed == {int}
     assert all(all_int(s) for s in built)
     assert all(all_int(s) for s in TQSeries.from_json_dict(P.to_json_dict()).parts.values())
