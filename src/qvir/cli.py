@@ -200,7 +200,7 @@ def check_functional_eqs(cfg: RunConfig) -> list:
         return out + [_entry(substitution, False, detail=detail, first_failure=str(exc)),
                       _entry("bigraded character at t=1", False, first_failure=str(exc))]
     out.append(_entry(substitution, True, n, detail=detail))
-    order, first = bg.specialize_t1().agreement(P.specialize_t1())
+    order, first = bg.specialize_t1().agreement(ch.alt_expression("BGG", n))
     out.append(_entry("bigraded character at t=1", first is None, order,
                       first_failure=None if first is None else str(first)))
     return out

@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from qvir.linalg import Echelon, int_row
-from qvir.partitions import grevlex_key, partitions_min2, partitions_min2_length, count_min2
+from qvir.partitions import (contains, count_min2, grevlex_key, partitions_min2,
+                             partitions_min2_length)
 from qvir.qseries import QSeries, frac_str
 
 
@@ -41,11 +42,6 @@ def grevlex_less(lam: tuple, mu: tuple) -> bool:
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b, reverse=True))
-
-
-def mono_contains(lam: tuple, mu: tuple) -> bool:
-    from qvir.partitions import contains
-    return contains(lam, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +130,6 @@ class DiffPoly:
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading monomial")
         return max(self.terms, key=grevlex_key)
-
-    def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
 
     def key(self) -> tuple:
         return tuple(sorted(self.terms.items()))
@@ -546,10 +539,6 @@ def build_element(name: str, k: int = 0) -> DiffPoly:
     return out
 
 
-def leading_monomial(f: DiffPoly) -> tuple:
-    return f.leading_monomial()
-
-
 def _span_search(ingredients, target: tuple):
     """Echelon over the ingredient polynomials; the row with the target lead,
     if any, is the combination the printed multipliers were aiming for."""
@@ -678,9 +667,9 @@ def groebner_check(n_max: int) -> dict:
     for d in range(0, n_max + 1):
         pivots = set(ideal_slice(gens, d).pivots)
         closure = {m for m in monomials_of_weight(d)
-                   if any(mono_contains(m, b) for b in with_w)}
+                   if any(contains(m, b) for b in with_w)}
         closure_wo = {m for m in monomials_of_weight(d)
-                      if any(mono_contains(m, b) for b in without_w)}
+                      if any(contains(m, b) for b in without_w)}
         missing = sorted(pivots - closure, key=grevlex_key)
         extra = sorted(closure - pivots, key=grevlex_key)
         needs_w = sorted(pivots - closure_wo, key=grevlex_key)

@@ -20,15 +20,6 @@ class NotInP(ValueError):
 Partition = tuple
 
 
-def check_partition(parts) -> Partition:
-    lam = tuple(parts)
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        raise ValueError("parts must be weakly decreasing")
-    if lam and lam[-1] < 2:
-        raise ValueError("parts must be >= 2")
-    return lam
-
-
 def weight(lam: Partition) -> int:
     return sum(lam)
 
@@ -38,10 +29,6 @@ def contains(lam, mu) -> bool:
     need = Counter(mu)
     have = Counter(lam)
     return all(have[v] >= k for v, k in need.items())
-
-
-def avoids(lam, mu) -> bool:
-    return not contains(lam, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +81,9 @@ def forbidden_patterns(max_weight: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=1)  # callers go one weight at a time; one entry keeps memory flat
 def _patterns_by_min(max_weight: int) -> dict:
+    """Smallest part -> the part counts of each pattern with it (read-only)."""
     by_min: dict[int, list] = {}
     for pat in forbidden_patterns(max_weight):
         by_min.setdefault(pat[-1], []).append(Counter(pat))
@@ -102,7 +91,11 @@ def _patterns_by_min(max_weight: int) -> dict:
 
 
 def is_avoiding(lam) -> bool:
-    return all(avoids(lam, pat) for pat in forbidden_patterns(weight(lam)))
+    have = Counter(lam)
+    by_min = _patterns_by_min(weight(lam))
+    # a pattern inside lam has its smallest part among lam's parts
+    return not any(all(have[u] >= k for u, k in pat.items())
+                   for v in have for pat in by_min.get(v, ()))
 
 
 # ---------------------------------------------------------------------------

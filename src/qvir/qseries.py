@@ -192,7 +192,7 @@ class QSeries:
             return QSeries()  # an exact zero factor forces an exact zero product
         d = lcm(self.denom, other.denom)
         t = _mul_trunc(self, other)
-        bound = None if t is None else t * d
+        bound = None if t is None else _slots_below(t, d)
         a = sorted(self._with_denom(d).items())
         b = sorted(other._with_denom(d).items())
         if len(b) < len(a):
@@ -275,7 +275,7 @@ class QSeries:
         d = lcm(self.denom, other.denom)
         a = self._with_denom(d)
         b = other._with_denom(d)
-        bound = None if t is None else t * d
+        bound = None if t is None else _slots_below(t, d)
         diffs = []
         for k in set(a) | set(b):
             if bound is not None and k >= bound:

@@ -93,6 +93,23 @@ def test_functional_eqs_reports_a_failed_bigrade(monkeypatch):
     assert entries["P == A+B+C+D+E"]["passed"]
 
 
+def test_functional_eqs_t1_entry_catches_a_wrong_P(monkeypatch):
+    from qvir import characters as ch
+    from qvir.qseries import QSeries
+
+    real = ch.P_of_t_q
+
+    def wrong_P(n):
+        return real(n) + ch.TQSeries({1: QSeries.q_power(5, n)}, n)
+
+    monkeypatch.setattr(ch, "P_of_t_q", wrong_P)
+    rep = run_check("functional-eqs", RunConfig(trunc_tq=8))
+    entries = {c["name"]: c for c in rep["checks"]}
+    assert entries["bigraded substitution: t-exponents nonnegative"]["passed"]
+    assert not entries["bigraded character at t=1"]["passed"]
+    assert entries["bigraded character at t=1"]["first_failure"] == "5"
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# reduced orders\ntrunc_qseries = 12\nformat = json\n")

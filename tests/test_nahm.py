@@ -1,9 +1,12 @@
+import random
+
 import mpmath as mp
 import pytest
 
 from qvir.characters import e8_nahm_data, gordon_matrix
-from qvir.nahm import (DomainError, PRECISION_DPS, ising_quasiparticle_matrix,
-                       printed_fixed_point, rogers_dilog, solve_nahm_system)
+from qvir.nahm import (DomainError, NoConvergence, PRECISION_DPS,
+                       ising_quasiparticle_matrix, printed_fixed_point, rogers_dilog,
+                       solve_nahm_system)
 
 
 def mpf(x):
@@ -26,6 +29,15 @@ def test_dilog_half():
 def test_dilog_small_z():
     with mp.workdps(PRECISION_DPS):
         assert rogers_dilog(mpf(10) ** -25) < mpf(10) ** -20
+
+
+def test_dilog_golden_ratio_values():
+    # L((sqrt5-1)/2) = pi^2/10 and L((3-sqrt5)/2) = pi^2/15 (Zagier, "The
+    # Dilogarithm Function", 2007): closed forms independent of polylog
+    with mp.workdps(PRECISION_DPS):
+        r5 = mp.sqrt(5)
+        assert abs(rogers_dilog((r5 - 1) / 2) - mp.pi ** 2 / 10) < mpf(10) ** -35
+        assert abs(rogers_dilog((3 - r5) / 2) - mp.pi ** 2 / 15) < mpf(10) ** -35
 
 
 def test_dilog_domain():
@@ -75,8 +87,11 @@ def test_rogers_ramanujan_golden_point():
 
 def test_gordon_matrix_effective_charge():
     with mp.workdps(PRECISION_DPS):
-        sol = solve_nahm_system(gordon_matrix(2).A)
-        assert abs(sol.effective_charge - mpf(2) / 5) < mpf(10) ** -10
+        for s in range(2, 9):
+            sol = solve_nahm_system(gordon_matrix(s).A)
+            assert sol.residual < mpf(10) ** -30, s
+            assert abs(sol.effective_charge - mpf(2 * (s - 1)) / (2 * s + 1)) \
+                < mpf(10) ** -10, s
 
 
 def test_e8_effective_charge():
@@ -92,3 +107,36 @@ def test_solution_json():
     assert set(d) == {"matrix", "Q", "residual", "alpha", "g"}
     assert d["matrix"] == [["2"]]
     assert isinstance(d["Q"][0], float)
+
+
+def test_random_positive_definite_matrices():
+    # A = B^T B + I with small integer B: symmetric positive definite, with
+    # entries of both signs
+    rng = random.Random(20260)
+    with mp.workdps(PRECISION_DPS):
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            B = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            A = [[sum(B[k][i] * B[k][j] for k in range(n)) + (i == j)
+                  for j in range(n)] for i in range(n)]
+            sol = solve_nahm_system(A)
+            assert all(0 < q < 1 for q in sol.Q), A
+            for row, q in zip(A, sol.Q):
+                p = mp.fprod(qj ** a for qj, a in zip(sol.Q, row))
+                assert abs(1 - q - p) < mpf(10) ** -30, A
+
+
+@pytest.mark.parametrize("A", [[[0]], [[-1]]])
+def test_no_root_raises(A):
+    # [[0]]: 1 - Q = 1 has only the boundary solution Q = 0;
+    # [[-1]]: 1 - Q = 1/Q has no real solution
+    with pytest.raises(NoConvergence):
+        solve_nahm_system(A)
+
+
+def test_root_at_infinity_is_rejected(monkeypatch):
+    # x = log Q = -120 leaves |1 - Q - Q^0| = Q < 1e-52 for [[0]], yet it is
+    # no root: the residual is all of Q
+    monkeypatch.setattr(mp, "findroot", lambda *args, **kwargs: mp.matrix([-120]))
+    with pytest.raises(NoConvergence):
+        solve_nahm_system([[0]])
