@@ -92,24 +92,25 @@ def _entry(name, passed, order=None, detail=None, first_failure=None, data=None)
     return out
 
 
+def _agreement_entry(name, a, b, data=None):
+    """The entry for the series identity a == b: passed iff the two agree up
+    to their common truncation, with the first differing exponent if not."""
+    order, first = a.agreement(b)
+    return _entry(name, first is None, order,
+                  first_failure=None if first is None else str(first), data=data)
+
+
 def check_characters_equal(cfg: RunConfig) -> list:
     from qvir import characters as ch
     n = cfg.trunc_qseries
     exprs = {w: ch.alt_expression(w, n) for w in ch.ALT_EXPRESSIONS}
-    out = []
     base = exprs["BGG"]
-    for w in ch.ALT_EXPRESSIONS[1:]:
-        order, first = base.agreement(exprs[w])
-        out.append(_entry("BGG == %s" % w, first is None, order,
-                          first_failure=None if first is None else str(first)))
-    qp = ch.quasiparticle_chi(n)
-    order, first = qp.agreement(exprs["Euler"])
-    out.append(_entry("quasiparticle == Euler", first is None, order,
-                      first_failure=None if first is None else str(first)))
+    out = [_agreement_entry("BGG == %s" % w, base, exprs[w])
+           for w in ch.ALT_EXPRESSIONS[1:]]
+    out.append(_agreement_entry("quasiparticle == Euler", ch.quasiparticle_chi(n),
+                                exprs["Euler"]))
     ff = ch.feigin_fuchs_character(ch.MinimalModelLabel(3, 4), n)
-    order, first = ff.agreement(exprs["BGG"])
-    out.append(_entry("Feigin-Fuchs(3,4) == BGG", first is None, order,
-                      first_failure=None if first is None else str(first)))
+    out.append(_agreement_entry("Feigin-Fuchs(3,4) == BGG", ff, base))
     return out
 
 
@@ -118,22 +119,16 @@ def check_nahm_e8(cfg: RunConfig) -> list:
     n = cfg.trunc_e8
     lhs = ch.nahm_sum(ch.e8_nahm_data(), n)
     rhs = ch.feigin_fuchs_character(ch.MinimalModelLabel(3, 4), n)
-    order, first = lhs.agreement(rhs)
-    return [_entry("E8 fermionic sum == vacuum character", first is None, order,
-                   first_failure=None if first is None else str(first))]
+    return [_agreement_entry("E8 fermionic sum == vacuum character", lhs, rhs)]
 
 
 def check_modules_identities(cfg: RunConfig) -> list:
     from qvir import characters as ch
     n = cfg.trunc_modules
-    out = []
-    for which in ch.MODULES:
-        a = ch.module_character(which, "Classical", n)
-        b = ch.module_character(which, "New", n)
-        order, first = a.agreement(b)
-        out.append(_entry("%s: classical == quasiparticle" % which, first is None,
-                          order, first_failure=None if first is None else str(first)))
-    return out
+    return [_agreement_entry("%s: classical == quasiparticle" % which,
+                             ch.module_character(which, "Classical", n),
+                             ch.module_character(which, "New", n))
+            for which in ch.MODULES]
 
 
 def check_partitions_count(cfg: RunConfig) -> list:
@@ -147,9 +142,7 @@ def check_partitions_count(cfg: RunConfig) -> list:
                   first_failure=str(bad[0]) if bad else None,
                   data={"partition_lists": lists})]
     quint = ch.alt_expression("QuintupleProduct", n + 1)
-    order, first = prod.agreement(quint)
-    out.append(_entry("mod-16 product == quintuple product", first is None, order,
-                      first_failure=None if first is None else str(first)))
+    out.append(_agreement_entry("mod-16 product == quintuple product", prod, quint))
     return out
 
 
@@ -157,7 +150,7 @@ def check_recursion(cfg: RunConfig) -> list:
     from qvir import partitions as pt
     n = cfg.trunc_tq
     rep = pt.recursion_check(n)
-    table = pt.count_table(n)
+    table = rep["count_table"]
     rows = [["n", "m", "a", "b", "c", "d", "e", "p"]]
     for nn in range(n + 1):
         for m in range(nn // 2 + 1):
@@ -200,9 +193,8 @@ def check_functional_eqs(cfg: RunConfig) -> list:
         return out + [_entry(substitution, False, detail=detail, first_failure=str(exc)),
                       _entry("bigraded character at t=1", False, first_failure=str(exc))]
     out.append(_entry(substitution, True, n, detail=detail))
-    order, first = bg.specialize_t1().agreement(ch.alt_expression("BGG", n))
-    out.append(_entry("bigraded character at t=1", first is None, order,
-                      first_failure=None if first is None else str(first)))
+    out.append(_agreement_entry("bigraded character at t=1", bg.specialize_t1(),
+                                ch.alt_expression("BGG", n)))
     return out
 
 
@@ -256,22 +248,17 @@ def check_hilbert(cfg: RunConfig) -> list:
     gens = {"a": (da.GEN_A,), "b": (da.GEN_B,), "ab": (da.GEN_A, da.GEN_B)}[cfg.gens]
     h = da.hilbert_quotient(gens, n)
     ff = ch.feigin_fuchs_character(ch.MinimalModelLabel(3, 4), n + 1)
-    order, first = h.agreement(ff)
     rows = [["weight", "dimension"]] + [[d, int(h.coefficient(d))]
                                         for d in range(n + 1)]
-    out.append(_entry("quotient Hilbert series (gens=%s) == vacuum character"
-                      % cfg.gens, first is None, order,
-                      first_failure=None if first is None else str(first),
-                      data={"hilbert_coefficients": rows}))
+    out.append(_agreement_entry("quotient Hilbert series (gens=%s) == vacuum character"
+                                % cfg.gens, h, ff, data={"hilbert_coefficients": rows}))
     if cfg.gens != "ab":
         return out
     for s in (2, 3):
         hs = da.hilbert_quotient((da.DiffPoly({(2,) * s: 1}),), min(n, 25))
         ag = ch.andrews_gordon_product(s, min(n, 25) + 1)
-        order, first = hs.agreement(ag)
-        out.append(_entry("free quotient s=%d == Andrews-Gordon product" % s,
-                          first is None, order,
-                          first_failure=None if first is None else str(first)))
+        out.append(_agreement_entry("free quotient s=%d == Andrews-Gordon product" % s,
+                                    hs, ag))
     a5 = da.DiffPoly({(2, 2, 2, 2): 1})
     b5 = da.DiffPoly({(5, 2, 2, 2): Fraction(-1, 9), (4, 3, 2, 2): 1})
     h5 = da.hilbert_quotient((a5, b5), 21)

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from qvir.linalg import Echelon, int_row
 from qvir.partitions import (contains, count_min2, grevlex_key, partitions_min2,
                              partitions_min2_length)
-from qvir.qseries import QSeries, frac_str
+from qvir.qseries import QSeries, exact_terms, frac_str
 
 
 class ZeroPolynomial(ArithmeticError):
@@ -50,22 +51,18 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
 
 
 class DiffPoly:
-    """Sparse polynomial: map from monomial (partition tuple) to Fraction."""
+    """Sparse polynomial: map from monomial (partition tuple) to a nonzero
+    rational, an int while it is integral (the ``qseries`` coefficient rule).
+    The constructor is the one place that drops a zero coefficient."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        t: dict[tuple, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    t[tuple(mono)] = c
-        self.terms = t
+        self.terms = exact_terms(terms) if terms else {}
 
     @classmethod
     def monomial(cls, mono, c=1) -> "DiffPoly":
-        return cls({tuple(mono): Fraction(c)})
+        return cls({tuple(mono): c})
 
     def __bool__(self):
         return bool(self.terms)
@@ -79,11 +76,7 @@ class DiffPoly:
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
+            out[m] = out.get(m, 0) + c
         return DiffPoly(out)
 
     def __neg__(self):
@@ -93,27 +86,19 @@ class DiffPoly:
         return self + (-other)
 
     def scale(self, c) -> "DiffPoly":
-        c = Fraction(c)
-        if not c:
-            return DiffPoly()
         return DiffPoly({m: v * c for m, v in self.terms.items()})
 
     __mul__ = None  # use mul() / mul_monomial(); avoids silent scalar confusion
 
     def mul_monomial(self, mono: tuple, c=1) -> "DiffPoly":
-        c = Fraction(c)
         return DiffPoly({mono_mul(m, tuple(mono)): v * c for m, v in self.terms.items()})
 
     def mul(self, other: "DiffPoly") -> "DiffPoly":
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
+                out[m] = out.get(m, 0) + c1 * c2
         return DiffPoly(out)
 
     def weight(self) -> int:
@@ -142,7 +127,7 @@ class DiffPoly:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DiffPoly":
-        return cls({tuple(m): Fraction(c) for m, c in d["terms"]})
+        return cls({tuple(m): c for m, c in d["terms"]})
 
     def __repr__(self):
         items = sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
@@ -154,21 +139,15 @@ class DiffPoly:
 
 def derive(f: DiffPoly) -> DiffPoly:
     """Leibniz extension of: degree-n generator -> (n-1) times degree-(n+1)."""
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, int | Fraction] = {}
     for mono, c in f.terms.items():
         seen = set()
         for i, v in enumerate(mono):
             if v in seen:
                 continue
             seen.add(v)
-            mult = mono.count(v)
             new = tuple(sorted(mono[:i] + (v + 1,) + mono[i + 1:], reverse=True))
-            add = c * mult * (v - 1)
-            s = out.get(new, Fraction(0)) + add
-            if s:
-                out[new] = s
-            elif new in out:
-                del out[new]
+            out[new] = out.get(new, 0) + c * mono.count(v) * (v - 1)
     return DiffPoly(out)
 
 
@@ -245,16 +224,27 @@ def _gens_length_homogeneous(gens) -> bool:
     return all(len(g.lengths()) == 1 for g in gens)
 
 
+def _primitive(g: DiffPoly) -> DiffPoly:
+    """The primitive integer multiple of g.  It generates the same ideal, and
+    by the divided-power Leibniz rule, with d^[k] of the degree-n generator
+    equal to C(n+k-2, k) times the degree-(n+k) one, every divided
+    derivative of an integer polynomial is integral."""
+    den = lcm(*(c.denominator for c in g.terms.values()))
+    scaled = g.scale(den)
+    return scaled.scale(Fraction(1, gcd(*scaled.terms.values())))
+
+
 def _build_block(gens, d: int, l):
     """Echelon basis of the length-l part of the weight-d ideal slice.
 
     With l = None (needed when some generator mixes lengths) the whole slice
-    is reduced as one block.
+    is reduced as one block.  Each generator is replaced by its primitive
+    integer multiple, so every row is an int map from the start.
     """
     monos = monomials_of_weight_length(d, l) if l is not None else monomials_of_weight(d)
     index = {m: i for i, m in enumerate(monos)}
     ech = Echelon()
-    for g in gens:
+    for g in map(_primitive, gens):
         wg = g.weight()
         for k in range(0, d - wg + 1):
             dg = cached_divided_derivative(g, k)
@@ -267,7 +257,7 @@ def _build_block(gens, d: int, l):
             else:
                 mus = partitions_min2(rest)
             for mu in mus:
-                ech.insert(int_row(dg.mul_monomial(mu).terms, index))
+                ech.insert({index[mono_mul(m, mu)]: c for m, c in dg.terms.items()})
     return ech, monos, index
 
 
@@ -348,7 +338,7 @@ def hilbert_quotient(gens, n_max: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 def _polyval(coeffs, k: int) -> Fraction:
-    v = Fraction(0)
+    v = 0
     for c in coeffs:
         v = v * k + c
     return v
@@ -401,11 +391,11 @@ def verify_derivative_formulas(k_max: int) -> dict:
                 listed = {}
                 for mono0, num, divisor in table:
                     mono = tuple(x + k for x in mono0)
-                    listed[mono] = _polyval([Fraction(c) for c in num], k) / divisor
+                    listed[mono] = _polyval(_p(num), k) / divisor
                 entry = {"generator": gen_name, "order": order, "k": k, "passed": True,
                          "mismatches": []}
                 for mono, want in listed.items():
-                    got = f.terms.get(mono, Fraction(0))
+                    got = f.terms.get(mono, 0)
                     if got != want:
                         entry["mismatches"].append(
                             {"monomial": list(mono), "expected": frac_str(want), "actual": frac_str(got)})

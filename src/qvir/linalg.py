@@ -43,6 +43,22 @@ def _norm_int_row(row: dict) -> dict:
     return row
 
 
+def _clear(row: dict, p: dict, c: int) -> dict:
+    """The integer combination of row and pivot row p whose entry at column
+    c vanishes: both are scaled by the cofactors of their entries' gcd."""
+    a, b = row[c], p[c]
+    g = gcd(a, b)
+    fa, fp = b // g, a // g
+    new = {k: fa * v for k, v in row.items()}
+    for k, v in p.items():
+        s = new.get(k, 0) - fp * v
+        if s:
+            new[k] = s
+        elif k in new:
+            del new[k]
+    return new
+
+
 class Echelon:
     """Incremental integer echelon with deterministic leftmost pivoting."""
 
@@ -60,17 +76,7 @@ class Echelon:
             p = self.pivots.get(c)
             if p is None:
                 return row
-            a, b = row[c], p[c]
-            g = gcd(a, b)
-            fa, fp = b // g, a // g
-            new = {k: fa * v for k, v in row.items()}
-            for k, v in p.items():
-                s = new.get(k, 0) - fp * v
-                if s:
-                    new[k] = s
-                elif k in new:
-                    del new[k]
-            row = new
+            row = _clear(row, p, c)
             steps += 1
             if steps % 16 == 0:
                 row = _norm_int_row(row)
@@ -99,17 +105,7 @@ class Echelon:
             for c2, row in out.items():
                 if c2 == c or c not in row:
                     continue
-                a, b = row[c], p[c]
-                g = gcd(a, b)
-                fa, fp = b // g, a // g
-                new = {k: fa * v for k, v in row.items()}
-                for k, v in p.items():
-                    s = new.get(k, 0) - fp * v
-                    if s:
-                        new[k] = s
-                    elif k in new:
-                        del new[k]
-                out[c2] = _norm_int_row(new)
+                out[c2] = _norm_int_row(_clear(row, p, c))
         return out
 
     def nullspace(self, ncols: int) -> list:

@@ -239,6 +239,7 @@ def recursion_check(n_max: int) -> dict:
 
     Out-of-range indices count as zero; the n = 0 row is the base case (only
     the empty partition, in class A) and is excluded from the recurrences.
+    The report carries the ``count_table(n_max)`` it checked.
     """
     t = count_table(n_max)
 
@@ -267,7 +268,8 @@ def recursion_check(n_max: int) -> dict:
                 failures.append({"class": "P", "n": n, "m": m,
                                  "actual": g("P", n, m), "expected": total})
     return {"passed": not failures, "n_max": n_max, "failures": failures[:10],
-            "failure_count": len(failures), "comparisons": comparisons}
+            "failure_count": len(failures), "comparisons": comparisons,
+            "count_table": t}
 
 
 # ---------------------------------------------------------------------------

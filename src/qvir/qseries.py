@@ -14,10 +14,13 @@ enforces this for every constructor, so the product, sum and inverse loops
 run on ints for the integer polynomials that dominate the work (q-binomials,
 Pochhammer symbols, the quasiparticle and congruence products) and pay for
 ``Fraction``, which reduces by a gcd after every operation, only where a
-true fraction appears.  ``3`` and ``Fraction(3)`` compare and hash alike, so
-equality, hashing and JSON do not depend on which of the two a caller
-passes.  Pitfall: ``int / int`` is a float in Python, so no ``/`` may see a
-coefficient; divide by multiplying with an exact reciprocal
+true fraction appears.  The other exact containers follow the same rule:
+``diffalg.DiffPoly`` and ``virasoro.VirVector`` store their terms through
+``exact_terms``, so each constructor is the one place that normalizes a
+coefficient and drops a zero.  ``3`` and ``Fraction(3)`` compare and hash
+alike, so equality, hashing and JSON do not depend on which of the two a
+caller passes.  Pitfall: ``int / int`` is a float in Python, so no ``/``
+may see a coefficient; divide by multiplying with an exact reciprocal
 ``Fraction(1, c)`` instead.
 """
 
@@ -46,6 +49,18 @@ def _exact(x):
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def exact_terms(terms) -> dict:
+    """The nonzero entries of a map key -> rational, keyed by ``tuple(key)``
+    and stored under the coefficient rule."""
+    out = {}
+    for key, c in terms.items():
+        if type(c) is not int:
+            c = _exact(c)
+        if c:
+            out[tuple(key)] = c
+    return out
 
 
 def _slots_below(t: Fraction, d: int) -> int:

@@ -16,7 +16,7 @@ from qvir.characters import MinimalModelLabel
 from qvir.linalg import Echelon, int_row
 from qvir.partitions import partitions_min2, count_min2
 from qvir.partitions import grevlex_key as _grevlex_key
-from qvir.qseries import frac_str
+from qvir.qseries import exact_terms, frac_str
 
 
 class NoSolution(ArithmeticError):
@@ -28,19 +28,16 @@ class NonUniqueSolution(ArithmeticError):
 
 
 class VirVector:
-    """Element of the degree-truncated vacuum module at central charge c."""
+    """Element of the degree-truncated vacuum module at central charge c.
+
+    Coefficients follow the ``qseries`` rule (an int while integral), and
+    the constructor is the one place that drops a zero coefficient."""
 
     __slots__ = ("c", "coeffs")
 
     def __init__(self, c, coeffs=None):
         self.c = Fraction(c)
-        cleaned: dict[tuple, Fraction] = {}
-        if coeffs:
-            for mono, v in coeffs.items():
-                v = Fraction(v)
-                if v:
-                    cleaned[tuple(mono)] = v
-        self.coeffs = cleaned
+        self.coeffs = exact_terms(coeffs) if coeffs else {}
 
     @classmethod
     def vacuum(cls, c) -> "VirVector":
@@ -62,11 +59,7 @@ class VirVector:
             raise ValueError("central charges differ")
         out = dict(self.coeffs)
         for m, v in other.coeffs.items():
-            s = out.get(m, Fraction(0)) + v
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
+            out[m] = out.get(m, 0) + v
         return VirVector(self.c, out)
 
     def __neg__(self):
@@ -76,9 +69,6 @@ class VirVector:
         return self + (-other)
 
     def scale(self, f) -> "VirVector":
-        f = Fraction(f)
-        if not f:
-            return VirVector(self.c)
         return VirVector(self.c, {m: v * f for m, v in self.coeffs.items()})
 
     def degree(self) -> int:
@@ -107,50 +97,41 @@ _APPLY_CACHE: dict[tuple, dict] = {}
 
 
 def _apply_one(c: Fraction, m: int, mono: tuple) -> dict:
-    """L_m applied to one PBW monomial, normal-ordered; returns a coeff map."""
+    """L_m applied to one PBW monomial, normal-ordered; returns a coeff map
+    that holds no zero and follows the coefficient rule."""
     key = (c, m, mono)
     out = _APPLY_CACHE.get(key)
     if out is not None:
         return out
     if not mono:
-        out = {} if m >= -1 else {(-m,): Fraction(1)}
+        out = {} if m >= -1 else {(-m,): 1}
     elif -m >= mono[0]:
-        out = {(-m,) + mono: Fraction(1)}
+        out = {(-m,) + mono: 1}
     else:
         n1 = mono[0]
         tail = mono[1:]
-        acc: dict[tuple, Fraction] = {}
+        acc: dict[tuple, int | Fraction] = {}
 
-        def add(res: dict, f: Fraction):
+        def add(res: dict, f):
             for mu, v in res.items():
-                s = acc.get(mu, Fraction(0)) + f * v
-                if s:
-                    acc[mu] = s
-                elif mu in acc:
-                    del acc[mu]
+                acc[mu] = acc.get(mu, 0) + f * v
 
         inner = _apply_one(c, m, tail)
         for mu, v in inner.items():
             add(_apply_one(c, -n1, mu), v)
-        add(_apply_one(c, m - n1, tail), Fraction(m + n1))
+        add(_apply_one(c, m - n1, tail), m + n1)
         if m == n1:
-            central = Fraction(m ** 3 - m, 12) * c
-            if central:
-                add({tail: Fraction(1)}, central)
-        out = acc
+            add({tail: 1}, Fraction(m ** 3 - m, 12) * c)
+        out = exact_terms(acc)
     _APPLY_CACHE[key] = out
     return out
 
 
 def apply_mode(m: int, v: VirVector) -> VirVector:
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, int | Fraction] = {}
     for mono, coeff in v.coeffs.items():
         for mu, f in _apply_one(v.c, m, mono).items():
-            s = out.get(mu, Fraction(0)) + coeff * f
-            if s:
-                out[mu] = s
-            elif mu in out:
-                del out[mu]
+            out[mu] = out.get(mu, 0) + coeff * f
     return VirVector(v.c, out)
 
 
@@ -250,7 +231,7 @@ def quotient_graded_dims(label: MinimalModelLabel, n_max: int, spaces=None) -> l
 # the degree-9 kernel element and its higher analogues
 # ---------------------------------------------------------------------------
 
-PRINTED_SINGULAR_34 = {(2, 2, 2): Fraction(1), (3, 3): Fraction(93, 64),
+PRINTED_SINGULAR_34 = {(2, 2, 2): 1, (3, 3): Fraction(93, 64),
                        (6,): Fraction(-27, 16), (4, 2): Fraction(-33, 8)}
 
 
@@ -309,7 +290,7 @@ def lemma_bp_check(pp: int) -> dict:
         sym, (diffalg.DiffPoly({(2,) * (pp - 1): 1}),))
     # the lift: same coefficients read as PBW monomials; its class modulo the
     # submodule must drop to PBW length <= p'-2
-    lift = VirVector(lab.central_charge, {m: c for m, c in sym.terms.items()})
+    lift = VirVector(lab.central_charge, sym.terms)
     index = _basis_index(w)
     short = spaces.get(w, Echelon())
     for mono, i in index.items():

@@ -1,19 +1,25 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import qvir
 from qvir.cli import (CHECKS, ConfigError, RunConfig, load_config_file, main,
                       render, run_check)
 
 GOLDEN = Path(__file__).parent / "golden"
+# the child interpreter imports the qvir this process imports, also when it
+# comes from the checkout's src/ through pytest's pythonpath setting
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+    str(Path(qvir.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")))))
 
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "qvir.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 

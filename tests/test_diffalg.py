@@ -1,19 +1,23 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
+from qvir import diffalg, virasoro
 from qvir.characters import (MinimalModelLabel, andrews_gordon_product,
                              feigin_fuchs_character)
-from qvir.diffalg import (DiffPoly, GEN_A, GEN_B, GEN_B_SCALED, ZeroPolynomial,
-                          build_element, cached_divided_derivative,
+from qvir.diffalg import (DiffPoly, ELEMENT_NAMES, GEN_A, GEN_B, GEN_B_SCALED,
+                          ZeroPolynomial, build_element, cached_divided_derivative,
                           claimed_basis_lms, derive, divided_derivative,
                           element_target_lm, grevlex_less, groebner_check,
                           hilbert_quotient, ideal_slice, membership,
                           monomials_of_weight, prop51_check,
                           verify_derivative_formulas)
+from qvir.linalg import Echelon
 from qvir.partitions import count_min2, partitions_min2
+from qvir.virasoro import VirVector, lemma_b_check, solve_singular_vector
 
 
 GENS = (GEN_A, GEN_B)
@@ -76,6 +80,23 @@ def test_leibniz_on_random_pairs():
         g = DiffPoly({rng.choice(monos): F(rng.randint(-4, 4), rng.randint(1, 3))
                       for _ in range(2)})
         assert derive(f.mul(g)) == derive(f).mul(g) + f.mul(derive(g))
+
+
+def test_divided_derivatives_of_integer_polynomials_are_integral():
+    # d^[k] of the degree-n generator is C(n+k-2, k) times the degree-(n+k)
+    # one, so by the divided-power Leibniz rule no denominator can appear
+    rng = random.Random(61)
+    monos = [m for w in range(2, 11) for m in monomials_of_weight(w)]
+    for _ in range(30):
+        f = DiffPoly({rng.choice(monos): rng.choice((-5, -2, -1, 1, 3, 7))
+                      for _ in range(rng.randint(1, 4))})
+        k = rng.randint(0, 8)
+        got = divided_derivative(f, k)
+        assert all(type(c) is int for c in got.terms.values()), (f, k)
+        raw = f
+        for _ in range(k):
+            raw = derive(raw)
+        assert got.terms == {m: F(c, factorial(k)) for m, c in raw.terms.items()}
 
 
 def test_homogeneous_weight_raised_by_one():
@@ -184,6 +205,58 @@ def test_hilbert_missing_generator_deviates_at_9():
     ff = feigin_fuchs_character(MinimalModelLabel(3, 4), 11)
     _, first = h.agreement(ff)
     assert first == 9
+
+
+def test_slice_rows_are_integer_from_the_start(monkeypatch):
+    # structural guard, not a timing: the generators are scaled to primitive
+    # integer multiples before any derivative is taken, so neither the
+    # derivative chains nor the rows handed to the echelon hold a Fraction
+    insert = Echelon.insert
+
+    def spy(self, row):
+        assert all(type(v) is int for v in row.values()), row
+        return insert(self, row)
+
+    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
+    monkeypatch.setattr(diffalg, "_DD_CACHE", {})
+    monkeypatch.setattr(Echelon, "insert", spy)
+    h = hilbert_quotient(GENS, 20)
+    assert h.equal_mod(feigin_fuchs_character(MinimalModelLabel(3, 4), 21), 21)
+    chains = diffalg._DD_CACHE.values()
+    assert chains and all(type(c) is int for chain in chains for f in chain
+                          for c in f.terms.values())
+
+
+def test_exact_containers_store_ints_while_integral(monkeypatch):
+    # what reaches the DiffPoly and VirVector constructors, and what they
+    # keep: never a float, and an int for every integral coefficient
+    handed, stored = set(), []
+    poly_init, vec_init = DiffPoly.__init__, VirVector.__init__
+
+    def poly_spy(self, terms=None):
+        handed.update(type(c) for c in (terms or {}).values())
+        poly_init(self, terms)
+        stored.extend(self.terms.values())
+
+    def vec_spy(self, c, coeffs=None):
+        handed.update(type(v) for v in (coeffs or {}).values())
+        vec_init(self, c, coeffs)
+        stored.extend(self.coeffs.values())
+
+    monkeypatch.setattr(DiffPoly, "__init__", poly_spy)
+    monkeypatch.setattr(VirVector, "__init__", vec_spy)
+    monkeypatch.setattr(diffalg, "_DD_CACHE", {})
+    monkeypatch.setattr(diffalg, "_ELEMENT_CACHE", {})
+    monkeypatch.setattr(virasoro, "_APPLY_CACHE", {})
+    for name in ELEMENT_NAMES:
+        for k in range(1 if name.startswith("e") else 3):
+            build_element(name, k)
+    assert verify_derivative_formulas(2)["passed"]
+    solve_singular_vector(MinimalModelLabel(3, 4))
+    assert lemma_b_check()["passed"]
+    assert float not in handed
+    assert all(type(c) is int or c.denominator != 1 for c in stored)
+    assert {int, F} <= {type(c) for c in stored}
 
 
 def test_scaled_generator_spans_same_ideal():
