@@ -295,9 +295,8 @@ def check_groebner(cfg: RunConfig) -> list:
     rep = da.groebner_check(n)
     bad = [d for d in rep["per_degree"] if not d["passed"]]
     ranks = [["weight", "rank", "pivot_monomials"]]
-    for d in range(min(n, 14) + 1):
-        sl = da.ideal_slice((da.GEN_A, da.GEN_B), d)
-        ranks.append([d, sl.rank, json.dumps([list(m) for m in sl.pivots])])
+    for d, pivots in enumerate(rep["slice_pivots"][:15]):
+        ranks.append([d, len(pivots), json.dumps([list(m) for m in pivots])])
     return [_entry("pivot sets == divisibility closure, d <= %d" % n, rep["passed"],
                    n, first_failure=json.dumps(bad[0]) if bad else None,
                    data={"slice_ranks_and_pivots": ranks}),

@@ -14,12 +14,13 @@ partition has the larger part at the first disagreement is the smaller one.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from qvir.linalg import Echelon, int_row
-from qvir.partitions import (contains, count_min2, grevlex_key, partitions_min2,
+from qvir.partitions import (count_min2, grevlex_key, partitions_min2,
                              partitions_min2_length)
 from qvir.qseries import QSeries, exact_terms, frac_str
 
@@ -197,6 +198,13 @@ def monomials_of_weight_length(d: int, l: int) -> tuple:
     return tuple(sorted(partitions_min2_length(d, l), key=grevlex_key, reverse=True))
 
 
+@lru_cache(maxsize=None)
+def _multipliers(n: int, m: int) -> tuple:
+    """The multipliers of _build_block: partitions_min2_length(n, m), kept
+    in the order it yields them, so that rows are inserted in that order."""
+    return tuple(partitions_min2_length(n, m))
+
+
 class GradedIdealSlice:
     """Reduced row-echelon basis of one weight slice of a differential ideal.
 
@@ -253,7 +261,7 @@ def _build_block(gens, d: int, l):
                 extra = l - next(iter(g.lengths()))
                 if extra < 0:
                     continue
-                mus = partitions_min2_length(rest, extra)
+                mus = _multipliers(rest, extra)
             else:
                 mus = partitions_min2(rest)
             for mu in mus:
@@ -542,7 +550,7 @@ def _span_search(ingredients, target: tuple):
     for p in polys:
         ech.insert(int_row(p.terms, index))
     want = index[target]
-    row = ech.pivots.get(want)
+    row = ech.reduced().get(want)
     if row is None:
         return None
     lead = row[want]
@@ -649,17 +657,25 @@ def groebner_check(n_max: int) -> dict:
     its patterns are covered by the others or genuinely required.
     """
     gens = (GEN_A, GEN_B)
-    with_w = claimed_basis_lms(n_max, include_w=True)
     without_w = claimed_basis_lms(n_max, include_w=False)
+    w_lms = set(claimed_basis_lms(n_max, include_w=True)) - set(without_w)
+    others = [Counter(b) for b in without_w]
+    w_family = [Counter(b) for b in w_lms]
     per_degree = []
+    slice_pivots = []
     ok = True
     w_only: list = []
     for d in range(0, n_max + 1):
-        pivots = set(ideal_slice(gens, d).pivots)
-        closure = {m for m in monomials_of_weight(d)
-                   if any(contains(m, b) for b in with_w)}
-        closure_wo = {m for m in monomials_of_weight(d)
-                      if any(contains(m, b) for b in without_w)}
+        slice_pivots.append(ideal_slice(gens, d).pivots)
+        pivots = set(slice_pivots[-1])
+        closure, closure_wo = set(), set()
+        for m in monomials_of_weight(d):
+            have = Counter(m)
+            if any(have >= b for b in others):
+                closure_wo.add(m)
+                closure.add(m)
+            elif any(have >= b for b in w_family):
+                closure.add(m)
         missing = sorted(pivots - closure, key=grevlex_key)
         extra = sorted(closure - pivots, key=grevlex_key)
         needs_w = sorted(pivots - closure_wo, key=grevlex_key)
@@ -671,5 +687,5 @@ def groebner_check(n_max: int) -> dict:
                            "covered_not_pivot": [list(m) for m in extra[:5]],
                            "covered_only_by_w": [list(m) for m in needs_w[:5]]})
     return {"passed": ok, "n_max": n_max, "per_degree": per_degree,
-            "w_family_required": bool(w_only),
+            "slice_pivots": slice_pivots, "w_family_required": bool(w_only),
             "w_only_monomials": [list(m) for m in w_only[:10]]}

@@ -211,6 +211,14 @@ def test_golden_diffpoly():
     assert build_element("r", 1).to_json_dict() == load_golden("element_r1.json")
 
 
+def test_golden_ideal_slice_rows():
+    from qvir.diffalg import GEN_A, GEN_B, ideal_slice
+    golden = load_golden("ideal_slice_rows.json")
+    assert sorted(golden, key=int) == [str(d) for d in range(19)]
+    for d, rows in golden.items():
+        assert [r.to_json_dict() for r in ideal_slice((GEN_A, GEN_B), int(d)).rows] == rows, d
+
+
 # every quasiparticle and single sum, pinned with its exact truncation and
 # exponent denominator; the fixture holds to_json_dict() per name and order
 QUASIPARTICLE_SUM_ORDERS = (1, 2, 3, 20)

@@ -41,14 +41,37 @@ def gauss_jordan(rows, ncols):
 
 
 def echelon_of(rows):
-    ech = Echelon()
+    """The echelon of the rows, inserted in order, and the number of inserts
+    that replaced a stored pivot row by a sparser one."""
+    ech, swaps = Echelon(), 0
     for r in rows:
+        before = dict(ech.pivots)
         ech.insert(int_row({j: F(x) for j, x in enumerate(r) if x}, {j: j for j in range(len(r))}))
-    return ech
+        swaps += any(ech.pivots[c] is not p for c, p in before.items())
+    return ech, swaps
 
 
 def dense(row, ncols):
     return [F(row.get(j, 0)) for j in range(ncols)]
+
+
+def assert_matches_gauss_jordan(rows) -> int:
+    """Rank, pivot set, reduced() and nullspace() of the echelon of the rows
+    equal gauss_jordan's; returns the echelon's number of pivot swaps."""
+    ncols = len(rows[0])
+    rref, null = gauss_jordan(rows, ncols)
+    ech, swaps = echelon_of(rows)
+    assert ech.rank == len(rref)
+    assert set(ech.pivots) == set(rref)
+    reduced = ech.reduced()
+    assert set(reduced) == set(rref)
+    for c, row in reduced.items():
+        assert row[c] > 0
+        assert dense({k: F(v, row[c]) for k, v in row.items()}, ncols) == rref[c]
+    assert [dense(v, ncols) for v in ech.nullspace(ncols)] == null
+    for v in null:
+        assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
+    return swaps
 
 
 MATRICES = {
@@ -64,18 +87,7 @@ MATRICES = {
 
 @pytest.mark.parametrize("name", sorted(MATRICES))
 def test_against_gauss_jordan(name):
-    rows = MATRICES[name]
-    ncols = len(rows[0])
-    rref, null = gauss_jordan(rows, ncols)
-    ech = echelon_of(rows)
-    assert ech.rank == len(rref)
-    assert set(ech.pivots) == set(rref)
-    reduced = ech.reduced()
-    assert set(reduced) == set(rref)
-    for c, row in reduced.items():
-        assert row[c] > 0
-        assert dense({k: F(v, row[c]) for k, v in row.items()}, ncols) == rref[c]
-    assert [dense(v, ncols) for v in ech.nullspace(ncols)] == null
+    assert_matches_gauss_jordan(MATRICES[name])
 
 
 def test_random_integer_matrices_against_gauss_jordan():
@@ -86,19 +98,56 @@ def test_random_integer_matrices_against_gauss_jordan():
         # rows drawn from a small span, so most matrices are rank-deficient
         rows = [[sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(ncols)]
                 for _ in range(nrows)]
-        rref, null = gauss_jordan(rows, ncols)
-        ech = echelon_of(rows)
-        assert ech.rank == len(rref)
-        assert {c: dense({k: F(v, r[c]) for k, v in r.items()}, ncols)
-                for c, r in ech.reduced().items()} == rref
-        assert [dense(v, ncols) for v in ech.nullspace(ncols)] == null
-        for v in null:
-            assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
+        assert_matches_gauss_jordan(rows)
+
+
+def test_sparser_later_rows_against_gauss_jordan():
+    """Later rows sparser than earlier ones reach occupied pivot columns with
+    fewer entries, so insert swaps them in as pivots; the result must not
+    depend on it."""
+    rng = random.Random(11)
+    swaps = 0
+    for _ in range(60):
+        ncols = rng.randint(4, 10)
+        rows = []
+        for i in range(rng.randint(2, 12)):
+            cols = rng.sample(range(ncols), max(1, ncols - i - rng.randint(0, 2)))
+            rows.append([rng.choice((-3, -2, -1, 1, 2, 3)) if j in cols else 0
+                         for j in range(ncols)])
+        swaps += assert_matches_gauss_jordan(rows)
+    assert swaps > 0
+
+
+def test_insert_keeps_the_sparser_row_as_pivot():
+    ech = Echelon()
+    assert ech.insert({0: 2, 1: 1, 2: 1, 3: 1})
+    assert ech.insert({0: -3, 3: 3})
+    assert ech.pivots[0] == {0: 1, 3: -1}
+    # the old pivot row, reduced by the new one, takes the next free column
+    assert ech.pivots[1] == {1: 1, 2: 1, 3: 3}
+    assert not ech.insert({0: 1, 1: 1, 2: 1, 3: 2})
+    assert ech.rank == 2
+
+
+def test_echelon_leaves_rows_it_is_given_and_its_pivots_alone():
+    rows = [{0: 4, 1: 6, 3: -2}, {0: 2, 2: 3}, {1: 5, 3: 1}, {0: 6, 1: 6, 2: 3, 3: -2}]
+    ech = Echelon()
+    for r in rows:
+        given = dict(r)
+        ech.insert(r)
+        assert r == given
+    pivots = {c: dict(p) for c, p in ech.pivots.items()}
+    probe = {0: 3, 1: 1, 2: -7, 3: 5}
+    ech.reduce(probe)
+    assert probe == {0: 3, 1: 1, 2: -7, 3: 5}
+    ech.reduced()
+    ech.nullspace(4)
+    assert ech.pivots == pivots
 
 
 def test_reduce_decides_span_membership():
     rows = MATRICES["rank_deficient"]
-    ech = echelon_of(rows)
+    ech, _ = echelon_of(rows)
     inside = {0: 3, 1: 7, 2: 10, 3: 12}  # 3*row0 + row2
     assert ech.reduce(dict(inside)) == {}
     outside = {3: 1}
