@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 from qvir.linalg import Echelon
 from qvir.qseries import (QSeries, _min_trunc, frac_str, inv_pochhammer, pochhammer_inf,
-                          q_binomial)
+                          q_binomial, q_product, single_sum)
 
 
 class NotPositiveDefinite(ValueError):
@@ -237,26 +237,13 @@ def alt_expression(which: str, trunc) -> QSeries:
             m += 1
         return QSeries.from_terms(terms, n) * pochhammer_inf(n).inverse(n)
     if which == "FermionHalf":
-        plus, minus = _half_odd_products(n)
-        return ((plus + minus) * Fraction(1, 2)).reduce_denom()
+        return ((_half_odd_product(n, 1) + _half_odd_product(n, -1))
+                * Fraction(1, 2)).reduce_denom()
     if which == "Euler":
-        return _single_sum(n, (2, 0), (2, 0))
+        return single_sum(n, (2, 0), (2, 0))
     if which == "QuintupleProduct":
-        out = QSeries.one(n)
-        k = 1
-        while True:
-            low = min(8 * k - 5, 2 * k)
-            if low >= n:
-                break
-            for e, s in ((8 * k - 5, 1), (8 * k - 3, 1)):
-                if e < n:
-                    out = out * QSeries.from_terms([(0, 1), (e, s)], n)
-            if 8 * k < n:
-                out = out * QSeries.from_terms([(0, 1), (8 * k, -1)], n)
-            if 2 * k < n:
-                out = out * QSeries.from_terms([(0, 1), (2 * k, -1)], n).inverse(n)
-            k += 1
-        return out
+        return q_product(n, (f for k in range(1, int(n) + 1) for f in (
+            (8 * k - 5, 1, 1), (8 * k - 3, 1, 1), (8 * k, -1, 1), (2 * k, -1, -1))))
     raise ValueError("unknown expression %r" % (which,))
 
 
@@ -264,13 +251,7 @@ def congruence_product(residues, modulus: int, trunc) -> QSeries:
     """prod 1/(1-q^n) over n >= 1 with n mod modulus in residues, mod q^trunc."""
     n = Fraction(trunc)
     res = {r % modulus for r in residues}
-    out = QSeries.one(n)
-    j = 1
-    while j < n:
-        if j % modulus in res:
-            out = out * QSeries.from_terms([(0, 1), (j, -1)], n).inverse(n)
-        j += 1
-    return out
+    return q_product(n, ((j, -1, -1) for j in range(1, int(n) + 1) if j % modulus in res))
 
 
 def mod16_product(trunc) -> QSeries:
@@ -466,30 +447,9 @@ def _quasiparticle_sum(trunc, bracket, linear=(0, 0), offset=0, t_base=0) -> TQS
     return TQSeries(parts, n)
 
 
-def _single_sum(trunc, exponent, index, offset=0) -> QSeries:
-    """sum over k >= 0 of q^(a k^2 + b k + offset) / (q)_(c k + d) mod q^trunc,
-    for exponent = (a, b) and index = (c, d) with a > 0 and b >= 0."""
-    n = Fraction(trunc)
-    (a, b), (c, d) = exponent, index
-    out = QSeries.zero(n)
-    k = 0
-    e = offset
-    while e < n:
-        out = out + inv_pochhammer(c * k + d, n - e).shift(e)
-        k += 1
-        e = a * k * k + b * k + offset
-    return out
-
-
-def _half_odd_products(n: Fraction) -> tuple[QSeries, QSeries]:
-    """prod over m >= 1 of (1 + q^(m-1/2)) and of (1 - q^(m-1/2)), mod q^n."""
-    plus = minus = QSeries.one(n)
-    e = Fraction(1, 2)
-    while e < n:
-        plus = plus * QSeries.from_terms([(0, 1), (e, 1)], n)
-        minus = minus * QSeries.from_terms([(0, 1), (e, -1)], n)
-        e += 1
-    return plus, minus
+def _half_odd_product(n: Fraction, s: int) -> QSeries:
+    """prod over m >= 1 of (1 + s q^(m-1/2)) mod q^n."""
+    return q_product(n, ((Fraction(2 * m - 1, 2), s, 1) for m in range(1, int(n) + 2)))
 
 
 def quasiparticle_chi(trunc) -> QSeries:
@@ -526,30 +486,20 @@ def module_character(which: str, side: str, trunc) -> QSeries:
     if which == "V0":
         return alt_expression("FermionHalf", n)
     if which == "V_half":
-        plus, minus = _half_odd_products(n)
-        return (plus - minus) * Fraction(1, 2)
-    out = QSeries.one(n)
-    m = 1
-    while m < n:
-        out = out * QSeries.from_terms([(0, 1), (m, 1)], n)
-        m += 1
-    return out
-
-
-# sum_{k>=0} q^(2k^2+2k)/(q)_{2k+1} as _single_sum's (exponent, index): the
-# 1/2-sector sum, which is also the limit of the 1/2-sector S family
-_HALF_SUM = ((2, 2), (2, 1))
+        return (_half_odd_product(n, 1) - _half_odd_product(n, -1)) * Fraction(1, 2)
+    return q_product(n, ((m, 1, 1) for m in range(1, int(n) + 1)))
 
 
 def v_half_sum_form(trunc) -> QSeries:
-    """q^(1/2) * sum_{k>=1} q^(2k^2-2k)/(q)_{2k-1}: the classical sum form."""
-    return _single_sum(trunc, *_HALF_SUM, offset=Fraction(1, 2))
+    """q^(1/2) * sum_{k>=1} q^(2k^2-2k)/(q)_{2k-1}: the classical sum form.
+    Without the q^(1/2) it is the limit of the 1/2-sector S family."""
+    return single_sum(trunc, (2, 2), (2, 1), offset=Fraction(1, 2))
 
 
 def v_sixteenth_sum_form(trunc) -> QSeries:
     """sum_{k>=0} q^(k(k+1)/2)/(q)_k: distinct-part partitions."""
     half = Fraction(1, 2)
-    return _single_sum(trunc, (half, half), (1, 0))
+    return single_sum(trunc, (half, half), (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -573,23 +523,18 @@ def class_closed_form(which: str, trunc) -> TQSeries:
     if which not in CLASS_NAMES:
         raise ValueError("class must be one of %s" % (CLASS_NAMES,))
     shift = {"A": 0, "B": 1, "C": 2, "D": 2, "E": 3}[which]
-    out = TQSeries.zero(n)
+    parts: dict[int, QSeries] = {}
     m = shift
     while _abcde_exponent(which, m, 0) < n:
-        inv = None
-        comp: dict[int, QSeries] = {}
+        inv = inv_pochhammer(m - shift, n)
         for k in range(0, m - shift + 1):
             e = _abcde_exponent(which, m, k)
             if e >= n:
-                continue
-            if inv is None:
-                inv = inv_pochhammer(m - shift, n)
+                break  # the exponent grows with k
             term = (inv * q_binomial(m - shift, k)).truncate(n - e).shift(e)
-            comp[m + k] = comp.get(m + k, QSeries.zero(n)) + term.truncate(n)
-        if comp:
-            out = out + TQSeries(comp, n)
+            parts[m + k] = parts[m + k] + term if m + k in parts else term
         m += 1
-    return out
+    return TQSeries(parts, n)
 
 
 def class_quasiparticle_form(which: str, trunc) -> TQSeries:

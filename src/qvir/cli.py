@@ -405,8 +405,20 @@ _TRUNC_KEY = {
 
 
 def run_check(name: str, cfg: RunConfig) -> dict:
+    """Run one subcommand's checks; a check that raises becomes one FAIL
+    entry naming the exception and where it was raised, so the rest of a
+    battery still runs."""
+    check = CHECKS[name]
     t0 = time.perf_counter()
-    checks = CHECKS[name](cfg)
+    try:
+        checks = check(cfg)
+    except Exception as exc:
+        import traceback
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        checks = [_entry("%s ran to completion" % name, False,
+                         detail="raised in %s (%s:%d)" % (
+                             where.name, Path(where.filename).name, where.lineno),
+                         first_failure="%s: %s" % (type(exc).__name__, exc))]
     return {"command": name, "passed": all(c["passed"] for c in checks),
             "elapsed_s": round(time.perf_counter() - t0, 3), "checks": checks}
 
@@ -528,6 +540,10 @@ def main(argv=None) -> int:
             v = getattr(args, flag)
             if v is not None:
                 overrides[flag] = v
+        for flag, commands in (("jobs", ("all",)), ("gens", ("hilbert", "all"))):
+            if getattr(args, flag) is not None and args.command not in commands:
+                raise ConfigError("--%s applies to %s only" % (
+                    flag, " and ".join("`%s`" % c for c in commands)))
         if args.trunc is not None:
             if args.command == "all":
                 raise ConfigError("--trunc applies to single subcommands; "

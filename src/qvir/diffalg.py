@@ -228,8 +228,13 @@ def _gens_key(gens) -> tuple:
     return tuple(g.key() for g in gens)
 
 
-def _gens_length_homogeneous(gens) -> bool:
-    return all(len(g.lengths()) == 1 for g in gens)
+def _length(g: DiffPoly) -> int:
+    """The factor count that every term of the generator g has."""
+    lengths = g.lengths()
+    if len(lengths) != 1:
+        raise ValueError("a generator needs one factor count; %r has %s"
+                         % (g, sorted(lengths)))
+    return lengths.pop()
 
 
 def _primitive(g: DiffPoly) -> DiffPoly:
@@ -242,29 +247,25 @@ def _primitive(g: DiffPoly) -> DiffPoly:
     return scaled.scale(Fraction(1, gcd(*scaled.terms.values())))
 
 
-def _build_block(gens, d: int, l):
+def _build_block(gens, d: int, l: int):
     """Echelon basis of the length-l part of the weight-d ideal slice.
 
-    With l = None (needed when some generator mixes lengths) the whole slice
-    is reduced as one block.  Each generator is replaced by its primitive
-    integer multiple, so every row is an int map from the start.
+    Derivation keeps the factor count of a generator, so with every
+    generator of one length the slice splits into blocks by length.  Each
+    generator is replaced by its primitive integer multiple, so every row is
+    an int map from the start.
     """
-    monos = monomials_of_weight_length(d, l) if l is not None else monomials_of_weight(d)
+    monos = monomials_of_weight_length(d, l)
     index = {m: i for i, m in enumerate(monos)}
     ech = Echelon()
     for g in map(_primitive, gens):
         wg = g.weight()
+        extra = l - _length(g)
+        if extra < 0:
+            continue
         for k in range(0, d - wg + 1):
             dg = cached_divided_derivative(g, k)
-            rest = d - wg - k
-            if l is not None:
-                extra = l - next(iter(g.lengths()))
-                if extra < 0:
-                    continue
-                mus = _multipliers(rest, extra)
-            else:
-                mus = partitions_min2(rest)
-            for mu in mus:
+            for mu in _multipliers(d - wg - k, extra):
                 ech.insert({index[mono_mul(m, mu)]: c for m, c in dg.terms.items()})
     return ech, monos, index
 
@@ -283,11 +284,9 @@ def _block_cached(gens, d: int, l):
 
 def _block_lengths(gens, d: int):
     """Factor counts that can occur in the weight-d slice."""
-    if not _gens_length_homogeneous(gens):
-        return [None]
     out = set()
     for g in gens:
-        lg = next(iter(g.lengths()))
+        lg = _length(g)
         for extra in range(0, (d - g.weight()) // 2 + 1):
             if monomials_of_weight_length(d, lg + extra):
                 out.add(lg + extra)
@@ -318,17 +317,14 @@ def membership(f: DiffPoly, gens) -> bool:
     if not f:
         return True
     d = f.weight()
-    if _gens_length_homogeneous(gens):
-        by_len: dict[int, dict] = {}
-        for m, c in f.terms.items():
-            by_len.setdefault(len(m), {})[m] = c
-        for l, terms in by_len.items():
-            ech, monos, index = _block_cached(gens, d, l)
-            if ech.reduce(int_row(terms, index)):
-                return False
-        return True
-    ech, monos, index = _block_cached(gens, d, None)
-    return not ech.reduce(int_row(f.terms, index))
+    by_len: dict[int, dict] = {}
+    for m, c in f.terms.items():
+        by_len.setdefault(len(m), {})[m] = c
+    for l, terms in by_len.items():
+        ech, monos, index = _block_cached(gens, d, l)
+        if ech.reduce(int_row(terms, index)):
+            return False
+    return True
 
 
 def hilbert_quotient(gens, n_max: int) -> QSeries:

@@ -4,6 +4,15 @@ For each sector (vacuum, 1/2, 1/16) there are two q-binomial sums S_n and
 T_n; the pair is equal for every n, both satisfy one eight-term recurrence,
 and the coefficients stabilize as n grows to the corresponding infinite
 character series.
+
+Both families are tables with one row per sector.  Each row is the
+finitization of its limit's sum: as n grows, [n - x, y] tends to 1/(q)_y.
+So the S row's sum tends to the single sum
+
+    sum over k >= 0 of q^(a k^2 + b k) / (q)_(c k + d),
+
+which ``limit_series`` builds from the same row, and the T row's sum tends
+to a quasiparticle double sum over the matrix (8 3; 3 2).
 """
 
 from __future__ import annotations
@@ -11,8 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from qvir.qseries import QSeries, q_binomial
-from qvir import characters
+from qvir.qseries import QSeries, q_binomial, single_sum
 
 
 class StabilizationNotReached(ArithmeticError):
@@ -21,6 +29,24 @@ class StabilizationNotReached(ArithmeticError):
 
 SECTORS = ("vac", "half", "sixteenth")
 SIDES = ("S", "T")
+
+# S_n = sum over k >= 0 of q^(a k^2 + b k) [n - k - s, c k + d]
+# as sector: ((a, b), (c, d), s)
+_S_ROWS = {
+    "vac": ((2, 0), (2, 0), 0),
+    "half": ((2, 2), (2, 1), 1),
+    "sixteenth": ((2, 1), (2, 1), 0),
+}
+
+# T_n = sum over k, m >= 0 of q^(4k^2 + 3km + m^2 + l1 k + l2 m)
+#       * (B(s1, j1) + sigma q^(a k + b m + c) B(s2, j2)),
+# B(s, j) = [n - 3k - m - s, k] [n - 4k - m - s, m - j],
+# as sector: ((l1, l2), (s1, j1), sigma, (a, b, c), (s2, j2))
+_T_ROWS = {
+    "vac": ((0, 0), (0, 0), -1, (1, 0, 0), (1, 1)),
+    "half": ((2, 0), (1, 0), -1, (8, 4, 6), (5, 0)),
+    "sixteenth": ((1, 1), (1, 0), 1, (3, 0, 1), (2, 0)),
+}
 
 
 def _qb(m: int, n: int) -> QSeries:
@@ -36,52 +62,20 @@ def family_poly(sector: str, side: str, n: int) -> QSeries:
         raise ValueError("n out of range for sector %r" % (sector,))
     out = QSeries.zero()
     if side == "S":
-        if sector == "vac":
-            k = 0
-            while 3 * k <= n:
-                out = out + _qb(n - k, 2 * k).shift(2 * k * k)
-                k += 1
-        elif sector == "half":
-            k = 1
-            while 3 * k - 1 <= n:
-                out = out + _qb(n - k, 2 * k - 1).shift(2 * k * k - 2 * k)
-                k += 1
-        else:
-            k = 0
-            while 3 * k + 1 <= n:
-                out = out + _qb(n - k, 2 * k + 1).shift(2 * k * k + k)
-                k += 1
+        (a, b), (c, d), s = _S_ROWS[sector]
+        k = 0
+        while c * k + d <= n - k - s:
+            out = out + _qb(n - k - s, c * k + d).shift(a * k * k + b * k)
+            k += 1
         return out
-    if sector == "vac":
-        for k in range(0, n // 4 + 2):
-            for m in range(0, max(0, n - 4 * k) // 2 + 3):
-                e = m * m + 3 * k * m + 4 * k * k
-                first = _qb(n - 3 * k - m, k) * _qb(n - 4 * k - m, m)
-                second = (_qb(n - 3 * k - m - 1, k) * _qb(n - 4 * k - m - 1, m - 1)).shift(k)
-                term = first - second
-                if term:
-                    out = out + term.shift(e)
-        return out
-    if sector == "half":
-        for k in range(0, n // 4 + 2):
-            for m in range(0, max(0, n - 4 * k) // 2 + 3):
-                e = m * m + 3 * k * m + 4 * k * k + 2 * k
-                first = _qb(n - 3 * k - m - 1, k) * _qb(n - 4 * k - m - 1, m)
-                second = (_qb(n - 3 * k - m - 5, k) * _qb(n - 4 * k - m - 5, m)) \
-                    .shift(4 * m + 8 * k + 6)
-                term = first - second
-                if term:
-                    out = out + term.shift(e)
-        return out
+    (l1, l2), (s1, j1), sigma, (a, b, c), (s2, j2) = _T_ROWS[sector]
     for k in range(0, n // 4 + 2):
         for m in range(0, max(0, n - 4 * k) // 2 + 3):
-            e = m * m + 3 * k * m + 4 * k * k
-            first = (_qb(n - 3 * k - m - 1, k) * _qb(n - 4 * k - m - 1, m)).shift(k + m)
-            second = (_qb(n - 3 * k - m - 2, k) * _qb(n - 4 * k - m - 2, m)) \
-                .shift(m + 4 * k + 1)
-            term = first + second
+            first = _qb(n - 3 * k - m - s1, k) * _qb(n - 4 * k - m - s1, m - j1)
+            second = _qb(n - 3 * k - m - s2, k) * _qb(n - 4 * k - m - s2, m - j2)
+            term = first + (second * sigma).shift(a * k + b * m + c)
             if term:
-                out = out + term.shift(e)
+                out = out + term.shift(4 * k * k + 3 * k * m + m * m + l1 * k + l2 * m)
     return out
 
 
@@ -134,11 +128,8 @@ def recurrence_check_S(n_max: int) -> dict:
 
 def limit_series(sector: str, trunc) -> QSeries:
     """The infinite-n limit of the S family as a truncated series."""
-    if sector == "vac":
-        return characters.alt_expression("Euler", trunc)
-    if sector == "half":
-        return characters._single_sum(trunc, *characters._HALF_SUM)
-    return characters._single_sum(trunc, (2, 1), (2, 1))
+    exponent, index, _ = _S_ROWS[sector]
+    return single_sum(trunc, exponent, index)
 
 
 def limit_check(sector: str, n: int, trunc) -> dict:

@@ -395,19 +395,51 @@ def pochhammer(n: int, trunc=None) -> QSeries:
 
 
 def pochhammer_inf(trunc) -> QSeries:
-    """(q)_infinity mod q^trunc; factors (1-q^j) with j >= trunc are invisible."""
-    t = _to_frac(trunc)
-    out = QSeries.one(t)
-    j = 1
-    while j < t:
-        out = out * QSeries({0: 1, j: -1}, t)
-        j += 1
-    return out
+    """(q)_infinity mod q^trunc."""
+    return q_product(trunc, ((j, -1, 1) for j in range(1, int(_to_frac(trunc)) + 1)))
 
 
 def inv_pochhammer(n: int, trunc) -> QSeries:
     """1/(q)_n mod q^trunc."""
     return pochhammer(n).inverse(trunc)
+
+
+def q_product(trunc, factors) -> QSeries:
+    """prod (1 + s q^e)^p mod q^trunc over the triples (e, s, p) in factors,
+    with e > 0 and s, p in {1, -1}.
+
+    A factor with e >= trunc is 1 mod q^trunc and is skipped, so an infinite
+    product may list any finite range of factors that covers e < trunc.  Each
+    factor updates one integer coefficient list in place: a multiplication
+    runs down the list, a division (p = -1) runs up it.
+    """
+    t = _to_frac(trunc)
+    kept = [(_to_frac(e), s, p) for e, s, p in factors if e < t]
+    if any(e <= 0 for e, _, _ in kept):
+        raise ValueError("q_product needs positive exponents")
+    d = lcm(1, *(e.denominator for e, _, _ in kept))
+    n = _slots_below(t, d)
+    c = [1] + [0] * (n - 1)
+    for e, s, p in kept:
+        j = int(e * d)
+        for k in (range(n - 1, j - 1, -1) if p == 1 else range(j, n)):
+            c[k] += s * p * c[k - j]
+    return QSeries(dict(enumerate(c)), t, d)
+
+
+def single_sum(trunc, exponent, index, offset=0) -> QSeries:
+    """sum over k >= 0 of q^(a k^2 + b k + offset) / (q)_(c k + d) mod q^trunc,
+    for exponent = (a, b) and index = (c, d) with a > 0 and b >= 0."""
+    n = Fraction(trunc)
+    (a, b), (c, d) = exponent, index
+    out = QSeries.zero(n)
+    k = 0
+    e = offset
+    while e < n:
+        out = out + inv_pochhammer(c * k + d, n - e).shift(e)
+        k += 1
+        e = a * k * k + b * k + offset
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ import pytest
 
 import qvir
 from qvir.cli import (CHECKS, ConfigError, RunConfig, load_config_file, main,
-                      render, run_check)
+                      render, run_all, run_check)
 
 GOLDEN = Path(__file__).parent / "golden"
 # the child interpreter imports the qvir this process imports, also when it
@@ -80,6 +80,47 @@ def test_trunc_rejected_where_no_order_is_read(command, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "%s reads no truncation order" % command in err
+
+
+@pytest.mark.parametrize("argv,rejected", [
+    (["hilbert", "--jobs", "2"], "--jobs"),
+    (["families", "--jobs", "1"], "--jobs"),
+    (["characters-equal", "--gens", "a"], "--gens"),
+    (["prop51", "--gens", "ab"], "--gens"),
+    (["lemma-b", "--gens", "b", "--jobs", "2"], "--jobs"),
+])
+def test_flags_that_change_nothing_exit_2(argv, rejected, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "%s applies to" % rejected in err
+
+
+def test_a_raising_check_becomes_a_failed_entry(monkeypatch, capsys):
+    from qvir.polyfamilies import StabilizationNotReached
+
+    def raising(cfg):
+        raise StabilizationNotReached("sector 'vac' not stable below q^9 at n=2")
+
+    monkeypatch.setitem(CHECKS, "families", raising)
+    rep = run_check("families", RunConfig())
+    assert rep["passed"] is False
+    [entry] = rep["checks"]
+    assert not entry["passed"]
+    assert entry["first_failure"] == \
+        "StabilizationNotReached: sector 'vac' not stable below q^9 at n=2"
+    assert entry["detail"].startswith("raised in raising (test_cli.py:")
+
+    calls = []
+    for name in CHECKS:
+        if name != "families":
+            monkeypatch.setitem(CHECKS, name, lambda cfg, name=name: calls.append(name) or [])
+    reports = run_all(RunConfig())
+    assert len(reports) == 15 and len(calls) == 13
+    assert [c["passed"] for c in reports[-1]["checks"]] == \
+        [name != "families" for name in CHECKS]
+    assert main(["all"]) == 1
+    assert "StabilizationNotReached" in capsys.readouterr().out
 
 
 def test_functional_eqs_reports_a_failed_bigrade(monkeypatch):
@@ -219,28 +260,34 @@ def test_golden_ideal_slice_rows():
         assert [r.to_json_dict() for r in ideal_slice((GEN_A, GEN_B), int(d)).rows] == rows, d
 
 
-# every quasiparticle and single sum, pinned with its exact truncation and
-# exponent denominator; the fixture holds to_json_dict() per name and order
+# every quasiparticle sum, single sum and truncated product, pinned with its
+# exact truncation and exponent denominator; the fixture holds
+# to_json_dict() per name and order
 QUASIPARTICLE_SUM_ORDERS = (1, 2, 3, 20)
 
 
 def quasiparticle_sums():
     from qvir import characters as ch
-    from qvir.polyfamilies import limit_series
+    from qvir.polyfamilies import SECTORS, limit_series
+    from qvir.qseries import pochhammer_inf
     sums = {"quasiparticle_chi": ch.quasiparticle_chi, "P_of_t_q": ch.P_of_t_q,
             "v_half_sum_form": ch.v_half_sum_form,
-            "v_sixteenth_sum_form": ch.v_sixteenth_sum_form}
+            "v_sixteenth_sum_form": ch.v_sixteenth_sum_form,
+            "pochhammer_inf": pochhammer_inf, "mod16_product": ch.mod16_product}
+    for s in (2, 3):
+        sums["andrews_gordon_product/%d" % s] = \
+            lambda n, s=s: ch.andrews_gordon_product(s, n)
     for w in ch.MODULES:
-        sums["module_character/%s/New" % w] = \
-            lambda n, w=w: ch.module_character(w, "New", n)
-    sums["module_character/V_half/Classical"] = \
-        lambda n: ch.module_character("V_half", "Classical", n)
+        for side in ("Classical", "New"):
+            sums["module_character/%s/%s" % (w, side)] = \
+                lambda n, w=w, side=side: ch.module_character(w, side, n)
     for w in ch.CLASS_NAMES:
         sums["class_quasiparticle_form/%s" % w] = \
             lambda n, w=w: ch.class_quasiparticle_form(w, n)
-    for w in ("Euler", "FermionHalf"):
+        sums["class_closed_form/%s" % w] = lambda n, w=w: ch.class_closed_form(w, n)
+    for w in ("Euler", "FermionHalf", "QuintupleProduct"):
         sums["alt_expression/%s" % w] = lambda n, w=w: ch.alt_expression(w, n)
-    for sector in ("half", "sixteenth"):
+    for sector in SECTORS:
         sums["limit_series/%s" % sector] = \
             lambda n, sector=sector: limit_series(sector, n)
     return sums
@@ -253,3 +300,18 @@ def test_golden_quasiparticle_sums(name):
     for n in QUASIPARTICLE_SUM_ORDERS:
         got = json.dumps(build(n).to_json_dict(), sort_keys=True)
         assert got == json.dumps(golden[str(n)], sort_keys=True), (name, n)
+
+
+def test_golden_family_polys():
+    from qvir.polyfamilies import family_poly
+    golden = load_golden("family_polys.json")
+    assert sorted(golden) == sorted("%s/%s" % (sector, side)
+                                    for sector in ("vac", "half", "sixteenth")
+                                    for side in "ST")
+    for name, by_n in golden.items():
+        sector, side = name.split("/")
+        start = 0 if sector == "vac" else 1
+        assert sorted(by_n, key=int) == [str(n) for n in
+                                         list(range(start, 13)) + [40, 41, 50, 51]]
+        for n, want in by_n.items():
+            assert family_poly(sector, side, int(n)).to_json_dict() == want, (name, n)

@@ -207,6 +207,14 @@ def test_hilbert_missing_generator_deviates_at_9():
     assert first == 9
 
 
+def test_generator_mixing_lengths_is_rejected():
+    mixed = DiffPoly({(2, 2): 1, (4,): 1})
+    with pytest.raises(ValueError, match="one factor count"):
+        hilbert_quotient((GEN_A, mixed), 8)
+    with pytest.raises(ValueError, match="one factor count"):
+        membership(DiffPoly.monomial((2, 2)), (mixed,))
+
+
 def test_slice_rows_are_integer_from_the_start(monkeypatch):
     # structural guard, not a timing: the generators are scaled to primitive
     # integer multiples before any derivative is taken, so neither the

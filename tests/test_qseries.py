@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from qvir.qseries import (QSeries, ZeroConstantTerm, pochhammer, pochhammer_inf,
-                          q_binomial)
+                          q_binomial, q_product)
 
 
 def series(pairs, trunc=None):
@@ -101,6 +101,24 @@ def test_pochhammer_inf_vs_pentagonal_oracle():
     p = pochhammer_inf(30)
     for n in range(30):
         assert p.coefficient(n) == pentagonal_sign(n)
+
+
+def test_q_product_matches_factor_by_factor_products():
+    # (1 + q^(1/2)) (1 - q^2) / (1 - q^3) / (1 + q^(5/2)) mod q^(13/2), with
+    # factors at or above the order listed too
+    t = F(13, 2)
+    factors = [(F(1, 2), 1, 1), (2, -1, 1), (3, -1, -1), (F(5, 2), 1, -1),
+               (F(13, 2), 1, 1), (7, -1, -1)]
+    want = QSeries.one(t)
+    for e, s, p in factors[:4]:
+        f = series([(0, 1), (e, s)], t)
+        want = want * (f if p == 1 else f.inverse(t))
+    got = q_product(t, factors)
+    assert got == want and got.denom == 2 and got.trunc == t
+    assert q_product(5, []) == QSeries.one(5)
+    assert q_product(5, [(5, 1, 1)]) == QSeries.one(5)
+    with pytest.raises(ValueError):
+        q_product(5, [(0, 1, 1)])
 
 
 def test_q_binomial_examples():
