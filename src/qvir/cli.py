@@ -178,8 +178,7 @@ def check_functional_eqs(cfg: RunConfig) -> list:
     out.append(_entry("initial conditions", all(rep["initial_conditions"].values())))
     P = ch.P_of_t_q(n)
     S = None
-    for w in ch.CLASS_NAMES:
-        f = ch.class_closed_form(w, n)
+    for f in rep["closed_forms"].values():
         S = f if S is None else S + f
     order, first = P.agreement(S)
     out.append(_entry("P == A+B+C+D+E", first is None, order,
@@ -274,13 +273,12 @@ def check_hilbert(cfg: RunConfig) -> list:
 def check_prop51(cfg: RunConfig) -> list:
     from qvir import diffalg as da
     rep = da.prop51_check(cfg.prop51_kmax)
+    bad = [e for e in rep["entries"] if not e["passed"]]
     out = [_entry("leading monomials for all patterns, k <= %d" % cfg.prop51_kmax,
                   rep["passed"],
                   detail="%d patterns; findings: %d" % (len(rep["entries"]),
-                                                        len(rep["findings"])))]
-    for f in rep["findings"]:
-        out.append(_entry("finding: %s_%s drift" % (f["family"], f["k"]), f["passed"],
-                          detail=json.dumps(f)))
+                                                        len(rep["findings"])),
+                  first_failure=json.dumps(bad[0]) if bad else None)]
     drep = da.verify_derivative_formulas(cfg.deriv_kmax)
     bad = [e for e in drep["entries"] if not e["passed"]]
     out.append(_entry("derivative coefficient tables, k <= %d" % cfg.deriv_kmax,

@@ -20,17 +20,14 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from qvir.linalg import Echelon, int_row
-from qvir.partitions import (count_min2, grevlex_key, partitions_min2,
-                             partitions_min2_length)
+from qvir.partitions import (EXCEPTIONAL_PATTERNS, PATTERN_FAMILIES, count_min2,
+                             forbidden_patterns, grevlex_key, partitions_min2,
+                             partitions_min2_length, pattern)
 from qvir.qseries import QSeries, exact_terms, frac_str
 
 
 class ZeroPolynomial(ArithmeticError):
     """Raised when asking for the leading monomial of zero."""
-
-
-class LeadingMonomialMismatch(ArithmeticError):
-    """A built ideal element does not have its advertised leading monomial."""
 
 
 # ---------------------------------------------------------------------------
@@ -419,25 +416,13 @@ def verify_derivative_formulas(k_max: int) -> dict:
 # the named ideal elements and their leading monomials
 # ---------------------------------------------------------------------------
 
-ELEMENT_NAMES = ("r", "s", "t", "u", "v", "w", "y", "z",
-                 "e1", "e2", "e3", "e4")
+# the families with a printed element; a0..a2 are divided derivatives of GEN_A
+ELEMENT_NAMES = tuple(name for name in (*PATTERN_FAMILIES, *EXCEPTIONAL_PATTERNS)
+                      if not name.startswith("a"))
 
 
 def _p(coeffs):
     return tuple(Fraction(c) for c in coeffs)
-
-
-def element_target_lm(name: str, k: int) -> tuple:
-    base = {
-        "r": (4, 4, 2), "s": (5, 3, 3), "t": (4, 3, 2),
-        "u": (5, 5, 2, 2), "v": (6, 6, 3, 2), "w": (6, 5, 3, 2),
-        "y": (6, 5, 2, 2), "z": (8, 7, 5, 3, 2),
-        "e1": (5, 4, 2, 2), "e2": (7, 6, 4, 2, 2),
-        "e3": (7, 7, 4, 2, 2), "e4": (9, 8, 6, 4, 2, 2),
-    }[name]
-    if name.startswith("e"):
-        return base
-    return tuple(x + k for x in base)
 
 
 def _element_ingredients(name: str, k: int) -> list:
@@ -533,88 +518,38 @@ def build_element(name: str, k: int = 0) -> DiffPoly:
     return out
 
 
-def _span_search(ingredients, target: tuple):
-    """Echelon over the ingredient polynomials; the row with the target lead,
-    if any, is the combination the printed multipliers were aiming for."""
-    polys = [base.mul_monomial(tuple(mono)) for _, mono, base in ingredients]
-    if not polys:
-        return None
-    d = polys[0].weight()
-    monos = monomials_of_weight(d)
-    index = {m: i for i, m in enumerate(monos)}
-    ech = Echelon()
-    for p in polys:
-        ech.insert(int_row(p.terms, index))
-    want = index[target]
-    row = ech.reduced().get(want)
-    if row is None:
-        return None
-    lead = row[want]
-    return DiffPoly({monos[i]: Fraction(v, lead) for i, v in row.items()})
+# heavier elements are certified by their construction from generator
+# derivatives instead of a membership test in their weight slice
+MEMBERSHIP_WEIGHT_CUTOFF = 60
 
 
-def prop51_check(k_max: int, membership_weight_cutoff: int = 60) -> dict:
-    """For every forbidden pattern with family index <= k_max, produce an
-    ideal element whose leading monomial is that pattern and verify its
-    membership.
+def prop51_check(k_max: int) -> dict:
+    """For every forbidden pattern with family index <= k_max, check that its
+    ideal element has that pattern as leading monomial and lies in the ideal.
 
-    Route 'printed': the transcribed combination already has the target
-    lead.  Route 'span': the printed multipliers drift but the intended
-    combination exists in the span of the printed ingredients.  Route
-    'slice': fall back to the pivot row of the full weight slice.  Slice
-    membership is checked up to the weight cutoff; heavier elements are
-    certified by their construction from generator derivatives.
+    The element of an a-family pattern of weight d is the divided derivative
+    of GEN_A of order d - 6; every other family has its printed element.  A
+    different leading monomial is a finding: the entry fails and carries the
+    built one.  Membership is checked in the weight slice up to
+    MEMBERSHIP_WEIGHT_CUTOFF.
     """
     gens = (GEN_A, GEN_B)
     entries = []
-    ok = True
-
-    def handle(pattern, family, k, element):
-        nonlocal ok
-        d = sum(pattern)
+    for family, k in ([(f, k) for k in range(k_max + 1) for f in PATTERN_FAMILIES]
+                      + [(e, 0) for e in EXCEPTIONAL_PATTERNS]):
+        pat = pattern(family, k)
+        d = sum(pat)
+        element = (build_element(family, k) if family in ELEMENT_NAMES
+                   else cached_divided_derivative(GEN_A, d - 6))
         lm = element.leading_monomial() if element else None
-        route = "printed"
-        finding = None
-        if lm != pattern:
-            finding = {"built_lm": None if lm is None else list(lm)}
-            fixed = None
-            if family in ELEMENT_NAMES:
-                fixed = _span_search(_element_ingredients(family, k), pattern)
-            if fixed is not None:
-                element, route = fixed, "span"
-            else:
-                sl = ideal_slice(gens, d)
-                row = next((r for r in sl.rows if r.leading_monomial() == pattern), None)
-                if row is None:
-                    entries.append({"pattern": list(pattern), "family": family, "k": k,
-                                    "passed": False, "route": "none", "finding": finding})
-                    ok = False
-                    return
-                element, route = row, "slice"
-        if d <= membership_weight_cutoff and route != "slice":
-            member = membership(element, gens)
-            member_route = "slice"
-        else:
-            member = True
-            member_route = "construction" if route != "slice" else "slice"
-        passed = member and element.leading_monomial() == pattern
-        ok = ok and passed
-        entries.append({"pattern": list(pattern), "family": family, "k": k,
-                        "weight": d, "passed": passed, "route": route,
-                        "membership": member_route, "finding": finding})
-
-    for k in range(0, k_max + 1):
-        p = k + 2
-        for order, pat in ((3 * (p - 2), (p, p, p)),
-                           (3 * (p - 2) + 1, (p + 1, p, p)),
-                           (3 * (p - 2) + 2, (p + 1, p + 1, p))):
-            handle(pat, "deriv_a", order, cached_divided_derivative(GEN_A, order))
-        for fam in ("r", "s", "t", "u", "v", "w", "y", "z"):
-            handle(element_target_lm(fam, k), fam, k, build_element(fam, k))
-    for fam in ("e1", "e2", "e3", "e4"):
-        handle(element_target_lm(fam, 0), fam, 0, build_element(fam))
-    return {"passed": ok, "k_max": k_max, "entries": entries,
-            "findings": [e for e in entries if e.get("finding")]}
+        sliced = d <= MEMBERSHIP_WEIGHT_CUTOFF
+        entries.append({"pattern": list(pat), "family": family, "k": k, "weight": d,
+                        "passed": lm == pat and (not sliced or membership(element, gens)),
+                        "membership": "slice" if sliced else "construction",
+                        "finding": None if lm == pat else
+                        {"built_lm": None if lm is None else list(lm)}})
+    return {"passed": all(e["passed"] for e in entries), "k_max": k_max,
+            "entries": entries, "findings": [e for e in entries if e["finding"]]}
 
 
 # ---------------------------------------------------------------------------
@@ -622,40 +557,17 @@ def prop51_check(k_max: int, membership_weight_cutoff: int = 60) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def claimed_basis_lms(n_max: int, include_w: bool) -> list:
-    """Leading monomials of the claimed Groebner basis up to weight n_max."""
-    out = []
-    for order in range(0, n_max - 6 + 1):
-        out.append(cached_divided_derivative(GEN_A, order).leading_monomial())
-    for fam, w0, step in (("r", 10, 3), ("s", 11, 3), ("t", 9, 3),
-                          ("u", 14, 4), ("v", 17, 4), ("y", 15, 4), ("z", 25, 5)):
-        k = 0
-        while w0 + step * k <= n_max:
-            out.append(element_target_lm(fam, k))
-            k += 1
-    if include_w:
-        k = 0
-        while 16 + 4 * k <= n_max:
-            out.append(element_target_lm("w", k))
-            k += 1
-    for fam in ("e1", "e2", "e3", "e4"):
-        lm = element_target_lm(fam, 0)
-        if sum(lm) <= n_max:
-            out.append(lm)
-    return out
-
-
 def groebner_check(n_max: int) -> dict:
     """Degreewise: pivot monomials of the ideal slice must equal the
-    monomials divisible by some claimed leading monomial.
+    monomials divisible by some claimed leading monomial, a forbidden pattern.
 
     The published basis list omits the w family; the report records whether
     its patterns are covered by the others or genuinely required.
     """
     gens = (GEN_A, GEN_B)
-    without_w = claimed_basis_lms(n_max, include_w=False)
-    w_lms = set(claimed_basis_lms(n_max, include_w=True)) - set(without_w)
-    others = [Counter(b) for b in without_w]
+    patterns = forbidden_patterns(n_max)
+    w_lms = {pattern("w", k) for k in range(n_max)} & set(patterns)
+    others = [Counter(b) for b in patterns if b not in w_lms]
     w_family = [Counter(b) for b in w_lms]
     per_degree = []
     slice_pivots = []

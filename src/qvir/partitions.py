@@ -35,49 +35,51 @@ def contains(lam, mu) -> bool:
 # the forbidden patterns
 # ---------------------------------------------------------------------------
 
-EXCEPTIONAL_PATTERNS = (
-    (5, 4, 2, 2),
-    (7, 6, 4, 2, 2),
-    (7, 7, 4, 2, 2),
-    (9, 8, 6, 4, 2, 2),
-)
+# family name -> (offsets added to p, minimal p); the index-k member has
+# p = minimal p + k.  These are the leading monomials of the differential
+# ideal's Groebner basis: a0..a2 lead the divided derivatives of the cube of
+# the degree-2 generator, the others lead the printed elements of diffalg.
+PATTERN_FAMILIES = {
+    "a0": ((0, 0, 0), 2),
+    "a1": ((1, 0, 0), 2),
+    "a2": ((1, 1, 0), 2),
+    "t": ((2, 1, 0), 2),
+    "r": ((2, 2, 0), 2),
+    "s": ((2, 0, 0), 3),
+    "u": ((3, 3, 0, 0), 2),
+    "y": ((4, 3, 0, 0), 2),
+    "w": ((4, 3, 1, 0), 2),
+    "v": ((4, 4, 1, 0), 2),
+    "z": ((6, 5, 3, 1, 0), 2),
+}
 
-# (offsets added to p, minimal p); weight of the pattern is len*p + sum(offsets)
-_PATTERN_FAMILIES = (
-    ((0, 0, 0), 2),
-    ((1, 0, 0), 2),
-    ((1, 1, 0), 2),
-    ((2, 1, 0), 2),
-    ((2, 2, 0), 2),
-    ((2, 0, 0), 3),
-    ((3, 3, 0, 0), 2),
-    ((4, 3, 0, 0), 2),
-    ((4, 3, 1, 0), 2),
-    ((4, 4, 1, 0), 2),
-    ((6, 5, 3, 1, 0), 2),
-)
+EXCEPTIONAL_PATTERNS = {
+    "e1": (5, 4, 2, 2),
+    "e2": (7, 6, 4, 2, 2),
+    "e3": (7, 7, 4, 2, 2),
+    "e4": (9, 8, 6, 4, 2, 2),
+}
+
+
+def pattern(family: str, k: int) -> tuple:
+    """The index-k pattern of a family; an exceptional pattern has index 0."""
+    if family in EXCEPTIONAL_PATTERNS:
+        if k:
+            raise ValueError("exceptional patterns take no index")
+        return EXCEPTIONAL_PATTERNS[family]
+    offsets, pmin = PATTERN_FAMILIES[family]
+    return tuple(pmin + k + o for o in offsets)
 
 
 @lru_cache(maxsize=None)
 def forbidden_patterns(max_weight: int) -> tuple:
-    """All forbidden patterns of weight <= max_weight, duplicate-free."""
-    out = []
-    seen = set()
-    for offsets, pmin in _PATTERN_FAMILIES:
-        p = pmin
-        while len(offsets) * p + sum(offsets) <= max_weight:
-            pat = tuple(sorted((p + o for o in offsets), reverse=True))
-            if pat in seen:
-                raise AssertionError("duplicate pattern %r" % (pat,))
-            seen.add(pat)
-            out.append(pat)
-            p += 1
-    for pat in EXCEPTIONAL_PATTERNS:
-        if sum(pat) <= max_weight:
-            if pat in seen:
-                raise AssertionError("duplicate pattern %r" % (pat,))
-            seen.add(pat)
-            out.append(pat)
+    """All forbidden patterns of weight <= max_weight, family by family and
+    then the exceptional ones; duplicate-free."""
+    out = [pattern(family, k) for family, (offsets, pmin) in PATTERN_FAMILIES.items()
+           for k in range((max_weight - sum(offsets)) // len(offsets) - pmin + 1)]
+    out += [pat for pat in EXCEPTIONAL_PATTERNS.values() if sum(pat) <= max_weight]
+    if len(set(out)) != len(out):
+        raise AssertionError("duplicate forbidden pattern")
     return tuple(out)
 
 
@@ -202,6 +204,11 @@ def classify(lam) -> str:
     lam = tuple(lam)
     if not is_avoiding(lam):
         raise NotInP("partition %r contains a forbidden pattern" % (lam,))
+    return _class_of(lam)
+
+
+def _class_of(lam: Partition) -> str:
+    """The class of a partition already known to lie in P(n)."""
     m = len(lam)
     if m == 0:
         return "A"
@@ -228,7 +235,7 @@ def count_table(n_max: int) -> dict:
     for n in range(n_max + 1):
         for lam in enumerate_P(n):
             key = (n, len(lam))
-            cls = classify(lam)
+            cls = _class_of(lam)  # enumerate_P certified lam
             table[cls][key] = table[cls].get(key, 0) + 1
             table["P"][key] = table["P"].get(key, 0) + 1
     return table

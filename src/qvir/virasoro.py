@@ -142,9 +142,9 @@ def apply_word(word, v: VirVector) -> VirVector:
     return v
 
 
-def singular_vector_check(v: VirVector, positive_modes=(1, 2)) -> bool:
-    """True iff every listed positive mode annihilates v."""
-    return all(not apply_mode(m, v) for m in positive_modes)
+def singular_vector_check(v: VirVector) -> bool:
+    """True iff L_1 and L_2, hence every positive mode, annihilate v."""
+    return all(not apply_mode(m, v) for m in (1, 2))
 
 
 def basis_monomials(degree: int) -> tuple:

@@ -1,22 +1,24 @@
 import itertools
+import json
 import random
 from fractions import Fraction as F
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from qvir import diffalg, virasoro
+from qvir import cli, diffalg, virasoro
 from qvir.characters import (MinimalModelLabel, andrews_gordon_product,
                              feigin_fuchs_character)
 from qvir.diffalg import (DiffPoly, ELEMENT_NAMES, GEN_A, GEN_B, GEN_B_SCALED,
                           ZeroPolynomial, build_element, cached_divided_derivative,
-                          claimed_basis_lms, derive, divided_derivative,
-                          element_target_lm, grevlex_less, groebner_check,
+                          derive, divided_derivative, grevlex_less, groebner_check,
                           hilbert_quotient, ideal_slice, membership,
                           monomials_of_weight, prop51_check,
                           verify_derivative_formulas)
 from qvir.linalg import Echelon
-from qvir.partitions import count_min2, partitions_min2
+from qvir.partitions import (EXCEPTIONAL_PATTERNS, count_min2, forbidden_patterns,
+                             partitions_min2, pattern)
 from qvir.virasoro import VirVector, lemma_b_check, solve_singular_vector
 
 
@@ -312,7 +314,7 @@ def test_element_z0():
 def test_element_leading_monomials_k_le_5(fam):
     for k in range(6):
         el = build_element(fam, k)
-        assert el.leading_monomial() == element_target_lm(fam, k), (fam, k)
+        assert el.leading_monomial() == pattern(fam, k), (fam, k)
 
 
 def test_prop51_small():
@@ -321,6 +323,29 @@ def test_prop51_small():
     assert not rep["findings"]
     pats = {tuple(e["pattern"]) for e in rep["entries"]}
     assert (2, 2, 2) in pats and (3, 3, 2) in pats and (8, 7, 5, 3, 2) in pats
+
+
+def test_prop51_fails_on_a_wrong_printed_element(monkeypatch):
+    # adding d^[7]a to the printed r_1 moves its lead from (5, 5, 3) to
+    # (5, 4, 4); the check must report that, not repair it
+    printed = diffalg.build_element
+
+    def corrupted(name, k=0):
+        out = printed(name, k)
+        if (name, k) == ("r", 1):
+            out = out + cached_divided_derivative(GEN_A, 7)
+        return out
+
+    monkeypatch.setattr(diffalg, "build_element", corrupted)
+    monkeypatch.setattr(diffalg, "_ELEMENT_CACHE", {})
+    rep = prop51_check(1)
+    assert not rep["passed"]
+    r1 = next(e for e in rep["entries"] if (e["family"], e["k"]) == ("r", 1))
+    assert not r1["passed"] and r1["finding"] == {"built_lm": [5, 4, 4]}
+    assert r1 in rep["findings"]
+    report = cli.run_check("prop51", cli.RunConfig(prop51_kmax=1, deriv_kmax=1))
+    assert not report["passed"]
+    assert '"built_lm"' in report["checks"][0]["first_failure"]
 
 
 def test_element_membership_sampled():
@@ -343,9 +368,28 @@ def test_groebner_w_family_is_required():
     assert [6, 5, 3, 2] in rep["w_only_monomials"]
 
 
-def test_claimed_lms_match_computed_lms():
-    for lm in claimed_basis_lms(20, include_w=True):
-        assert sum(lm) <= 20
+def test_a_family_patterns_lead_the_derivatives_of_the_cube():
+    for j in range(31):
+        lead = cached_divided_derivative(GEN_A, j).leading_monomial()
+        assert lead == pattern("a%d" % (j % 3), j // 3), j
+
+
+def test_pattern_table_matches_golden():
+    # captured from the three transcriptions the table replaced: the
+    # partitions list, the claimed Groebner basis and the element targets
+    golden = json.loads((Path(__file__).parent / "golden" / "patterns.json").read_text())
+    assert [list(p) for p in forbidden_patterns(60)] == golden["forbidden_patterns_60"]
+    w = {pattern("w", k) for k in range(40)}
+    assert [list(p) for p in sorted(forbidden_patterns(40))] \
+        == golden["claimed_basis_lms_40_with_w"]
+    assert [list(p) for p in sorted(set(forbidden_patterns(40)) - w)] \
+        == golden["claimed_basis_lms_40_without_w"]
+    targets = {"%s/%d" % (name, k): list(pattern(name, k))
+               for name in ELEMENT_NAMES
+               for k in range(1 if name in EXCEPTIONAL_PATTERNS else 9)}
+    assert targets == golden["element_target_lm"]
+    with pytest.raises(ValueError):
+        pattern("e1", 1)
 
 
 def test_json_roundtrip():
