@@ -13,14 +13,30 @@ So the S row's sum tends to the single sum
 
 which ``limit_series`` builds from the same row, and the T row's sum tends
 to a quasiparticle double sum over the matrix (8 3; 3 2).
+
+T_n, the double sum of products of two q-binomials, is evaluated at
+q = 2^(8w) (Kronecker substitution).  Each q-binomial becomes the integer
+sum of c_i 2^(8w i), each term one big-integer product, a power q^e a left
+shift by 8w e bits and the sign a subtraction; all terms go into one
+integer, decoded once, as signed base-2^(8w) digits, into T_n.  The decoding
+is exact when every coefficient of T_n lies strictly between -2^(8w - 1)
+and 2^(8w - 1).  Every q-binomial coefficient is nonnegative, so in absolute
+value a coefficient of T_n is at most the same coefficient of the sum with
+every sign taken as +1, and that is at most the sum's value at q = 1: the
+sum of the products of ordinary binomials.  The slot width w is the fewest
+whole bytes with 2^(8w - 1) above that bound.
+S_n stays a sum of ``QSeries``, so ``S_n == T_n`` compares two independent
+computations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from math import comb
 
-from qvir.qseries import QSeries, q_binomial, single_sum
+from qvir.qseries import QSeries, _qbinom_coeffs, q_binomial, single_sum
 
 
 class StabilizationNotReached(ArithmeticError):
@@ -49,10 +65,6 @@ _T_ROWS = {
 }
 
 
-def _qb(m: int, n: int) -> QSeries:
-    return q_binomial(m, n) if 0 <= n <= m else QSeries.zero()
-
-
 @lru_cache(maxsize=None)
 def family_poly(sector: str, side: str, n: int) -> QSeries:
     """The exact polynomial S_n or T_n of the given sector."""
@@ -60,23 +72,67 @@ def family_poly(sector: str, side: str, n: int) -> QSeries:
         raise ValueError("unknown family %r/%r" % (sector, side))
     if n < 0 or (sector != "vac" and n < 1):
         raise ValueError("n out of range for sector %r" % (sector,))
+    if side == "T":
+        return _packed_T(sector, n)
+    (a, b), (c, d), s = _S_ROWS[sector]
     out = QSeries.zero()
-    if side == "S":
-        (a, b), (c, d), s = _S_ROWS[sector]
-        k = 0
-        while c * k + d <= n - k - s:
-            out = out + _qb(n - k - s, c * k + d).shift(a * k * k + b * k)
-            k += 1
-        return out
+    k = 0
+    while c * k + d <= n - k - s:
+        out = out + q_binomial(n - k - s, c * k + d).shift(a * k * k + b * k)
+        k += 1
+    return out
+
+
+def _slot_bytes(bound: int) -> int:
+    """The fewest whole bytes w with 2^(8w - 1) > bound."""
+    return bound.bit_length() // 8 + 1
+
+
+def _pack(coeffs, width: int) -> int:
+    """The value at q = 2^(8 width) of the polynomial with the given dense
+    coefficients, each in [0, 2^(8 width)); OverflowError if one is not."""
+    return int.from_bytes(b"".join(map(int.to_bytes, coeffs, repeat(width),
+                                       repeat("little"))), "little")
+
+
+def _unpack(value: int, width: int, slots: int) -> dict:
+    """The nonzero coefficients below q^slots of the polynomial whose value at
+    q = 2^(8 width) is ``value``, read as signed digits of that base."""
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")  # half per slot
+    raw = (value + bias).to_bytes(width * slots, "little")
+    out = {}
+    for e in range(slots):
+        c = int.from_bytes(raw[e * width:(e + 1) * width], "little") - half
+        if c:
+            out[e] = c
+    return out
+
+
+def _packed_T(sector: str, n: int) -> QSeries:
+    """T_n from its value at q = 2^(8 width), one big integer."""
     (l1, l2), (s1, j1), sigma, (a, b, c), (s2, j2) = _T_ROWS[sector]
+    terms = []  # (exponent, sign, (x1, y1), (x2, y2)) for each nonzero B(s, j)
+    bound = 0  # the q = 1 value of the sum with every sign taken as +1
+    top = 0  # the largest exponent a term reaches; [x, y] has degree y (x - y)
     for k in range(0, n // 4 + 2):
         for m in range(0, max(0, n - 4 * k) // 2 + 3):
-            first = _qb(n - 3 * k - m - s1, k) * _qb(n - 4 * k - m - s1, m - j1)
-            second = _qb(n - 3 * k - m - s2, k) * _qb(n - 4 * k - m - s2, m - j2)
-            term = first + (second * sigma).shift(a * k + b * m + c)
-            if term:
-                out = out + term.shift(4 * k * k + 3 * k * m + m * m + l1 * k + l2 * m)
-    return out
+            e = 4 * k * k + 3 * k * m + m * m + l1 * k + l2 * m
+            for sign, s, j, shift in ((1, s1, j1, 0), (sigma, s2, j2, a * k + b * m + c)):
+                x1, y1 = n - 3 * k - m - s, k
+                x2, y2 = n - 4 * k - m - s, m - j
+                if 0 <= y1 <= x1 and 0 <= y2 <= x2:
+                    terms.append((e + shift, sign, (x1, y1), (x2, y2)))
+                    bound += comb(x1, y1) * comb(x2, y2)
+                    top = max(top, e + shift + y1 * (x1 - y1) + y2 * (x2 - y2))
+    width = _slot_bytes(bound)
+    packed = {xy: _pack(_qbinom_coeffs(*xy), width)
+              for xy in {xy for term in terms for xy in term[2:]}}
+    acc = 0
+    for e, sign, xy1, xy2 in terms:
+        p = (packed[xy1] * packed[xy2]) << (8 * width * e)
+        acc = acc + p if sign > 0 else acc - p
+    return QSeries(_unpack(acc, width, top + 1))
 
 
 def equality_check(sector: str, n_max: int) -> dict:

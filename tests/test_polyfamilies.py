@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+import qvir.polyfamilies as pf
 from qvir.characters import alt_expression, module_character
 from qvir.polyfamilies import (SECTORS, StabilizationNotReached, equality_check,
                                family_poly, limit_check, limit_series,
                                recurrence_check_S, recurrence_residual)
-from qvir.qseries import QSeries
+from qvir.qseries import QSeries, q_binomial
 
 
 def test_family_S_small_values():
@@ -95,3 +97,123 @@ def test_monotone_stabilization():
     # low-order coefficients freeze as n grows
     prev = family_poly("vac", "S", 58).truncate(30)
     assert family_poly("vac", "S", 59).truncate(30).equal_mod(prev)
+
+
+# -- T_n by evaluation at q = 2^(8w) -------------------------------------------
+
+def _qb(m, n):
+    return q_binomial(m, n) if 0 <= n <= m else QSeries.zero()
+
+
+def series_loop_T(sector, n):
+    """T_n summed term by term as QSeries products: the reference for the
+    packed evaluation in family_poly."""
+    (l1, l2), (s1, j1), sigma, (a, b, c), (s2, j2) = pf._T_ROWS[sector]
+    out = QSeries.zero()
+    for k in range(0, n // 4 + 2):
+        for m in range(0, max(0, n - 4 * k) // 2 + 3):
+            first = _qb(n - 3 * k - m - s1, k) * _qb(n - 4 * k - m - s1, m - j1)
+            second = _qb(n - 3 * k - m - s2, k) * _qb(n - 4 * k - m - s2, m - j2)
+            term = first + (second * sigma).shift(a * k + b * m + c)
+            if term:
+                out = out + term.shift(4 * k * k + 3 * k * m + m * m + l1 * k + l2 * m)
+    return out
+
+
+T_ORDERS = [(sector, n) for sector in SECTORS
+            for n in list(range(0 if sector == "vac" else 1, 31)) + [40, 41]]
+
+
+def _value(coeffs, width):
+    """sum of c_e 2^(8 width e), by definition."""
+    return sum(c << (8 * width * e) for e, c in coeffs.items())
+
+
+def _random_maps(rng, width):
+    top = (1 << (8 * width - 1)) - 1
+    yield {0: top}, 1
+    yield {0: -top}, 1
+    yield {}, 1
+    yield {0: 0}, 1
+    for _ in range(40):
+        slots = rng.randint(1, 60)
+        coeffs = {}
+        for e in range(slots):
+            r = rng.random()
+            if r < 0.4:
+                continue  # runs of zeros
+            if r < 0.6:
+                coeffs[e] = rng.choice((top, -top))
+            else:
+                coeffs[e] = rng.randint(-top, top)
+        if rng.random() < 0.5:
+            coeffs[slots - 1] = rng.choice((top, -top))
+        yield coeffs, slots
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 9])
+def test_signed_digit_codec_round_trip(width):
+    rng = random.Random(1000 + width)
+    for coeffs, slots in _random_maps(rng, width):
+        want = {e: c for e, c in coeffs.items() if c}
+        assert pf._unpack(_value(coeffs, width), width, slots) == want
+        # more slots than the degree read back as zeros
+        assert pf._unpack(_value(coeffs, width), width, slots + 3) == want
+        dense = [rng.randint(0, (1 << (8 * width)) - 1) for _ in range(slots)]
+        assert pf._pack(dense, width) == _value(dict(enumerate(dense)), width)
+
+
+@pytest.mark.parametrize("width", [2, 3, 5, 9])
+def test_codec_fails_one_byte_too_narrow(width):
+    # the round-trip data reaches the edge of its slots: one byte less and
+    # every map with an entry beyond the narrow slot's range misreads
+    narrow = width - 1
+    edge = 1 << (8 * narrow - 1)
+    rng = random.Random(2000 + width)
+    checked = 0
+    for coeffs, slots in _random_maps(rng, width):
+        if max(map(abs, coeffs.values()), default=0) < edge:
+            continue
+        checked += 1
+        try:
+            got = pf._unpack(_value(coeffs, narrow), narrow, slots)
+        except OverflowError:
+            continue
+        assert got != coeffs
+    assert checked > 30
+    with pytest.raises(OverflowError):
+        pf._pack([1 << (8 * narrow)], narrow)
+    with pytest.raises(OverflowError):
+        pf._pack([-1], width)
+
+
+def test_slot_bytes_is_the_fewest_that_hold_the_bound():
+    rng = random.Random(7)
+    bounds = [0, 1, 127, 128, 255, 256, 2 ** 15 - 1, 2 ** 15, 2 ** 63, 2 ** 64 - 1]
+    bounds += [rng.getrandbits(rng.randint(1, 200)) for _ in range(200)]
+    for bound in bounds:
+        w = pf._slot_bytes(bound)
+        assert 2 ** (8 * w - 1) > bound
+        assert w == 1 or 2 ** (8 * (w - 1) - 1) <= bound
+
+
+@pytest.mark.parametrize("sector", SECTORS)
+def test_packed_T_matches_series_loop(sector):
+    for sec, n in T_ORDERS:
+        if sec == sector:
+            assert family_poly(sector, "T", n) == series_loop_T(sector, n), n
+
+
+def test_packed_T_fails_one_byte_too_narrow(monkeypatch):
+    # the q = 1 bound sets the width; one byte less misreads some T_n
+    # (vac at n = 17, for one) or overflows the decoder
+    want = {(sector, n): family_poly(sector, "T", n) for sector, n in T_ORDERS}
+    width = pf._slot_bytes
+    monkeypatch.setattr(pf, "_slot_bytes", lambda bound: width(bound) - 1)
+    wrong = 0
+    for (sector, n), poly in want.items():
+        try:
+            wrong += pf._packed_T(sector, n) != poly
+        except OverflowError:
+            wrong += 1
+    assert wrong > 0

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from qvir.qseries import (QSeries, ZeroConstantTerm, pochhammer, pochhammer_inf,
-                          q_binomial, q_product)
+from qvir.qseries import (QSeries, ZeroConstantTerm, _qbinom_coeffs, pochhammer,
+                          pochhammer_inf, q_binomial, q_product)
 
 
 def series(pairs, trunc=None):
@@ -340,7 +340,9 @@ def test_integer_polynomials_never_see_fractions(monkeypatch):
     monkeypatch.setattr(QSeries, "__init__", spy)
     family_poly.cache_clear()
     q_binomial.cache_clear()
-    built = [family_poly("vac", "T", 20), q_binomial(30, 15), pochhammer_inf(40)]
+    _qbinom_coeffs.cache_clear()  # T_n packs these directly
+    built = [family_poly(sector, "T", 20) for sector in ("vac", "half", "sixteenth")]
+    built += [q_binomial(30, 15), pochhammer_inf(40)]
     P = P_of_t_q(12)
     built += list(P.parts.values()) + list(P.bigrade().parts.values())
     built += [module_character(w, "New", 12) for w in MODULES]
