@@ -171,6 +171,8 @@ _DD_CACHE: dict[tuple, list] = {}
 
 
 def cached_divided_derivative(g: DiffPoly, n: int) -> DiffPoly:
+    if n < 0:
+        raise ValueError("n must be >= 0")
     key = g.key()
     chain = _DD_CACHE.setdefault(key, [g])
     while len(chain) <= n:
@@ -428,124 +430,147 @@ def _p(coeffs):
 def _element_ingredients(name: str, k: int) -> list:
     """The printed combination as (coefficient, monomial-multiplier, base) triples.
 
-    Bases are derivatives of the generators or previously built elements;
-    the b-derivatives use the 6-fold scaled generator, matching the printed
-    multiplier polynomials.
+    A base is a reference that build_element resolves: ("a", j) and ("b", j)
+    name the j-th divided derivatives of GEN_A and of the 6-fold scaled
+    GEN_B_SCALED (the scaling of the printed multiplier polynomials), and
+    (name, k) names a previously built element.
     """
-    A = lambda j: cached_divided_derivative(GEN_A, j)
-    B = lambda j: cached_divided_derivative(GEN_B_SCALED, j)
-    E = build_element
     if name == "r":
-        return [(1, (), B(3 * k + 1)),
-                (-_polyval(_p((19, 55, 48, 12)), k) / 6, (), A(3 * k + 4))]
+        return [(1, (), ("b", 3 * k + 1)),
+                (-_polyval(_p((19, 55, 48, 12)), k) / 6, (), ("a", 3 * k + 4))]
     if name == "s":
-        return [(1, (), B(3 * k + 2)),
-                (-_polyval(_p((19, 74, 91, 36)), k) / 6, (), A(3 * k + 5))]
+        return [(1, (), ("b", 3 * k + 2)),
+                (-_polyval(_p((19, 74, 91, 36)), k) / 6, (), ("a", 3 * k + 5))]
     if name == "t":
-        return [(1, (), B(3 * k)),
-                (-_polyval(_p((19, 36, 17, 0)), k) / 6, (), A(3 * k + 3))]
+        return [(1, (), ("b", 3 * k)),
+                (-_polyval(_p((19, 36, 17, 0)), k) / 6, (), ("a", 3 * k + 3))]
     if name == "u":
         if k == 0:
-            return [(8, (5,), E("t", 0)), (-6, (2,), E("t", 1))]
+            return [(8, (5,), ("t", 0)), (-6, (2,), ("t", 1))]
         j = k - 1
-        return [(2 * j + 10, (6 + j,), E("t", j + 1)),
-                (-(2 * j + 8), (3 + j,), E("t", j + 2)),
-                (-Fraction((2 * j + 10) * (3 * j + 20), 3), (2 + j,), A(3 * j + 10))]
+        return [(2 * j + 10, (6 + j,), ("t", j + 1)),
+                (-(2 * j + 8), (3 + j,), ("t", j + 2)),
+                (-Fraction((2 * j + 10) * (3 * j + 20), 3), (2 + j,), ("a", 3 * j + 10))]
     if name == "v":
-        return [(_polyval(_p((11, 318, 3061, 9426)), k), (2 + k,), E("t", k + 2)),
-                (-_polyval(_p((7, 90, 349, 370)), k), (6 + k,), E("s", k)),
-                (-_polyval(_p((11, 191, 1029, 1745)), k), (3 + k,), E("s", k + 1)),
-                (-8 * _polyval(_p((1, 19, 121, 255)), k), (4 + k,), E("r", k + 1)),
-                (_polyval(_p((35, 709, 5075, 14763, 13690)), k) / 3, (6 + k,), A(3 * k + 5)),
+        return [(_polyval(_p((11, 318, 3061, 9426)), k), (2 + k,), ("t", k + 2)),
+                (-_polyval(_p((7, 90, 349, 370)), k), (6 + k,), ("s", k)),
+                (-_polyval(_p((11, 191, 1029, 1745)), k), (3 + k,), ("s", k + 1)),
+                (-8 * _polyval(_p((1, 19, 121, 255)), k), (4 + k,), ("r", k + 1)),
+                (_polyval(_p((35, 709, 5075, 14763, 13690)), k) / 3, (6 + k,), ("a", 3 * k + 5)),
                 (Fraction(8, 3) * _polyval(_p((1, 26, 254, 1102, 1785)), k),
-                 (3 + k,), A(3 * k + 8))]
+                 (3 + k,), ("a", 3 * k + 8))]
     if name == "w":
-        return [(k + 2, (6 + k,), E("r", k)),
-                (-(k + 6), (2 + k,), E("s", k + 1))]
+        return [(k + 2, (6 + k,), ("r", k)),
+                (-(k + 6), (2 + k,), ("s", k + 1))]
     if name == "y":
         if k == 0:
-            return [(42, (5,), E("r", 0)), (-84, (2,), A(7)),
-                    (-12, (2,), E("r", 1)), (108, (6,), E("t", 0))]
+            return [(42, (5,), ("r", 0)), (-84, (2,), ("a", 7)),
+                    (-12, (2,), ("r", 1)), (108, (6,), ("t", 0))]
         if k == 1:
-            return [(-640, (6,), E("r", 1)), (2584, (3,), E("r", 2)),
-                    (-4480, (5,), E("s", 1)), (Fraction(81856, 3), (2,), E("s", 2)),
-                    (1216, (7,), E("t", 1)), (-10304, (4,), E("t", 2)),
-                    (72128, (7,), A(6)), (Fraction(112000, 3), (6,), A(7))]
+            return [(-640, (6,), ("r", 1)), (2584, (3,), ("r", 2)),
+                    (-4480, (5,), ("s", 1)), (Fraction(81856, 3), (2,), ("s", 2)),
+                    (1216, (7,), ("t", 1)), (-10304, (4,), ("t", 2)),
+                    (72128, (7,), ("a", 6)), (Fraction(112000, 3), (6,), ("a", 7))]
         j = k - 2
-        return [(2 * _polyval(_p((-1, -23, -189, -657, -810)), j), (7 + j,), E("r", j + 2)),
-                (_polyval(_p((-7, -162, -1129, -2198, 1360)), j), (4 + j,), E("r", j + 3)),
-                (-4 * _polyval(_p((1, 28, 289, 1302, 2160)), j), (6 + j,), E("s", j + 2)),
+        return [(2 * _polyval(_p((-1, -23, -189, -657, -810)), j), (7 + j,), ("r", j + 2)),
+                (_polyval(_p((-7, -162, -1129, -2198, 1360)), j), (4 + j,), ("r", j + 3)),
+                (-4 * _polyval(_p((1, 28, 289, 1302, 2160)), j), (6 + j,), ("s", j + 2)),
                 (Fraction(16, 1) * _polyval(_p((13, 384, 3849, 14962, 16600)), j)
-                 / (j + 4), (3 + j,), E("s", j + 3)),
-                (-_polyval(_p((5, 162, 1911, 7850, 4880)), j), (8 + j,), E("t", j + 2)),
-                (-_polyval(_p((7, 207, 2265, 10841, 19080)), j), (5 + j,), E("t", j + 3)),
-                (_polyval(_p((21, 691, 8865, 55173, 165650, 190800)), j), (8 + j,), A(3 * j + 9)),
-                (-2 * _polyval(_p((1, 47, 901, 8393, 37218, 62640)), j), (2 + j,), A(3 * j + 15)),
+                 / (j + 4), (3 + j,), ("s", j + 3)),
+                (-_polyval(_p((5, 162, 1911, 7850, 4880)), j), (8 + j,), ("t", j + 2)),
+                (-_polyval(_p((7, 207, 2265, 10841, 19080)), j), (5 + j,), ("t", j + 3)),
+                (_polyval(_p((21, 691, 8865, 55173, 165650, 190800)), j),
+                 (8 + j,), ("a", 3 * j + 9)),
+                (-2 * _polyval(_p((1, 47, 901, 8393, 37218, 62640)), j),
+                 (2 + j,), ("a", 3 * j + 15)),
                 (Fraction(2, 3) * _polyval(_p((9, 311, 4253, 28769, 96258, 127440)), j),
-                 (7 + j,), A(3 * j + 10))]
+                 (7 + j,), ("a", 3 * j + 10))]
     if name == "z":
-        return [(k + 6, (2 + k,), E("y", k + 2)),
+        return [(k + 6, (2 + k,), ("y", k + 2)),
                 (-32 * _polyval(_p((4, 165, 2427, 14184, 27440)), k),
-                 (8 + k, 7 + k), E("r", k))]
+                 (8 + k, 7 + k), ("r", k))]
     if name == "e1":
-        return [(3, (2,), E("s", 0)), (-1, (5,), A(2))]
+        return [(3, (2,), ("s", 0)), (-1, (5,), ("a", 2))]
     if name == "e2":
-        return [(1, (6,), E("y", 0)), (384, (2, 2), A(11)),
-                (-832, (2, 2), E("s", 2)), (-12, (7,), E("u", 0))]
+        return [(1, (6,), ("y", 0)), (384, (2, 2), ("a", 11)),
+                (-832, (2, 2), ("s", 2)), (-12, (7,), ("u", 0))]
     if name == "e3":
-        return [(432, (2,), E("w", 1)), (11520, (7, 6), B(0)),
-                (73, (7,), E("y", 0)), (53088, (7, 7), A(2))]
+        return [(432, (2,), ("w", 1)), (11520, (7, 6), ("b", 0)),
+                (73, (7,), ("y", 0)), (53088, (7, 7), ("a", 2))]
     if name == "e4":
-        return [(1, (9, 8), E("u", 0)), (8, (9, 8, 6), A(2)),
-                (Fraction(112, 1415040), (2, 2), E("y", 3))]
+        return [(1, (9, 8), ("u", 0)), (8, (9, 8, 6), ("a", 2)),
+                (Fraction(112, 1415040), (2, 2), ("y", 3))]
     raise ValueError("unknown element %r" % (name,))
 
 
 _ELEMENT_CACHE: dict[tuple, DiffPoly] = {}
 
+# the generator behind each derivative reference of _element_ingredients
+_GENERATOR_BASES = {"a": GEN_A, "b": GEN_B_SCALED}
+
+
+def _base(ref) -> DiffPoly:
+    """Resolve a base reference to an element of the differential ideal:
+    a divided derivative of a generator, or a printed element.  Anything
+    else raises, so no element is built from outside the ideal."""
+    if not (isinstance(ref, tuple) and len(ref) == 2
+            and type(ref[1]) is int and ref[1] >= 0):
+        raise ValueError("base %r is not a (kind, index >= 0) reference" % (ref,))
+    kind, j = ref
+    if kind in _GENERATOR_BASES:
+        return cached_divided_derivative(_GENERATOR_BASES[kind], j)
+    if kind in ELEMENT_NAMES:
+        return build_element(kind, j)
+    raise ValueError("base %r is neither a generator derivative nor a printed element"
+                     % (ref,))
+
 
 def build_element(name: str, k: int = 0) -> DiffPoly:
-    """The printed combination defining the named family member."""
+    """The printed combination defining the named family member.
+
+    Every term is a scalar times a monomial times a base that _base resolves
+    to an ideal element, and the ideal absorbs both factors, so the result
+    lies in the differential ideal by construction.  A multiplier that is not
+    a monomial (parts >= 2) raises ValueError, as an unknown base does.
+    """
     if name.startswith("e") and k != 0:
         raise ValueError("exceptional elements take no index")
     key = (name, k)
     out = _ELEMENT_CACHE.get(key)
     if out is None:
         out = DiffPoly()
-        for c, mono, base in _element_ingredients(name, k):
-            out = out + base.mul_monomial(tuple(mono), c)
+        for c, mono, ref in _element_ingredients(name, k):
+            if not all(type(p) is int and p >= 2 for p in mono):
+                raise ValueError("multiplier %r of %s_%d is not a monomial"
+                                 % (mono, name, k))
+            out = out + _base(ref).mul_monomial(tuple(mono), c)
         _ELEMENT_CACHE[key] = out
     return out
 
 
-# heavier elements are certified by their construction from generator
-# derivatives instead of a membership test in their weight slice
-MEMBERSHIP_WEIGHT_CUTOFF = 60
-
-
 def prop51_check(k_max: int) -> dict:
     """For every forbidden pattern with family index <= k_max, check that its
-    ideal element has that pattern as leading monomial and lies in the ideal.
+    ideal element has that pattern as leading monomial.
 
     The element of an a-family pattern of weight d is the divided derivative
-    of GEN_A of order d - 6; every other family has its printed element.  A
-    different leading monomial is a finding: the entry fails and carries the
-    built one.  Membership is checked in the weight slice up to
-    MEMBERSHIP_WEIGHT_CUTOFF.
+    of GEN_A of order d - 6; every other family has its printed element.
+    Membership in the ideal is not tested here: build_element accepts only
+    generator derivatives and printed elements as bases, so every element is
+    in the ideal by construction, and each entry records "membership":
+    "construction".  The leading monomial is the part of Proposition 5.1 that
+    can fail: a different one is a finding, and the entry fails and carries
+    the built one.
     """
-    gens = (GEN_A, GEN_B)
     entries = []
     for family, k in ([(f, k) for k in range(k_max + 1) for f in PATTERN_FAMILIES]
                       + [(e, 0) for e in EXCEPTIONAL_PATTERNS]):
         pat = pattern(family, k)
         d = sum(pat)
         element = (build_element(family, k) if family in ELEMENT_NAMES
-                   else cached_divided_derivative(GEN_A, d - 6))
+                   else _base(("a", d - 6)))
         lm = element.leading_monomial() if element else None
-        sliced = d <= MEMBERSHIP_WEIGHT_CUTOFF
         entries.append({"pattern": list(pat), "family": family, "k": k, "weight": d,
-                        "passed": lm == pat and (not sliced or membership(element, gens)),
-                        "membership": "slice" if sliced else "construction",
+                        "passed": lm == pat, "membership": "construction",
                         "finding": None if lm == pat else
                         {"built_lm": None if lm is None else list(lm)}})
     return {"passed": all(e["passed"] for e in entries), "k_max": k_max,

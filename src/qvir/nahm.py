@@ -1,9 +1,10 @@
 """Dilogarithm asymptotics of fermionic sums.
 
 Solves the algebraic system 1 - Q_i = prod_j Q_j^(A_ij) on (0,1)^n by
-mpmath's multidimensional Newton method in x = log Q and evaluates the
-growth exponent alpha = sum_i (pi^2/6 - L(Q_i)) with the Rogers dilogarithm
-L, built on mpmath's `polylog`.  All numerics run at 40 significant digits;
+mpmath's multidimensional Newton method in x = log Q, with the Jacobian in
+closed form, and evaluates the growth exponent
+alpha = sum_i (pi^2/6 - L(Q_i)) with the Rogers dilogarithm L, built on
+mpmath's `polylog`.  All numerics run at 40 significant digits;
 the exact-arithmetic modules never call into this one.
 """
 
@@ -61,6 +62,25 @@ class NahmSolution:
                                                  float(self.alpha))
 
 
+def _equations(Af):
+    """F(x) = 1 - e^(x_i) - e^((Ax)_i) and its Jacobian
+    dF_i/dx_j = -delta_ij e^(x_i) - A_ij e^((Ax)_i), for mpmath's findroot."""
+
+    def exps(x):
+        return [mp.exp(xi) for xi in x], [mp.exp(mp.fdot(row, x)) for row in Af]
+
+    def F(*x):
+        ex, eax = exps(x)
+        return [1 - u - v for u, v in zip(ex, eax)]
+
+    def J(*x):
+        ex, eax = exps(x)
+        return mp.matrix([[-a * v - (u if i == j else 0) for j, a in enumerate(row)]
+                          for i, (row, u, v) in enumerate(zip(Af, ex, eax))])
+
+    return F, J
+
+
 def solve_nahm_system(A) -> NahmSolution:
     """Newton's method in x = log Q from Q = (1/2, ..., 1/2).
 
@@ -79,11 +99,9 @@ def solve_nahm_system(A) -> NahmSolution:
     with mp.workdps(PRECISION_DPS):
         Af = [[mp.mpf(x.numerator) / x.denominator for x in row] for row in A]
 
-        def F(*x):
-            return [1 - mp.exp(xi) - mp.exp(mp.fdot(row, x)) for xi, row in zip(x, Af)]
-
+        F, J = _equations(Af)
         try:
-            x = mp.findroot(F, [-mp.log(2)] * n, solver="mdnewton",
+            x = mp.findroot(F, [-mp.log(2)] * n, solver="mdnewton", J=J,
                            maxsteps=NEWTON_STEPS)
         except (ValueError, ZeroDivisionError) as exc:
             raise NoConvergence("Newton's method found no root: %s" % exc) from exc

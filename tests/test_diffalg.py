@@ -54,6 +54,10 @@ def test_divided_derivative_examples():
     assert d9.leading_monomial() == (5, 5, 5)
     assert d9.terms[(5, 5, 5)] == 1
     assert d9.terms[(6, 5, 4)] == 6
+    # the cached chain must not read a negative order as an index from its end
+    for derivative in (divided_derivative, cached_divided_derivative):
+        with pytest.raises(ValueError):
+            derivative(GEN_A, -1)
 
 
 def divided_power_oracle(n):
@@ -348,9 +352,66 @@ def test_prop51_fails_on_a_wrong_printed_element(monkeypatch):
     assert '"built_lm"' in report["checks"][0]["first_failure"]
 
 
+def test_prop51_builds_no_slice(monkeypatch):
+    # membership holds by construction, so prop51 reduces nothing in a
+    # weight slice and builds no echelon block
+    calls = []
+    member, block = diffalg.membership, diffalg._block_cached
+    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
+    monkeypatch.setattr(diffalg, "_ELEMENT_CACHE", {})
+    monkeypatch.setattr(diffalg, "membership",
+                        lambda *args: calls.append("membership") or member(*args))
+    monkeypatch.setattr(diffalg, "_block_cached",
+                        lambda *args: calls.append("block") or block(*args))
+    rep = prop51_check(3)
+    assert rep["passed"]
+    assert {e["membership"] for e in rep["entries"]} == {"construction"}
+    assert cli.run_check("prop51", cli.RunConfig(prop51_kmax=3, deriv_kmax=2))["passed"]
+    assert calls == []
+    assert diffalg._BLOCK_CACHE == {}
+
+
+def test_printed_elements_are_built_from_ideal_bases():
+    # the structural fact behind "membership": "construction": every base is
+    # a generator derivative or a printed element, every multiplier a monomial
+    kinds = {"a", "b", *ELEMENT_NAMES}
+    for name in ELEMENT_NAMES:
+        for k in range(1 if name.startswith("e") else 6):
+            for c, mono, (kind, j) in diffalg._element_ingredients(name, k):
+                assert kind in kinds and type(j) is int and j >= 0, (name, k, kind, j)
+                assert all(type(p) is int and p >= 2 for p in mono), (name, k, mono)
+
+
+@pytest.mark.parametrize("extra", [
+    (1, (), (3, 2)),                              # a bare monomial, not in the ideal
+    (1, (), ("q", 0)),                            # no such base
+    (1, (), ("a", -1)),                           # no such derivative
+    (1, (), DiffPoly.monomial((3, 2))),           # a polynomial, not a reference
+    (1, (1,), ("a", 4)),                          # L1 is no generator
+], ids=["bare-monomial", "unknown-kind", "negative-order", "polynomial", "part-1"])
+def test_a_base_outside_the_ideal_fails_the_build(monkeypatch, extra):
+    printed = diffalg._element_ingredients
+
+    def mutated(name, k):
+        out = printed(name, k)
+        return out + [extra] if (name, k) == ("r", 1) else out
+
+    monkeypatch.setattr(diffalg, "_element_ingredients", mutated)
+    monkeypatch.setattr(diffalg, "_ELEMENT_CACHE", {})
+    with pytest.raises(ValueError):
+        build_element("r", 1)
+    report = cli.run_check("prop51", cli.RunConfig(prop51_kmax=1, deriv_kmax=1))
+    assert not report["passed"]
+    assert report["checks"][0]["first_failure"].startswith("ValueError")
+
+
 def test_element_membership_sampled():
-    for fam, k in (("r", 4), ("s", 3), ("u", 2), ("v", 1), ("w", 2),
-                   ("y", 3), ("z", 1), ("e2", 0), ("e4", 0)):
+    # the slice reduction prop51 no longer runs, as an independent
+    # cross-check on at least one member of every printed family
+    samples = (("r", 4), ("s", 3), ("t", 2), ("u", 2), ("v", 1), ("w", 2),
+               ("y", 3), ("z", 1), ("e1", 0), ("e2", 0), ("e3", 0), ("e4", 0))
+    assert {fam for fam, _ in samples} == set(ELEMENT_NAMES)
+    for fam, k in samples:
         assert membership(build_element(fam, k), GENS), (fam, k)
 
 

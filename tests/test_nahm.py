@@ -4,7 +4,7 @@ import mpmath as mp
 import pytest
 
 from qvir.characters import e8_nahm_data, gordon_matrix
-from qvir.nahm import (DomainError, NoConvergence, PRECISION_DPS,
+from qvir.nahm import (DomainError, NoConvergence, PRECISION_DPS, _equations,
                        ising_quasiparticle_matrix, printed_fixed_point, rogers_dilog,
                        solve_nahm_system)
 
@@ -101,6 +101,25 @@ def test_e8_effective_charge():
         sol = solve_nahm_system(e8_nahm_data().A)
         assert sol.residual < mpf(10) ** -12
         assert abs(sol.effective_charge - mpf(1) / 2) < mpf(10) ** -8
+
+
+@pytest.mark.parametrize("A", [ising_quasiparticle_matrix(), e8_nahm_data().A],
+                         ids=["2x2", "E8"])
+def test_jacobian_matches_central_differences(A):
+    # the closed-form Jacobian handed to findroot, against
+    # (F(x + h e_j) - F(x - h e_j)) / 2h at a random point x = log Q < 0
+    # scaled so that every e^(x_i) and e^((Ax)_i) is of order 1
+    rng = random.Random(len(A))
+    with mp.workdps(PRECISION_DPS):
+        F, J = _equations([[mpf(int(a)) for a in row] for row in A])
+        x = [-mpf(rng.uniform(0.5, 1.5)) / sum(row) for row in A]
+        h = mpf(10) ** -15
+        Jx = J(*x)
+        for j in range(len(A)):
+            up = F(*[xi + h * (i == j) for i, xi in enumerate(x)])
+            down = F(*[xi - h * (i == j) for i, xi in enumerate(x)])
+            for i in range(len(A)):
+                assert abs(Jx[i, j] - (up[i] - down[i]) / (2 * h)) < mpf(10) ** -20, (i, j)
 
 
 def test_solution_json():
