@@ -136,13 +136,11 @@ def check_partitions_count(cfg: RunConfig) -> list:
     from qvir import partitions as pt
     n = cfg.trunc_qseries
     prod = ch.mod16_product(n + 1)
-    bad, lists = [], {}
-    for m in range(n + 1):
-        found = pt.enumerate_P(m)
-        if len(found) != prod.coefficient(m):
-            bad.append(m)
-        if m <= 12:
-            lists[m] = [list(lam) for lam in found]
+    totals = [0] * (n + 1)
+    for (m, _), c in pt.count_table(n)["P"].items():
+        totals[m] += c
+    bad = [m for m in range(n + 1) if totals[m] != prod.coefficient(m)]
+    lists = {m: [list(lam) for lam in pt.enumerate_P(m)] for m in range(min(n, 12) + 1)}
     out = [_entry("|P(n)| == mod-16 product coefficients", not bad, n,
                   first_failure=str(bad[0]) if bad else None,
                   data={"partition_lists": lists})]

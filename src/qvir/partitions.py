@@ -5,6 +5,11 @@ set P(n) consists of partitions of n containing none of the forbidden
 sub-multisets: eleven p-indexed families plus four exceptional patterns.
 P(n) splits into five classes A..E according to the shape of its smallest
 parts, and the class counts satisfy coupled recurrences verified here.
+
+P(n) is counted and listed by one walk up the part values 2, 3, ... whose
+state is the multiplicities of the last few values (a transfer matrix);
+``is_avoiding`` and ``classify`` test a partition against the pattern table
+directly and are the independent oracle for it.
 """
 
 from __future__ import annotations
@@ -147,42 +152,94 @@ def count_min2(n: int) -> int:
     return _count_capped(n, n) if n >= 0 else 0
 
 
+# ---------------------------------------------------------------------------
+# the walk up the part values
+# ---------------------------------------------------------------------------
+
+# a tripled part is the a0 pattern (p, p, p), so no value occurs more than twice
+_MAX_MULTIPLICITY = 2
+
+
+def pattern_width() -> int:
+    """The most consecutive part values one forbidden pattern spans, over the
+    whole table (families at every index and the exceptional patterns)."""
+    spans = [max(offsets) - min(offsets) + 1 for offsets, _ in PATTERN_FAMILIES.values()]
+    spans += [pat[0] - pat[-1] + 1 for pat in EXCEPTIONAL_PATTERNS.values()]
+    return max(spans)
+
+
+def _moves(window: tuple, needs: tuple) -> tuple:
+    """The allowed steps at one part value v: (multiplicity of v, next window).
+
+    ``window`` holds the multiplicities of v-1, v-2, ...; ``needs`` are the
+    patterns whose largest part is v, each as the multiplicities it needs at
+    v, v-1, ...  Leaving v out is always allowed, since each of them contains v.
+    """
+    out = [(0, (0,) + window[:-1])]
+    for mult in range(1, _MAX_MULTIPLICITY + 1):
+        row = (mult,) + window
+        if not any(all(have >= k for have, k in zip(row, need)) for need in needs):
+            out.append((mult, row[:-1]))
+    return tuple(out)
+
+
+def _walk(n_max: int):
+    """The move function of one walk over partitions of weight <= n_max, with
+    its start window; memoised for this walk only.
+
+    A pattern is decided when the walk places its largest part, and it spans
+    at most ``pattern_width()`` values, so the window keeps that many minus
+    one.  It keeps at least three, because the class tag reads the
+    multiplicities of 2, 3 and 4 at value 4.
+    """
+    needs: dict[int, set] = {}
+    width = pattern_width()
+    for pat in forbidden_patterns(n_max):
+        need = [0] * width
+        for u in pat:
+            need[pat[0] - u] += 1
+        needs.setdefault(pat[0], set()).add(tuple(need))
+    shared: dict[tuple, dict] = {}  # equal pattern sets share one memo
+    at = {}
+    for v in range(2, max(n_max, 4) + 1):
+        rule = tuple(sorted(needs.get(v, ())))
+        at[v] = rule, shared.setdefault(rule, {})
+
+    def moves(v: int, window: tuple) -> tuple:
+        rule, memo = at[v]
+        out = memo.get(window)
+        if out is None:
+            out = memo[window] = _moves(window, rule)
+        return out
+
+    return moves, (0,) * (max(width, 4) - 1)
+
+
 def enumerate_P(n: int) -> list:
     """All pattern-avoiding partitions of n, smallest grevlex monomial first.
 
-    Recursive descent over part values with multiplicities capped at 2 (a
-    tripled part is itself a forbidden pattern); a branch dies as soon as the
-    multiplicities fixed so far contain a pattern, which is decidable once
-    the pattern's smallest part has been passed.
+    A depth-first walk up the part values 2, 3, ... over the moves that
+    ``count_table`` counts; a branch ends when the weight left is neither 0
+    nor reachable by parts above the current value.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    by_min = _patterns_by_min(n)
+    moves, start = _walk(n)
     out: list[Partition] = []
+    parts: list[int] = []
 
-    def walk(v: int, remaining: int, chosen: list, mult: dict):
-        if remaining == 0 and v < 2:
-            out.append(tuple(chosen))
+    def walk(v: int, remaining: int, window: tuple):
+        if remaining == 0:
+            out.append(tuple(reversed(parts)))
             return
-        if v < 2 or remaining < 0:
-            return
-        if v > remaining:
-            walk(remaining, remaining, chosen, mult)
-            return
-        for m in range(min(2, remaining // v), 0, -1):
-            mult[v] = m
-            chosen.extend([v] * m)
-            for pat in by_min.get(v, ()):
-                if all(mult.get(u, 0) >= k for u, k in pat.items()):
-                    break
-            else:
-                walk(v - 1, remaining - m * v, chosen, mult)
-            del mult[v]
-            del chosen[len(chosen) - m:]
-        # v left out: every pattern in by_min[v] contains v, so none can match
-        walk(v - 1, remaining, chosen, mult)
+        for mult, nxt in moves(v, window):
+            left = remaining - mult * v
+            if left == 0 or left > v:
+                parts.extend([v] * mult)
+                walk(v + 1, left, nxt)
+                del parts[len(parts) - mult:]
 
-    walk(n, n, [], {})
+    walk(2, n, start)
     out.sort(key=grevlex_key)
     return out
 
@@ -228,17 +285,52 @@ def _class_of(lam: Partition) -> str:
     return "D"
 
 
+def _class_tag(window: tuple) -> str:
+    """The class fixed by the multiplicities (of 4, 3, 2) at the head of the
+    window once the walk has placed 4; ``_class_of`` on the partition."""
+    m4, m3, m2 = window[:3]
+    if m2 == 0:
+        return "A"
+    if m2 == 1:
+        return "C" if m3 else "B"
+    return "E" if not m3 and m4 else "D"
+
+
 def count_table(n_max: int) -> dict:
-    """Counts a,b,c,d,e,p indexed by (n, m): partitions of n with m parts per class."""
-    table = {cls: {} for cls in CLASSES}
-    table["P"] = {}
-    for n in range(n_max + 1):
-        for lam in enumerate_P(n):
-            key = (n, len(lam))
-            cls = _class_of(lam)  # enumerate_P certified lam
-            table[cls][key] = table[cls].get(key, 0) + 1
-            table["P"][key] = table["P"].get(key, 0) + 1
-    return table
+    """Counts a,b,c,d,e,p indexed by (n, m): partitions of n with m parts per class.
+
+    One walk up the part values 2..n_max (the transfer-matrix method): each
+    state is a window of recent multiplicities and a class tag, set once the
+    walk passes 4, and carries the counts of its partial partitions by
+    (weight, length).  A partition leaves the walk for the table once no
+    larger part fits.  Only nonzero cells appear.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    moves, start = _walk(n_max)
+    table = {cls: {} for cls in CLASSES + ("P",)}
+    states = {(start, None): {(0, 0): 1}}
+    for v in range(2, max(n_max, 4) + 1):
+        nxt: dict[tuple, dict] = {}
+        for (window, tag), cells in states.items():
+            for mult, new_window in moves(v, window):
+                key = (new_window, _class_tag(new_window) if v == 4 else tag)
+                target = nxt.setdefault(key, {})
+                add = mult * v
+                for (n, m), c in cells.items():
+                    if n + add <= n_max:
+                        cell = (n + add, m + mult)
+                        target[cell] = target.get(cell, 0) + c
+        states = {}
+        for key, cells in nxt.items():
+            if v >= 4:  # tagged; a cell with no room for a part above v is finished
+                for cell in [cell for cell in cells if cell[0] + v >= n_max]:
+                    c = cells.pop(cell)
+                    for cls in (key[1], "P"):
+                        table[cls][cell] = table[cls].get(cell, 0) + c
+            if cells:
+                states[key] = cells
+    return {cls: dict(sorted(cells.items())) for cls, cells in table.items()}
 
 
 def recursion_check(n_max: int) -> dict:
@@ -246,7 +338,8 @@ def recursion_check(n_max: int) -> dict:
 
     Out-of-range indices count as zero; the n = 0 row is the base case (only
     the empty partition, in class A) and is excluded from the recurrences.
-    The report carries the ``count_table(n_max)`` it checked.
+    The report carries the ``count_table(n_max)`` it checked; a negative
+    n_max raises ``ValueError`` there.
     """
     t = count_table(n_max)
 

@@ -2,11 +2,12 @@ import pytest
 
 from qvir.characters import (andrews_gordon_product, mod16_product,
                              quasiparticle_chi, P_of_t_q)
-from qvir.partitions import (CLASSES, NotInP, classify, class_generating_function,
-                             contains, count_min2, count_table, enumerate_P,
+from qvir.partitions import (CLASSES, EXCEPTIONAL_PATTERNS, NotInP, _patterns_by_min,
+                             classify, class_generating_function, contains,
+                             count_min2, count_table, enumerate_P,
                              forbidden_patterns, is_avoiding, mourtada_basis,
                              partitions_min2, partitions_min2_length,
-                             recursion_check)
+                             pattern_width, recursion_check)
 
 
 def test_contains_multiset_semantics():
@@ -39,9 +40,67 @@ def brute_force_P(n):
                   key=lambda lam: (sum(lam), tuple(-x for x in lam)))
 
 
-@pytest.mark.parametrize("n", range(0, 18))
+@pytest.mark.parametrize("n", range(0, 23))
 def test_enumerate_matches_brute_filter(n):
     assert enumerate_P(n) == brute_force_P(n)
+
+
+def oracle_count_table(n_max):
+    """count_table rebuilt from the listed partitions and the pattern-table
+    classifier."""
+    table = {cls: {} for cls in CLASSES + ("P",)}
+    for n in range(n_max + 1):
+        for lam in enumerate_P(n):
+            key = (n, len(lam))
+            for cls in (classify(lam), "P"):
+                table[cls][key] = table[cls].get(key, 0) + 1
+    return table
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_count_table_matches_oracle_small(n):
+    assert count_table(n) == oracle_count_table(n)
+
+
+def test_count_table_matches_oracle_40():
+    assert count_table(40) == oracle_count_table(40)
+
+
+def walk_totals(n_max):
+    totals = [0] * (n_max + 1)
+    for (n, _), c in count_table(n_max)["P"].items():
+        totals[n] += c
+    return totals
+
+
+def test_walk_totals_match_mod16_product():
+    prod = mod16_product(91)
+    assert walk_totals(90) == [prod.coefficient(n) for n in range(91)]
+
+
+@pytest.fixture
+def wide_pattern(monkeypatch):
+    """An extra exceptional pattern spanning 10 part values."""
+    monkeypatch.setitem(EXCEPTIONAL_PATTERNS, "wide", (11, 2))
+    forbidden_patterns.cache_clear()
+    _patterns_by_min.cache_clear()
+    yield
+    monkeypatch.undo()
+    forbidden_patterns.cache_clear()
+    _patterns_by_min.cache_clear()
+
+
+def test_walk_follows_the_pattern_table(wide_pattern):
+    assert pattern_width() == 10
+    want = [brute_force_P(n) for n in range(17)]
+    assert walk_totals(16) == [len(lams) for lams in want]
+    assert [enumerate_P(n) for n in range(17)] == want
+
+
+def test_negative_orders_raise():
+    for f in (enumerate_P, count_table, recursion_check):
+        with pytest.raises(ValueError):
+            f(-1)
 
 
 def test_classify_examples():
