@@ -131,14 +131,21 @@ def check_modules_identities(cfg: RunConfig) -> list:
             for which in ch.MODULES]
 
 
+def _P_totals(n: int) -> list:
+    """|P(m)| for m = 0..n, summed from the walk's count table."""
+    from qvir import partitions as pt
+    totals = [0] * (n + 1)
+    for (m, _), c in pt.count_table(n)["P"].items():
+        totals[m] += c
+    return totals
+
+
 def check_partitions_count(cfg: RunConfig) -> list:
     from qvir import characters as ch
     from qvir import partitions as pt
     n = cfg.trunc_qseries
     prod = ch.mod16_product(n + 1)
-    totals = [0] * (n + 1)
-    for (m, _), c in pt.count_table(n)["P"].items():
-        totals[m] += c
+    totals = _P_totals(n)
     bad = [m for m in range(n + 1) if totals[m] != prod.coefficient(m)]
     lists = {m: [list(lam) for lam in pt.enumerate_P(m)] for m in range(min(n, 12) + 1)}
     out = [_entry("|P(n)| == mod-16 product coefficients", not bad, n,
@@ -308,7 +315,6 @@ def check_groebner(cfg: RunConfig) -> list:
 
 def check_singular_vector(cfg: RunConfig) -> list:
     from qvir import characters as ch
-    from qvir import partitions as pt
     from qvir import virasoro as vi
     n = cfg.trunc_virasoro
     out = []
@@ -321,7 +327,7 @@ def check_singular_vector(cfg: RunConfig) -> list:
     dims = vi.quotient_graded_dims(lab, n)
     ff = ch.feigin_fuchs_character(lab, n + 1)
     ok_ff = all(dims[m] == ff.coefficient(m) for m in range(n + 1))
-    ok_p = all(dims[m] == len(pt.enumerate_P(m)) for m in range(n + 1))
+    ok_p = dims == _P_totals(n)
     out.append(_entry("quotient dimensions == character coefficients", ok_ff, n))
     out.append(_entry("quotient dimensions == avoiding-partition counts", ok_p, n))
     return out

@@ -76,7 +76,6 @@ def pattern(family: str, k: int) -> tuple:
     return tuple(pmin + k + o for o in offsets)
 
 
-@lru_cache(maxsize=None)
 def forbidden_patterns(max_weight: int) -> tuple:
     """All forbidden patterns of weight <= max_weight, family by family and
     then the exceptional ones; duplicate-free."""
@@ -88,7 +87,9 @@ def forbidden_patterns(max_weight: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=1)  # callers go one weight at a time; one entry keeps memory flat
+# The one cached view of the pattern table: clear it after editing the table.
+# Callers go one weight at a time; one entry keeps memory flat.
+@lru_cache(maxsize=1)
 def _patterns_by_min(max_weight: int) -> dict:
     """Smallest part -> the part counts of each pattern with it (read-only)."""
     by_min: dict[int, list] = {}

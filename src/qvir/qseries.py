@@ -442,16 +442,23 @@ def single_sum(trunc, exponent, index, offset=0) -> QSeries:
     return out
 
 
-@lru_cache(maxsize=None)
 def _qbinom_coeffs(m: int, n: int) -> tuple:
-    """Integer coefficients of the Gaussian binomial [m choose n]_q.
+    """Integer coefficients of the Gaussian binomial [m choose n]_q; empty
+    out of range.  [m, n] = [m, m - n], so both read one cached row, built
+    at the smaller index."""
+    if n < 0 or n > m:
+        return ()
+    return _qbinom_row(m, min(n, m - n))
+
+
+@lru_cache(maxsize=None)
+def _qbinom_row(m: int, n: int) -> tuple:
+    """The coefficients of [m choose n]_q for 0 <= n <= m.
 
     Computed as the exact quotient (q)_m / ((q)_n (q)_{m-n}), one factor at a
     time: multiply by (1-q^{m-n+j}) then divide by (1-q^j); each intermediate
     quotient is again a Gaussian binomial, so every division is exact.
     """
-    if n < 0 or n > m:
-        return ()
     b = [1]
     for j in range(1, n + 1):
         s = m - n + j

@@ -6,11 +6,16 @@ are stored in the PBW basis: monomials are partitions with parts >= 2, the
 partition (n1 >= ... >= nm) standing for the ordered product of lowering
 modes applied to the vacuum.  Applying any mode normal-orders via the
 bracket [L_m, L_n] = (m - n) L_{m+n} + delta_{m,-n} (m^3 - m)/12 * c.
+The submodule a singular vector generates is built by applying L_-1 and
+L_-2 alone to an integer multiple of it (``submodule_spaces`` has the
+proof); lowering modes never reach the central term, so that closure runs
+on ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from qvir.characters import MinimalModelLabel
 from qvir.linalg import Echelon, int_row
@@ -189,9 +194,27 @@ def _basis_index(degree: int) -> dict:
 
 def submodule_spaces(label: MinimalModelLabel, n_max: int) -> dict:
     """Degreewise echelons of the submodule generated by the singular
-    vector, over the columns of basis_monomials: close the span under every
-    mode of index -n_max..n_max."""
+    vector v, over the columns of basis_monomials, up to degree n_max: the
+    span of v closed under L_-1 and L_-2 alone, on integer vectors.
+
+    Why these two modes suffice: ``solve_singular_vector`` raises unless L_1
+    and L_2 kill v, and they generate every positive mode, so the positive
+    half of the algebra kills v and U(Vir).v = U(Vir_-).v by the PBW
+    theorem.  U(Vir_-) is generated by L_-1 and L_-2, because
+    [L_-1, L_-n] = (n - 1) L_-(n+1) (Kac and Raina, Bombay Lectures on
+    Highest Weight Representations, Lecture 3).  Both modes raise the
+    degree, so a vector of degree above n_max never leads back below it
+    and cutting the closure at n_max is exact.  A negative mode never meets
+    the central term (that needs L_m against L_-m with m > 0), so its action
+    on PBW monomials is integral: v is scaled once to its primitive integer
+    multiple, which spans the same line, and every queued vector and every
+    echelon row after it holds ints only.
+    """
     v = solve_singular_vector(label)
+    den = lcm(*(x.denominator for x in v.coeffs.values()))
+    ints = {mono: int(x * den) for mono, x in v.coeffs.items()}
+    content = gcd(*ints.values())
+    v = VirVector(v.c, {mono: x // content for mono, x in ints.items()})
     spaces: dict[int, Echelon] = {}
     indexes: dict[int, dict] = {}
 
@@ -199,19 +222,17 @@ def submodule_spaces(label: MinimalModelLabel, n_max: int) -> dict:
         d = w.degree()
         if d not in spaces:
             spaces[d], indexes[d] = Echelon(), _basis_index(d)
-        return spaces[d].insert(int_row(w.coeffs, indexes[d]))
+        index = indexes[d]
+        return spaces[d].insert({index[mono]: x for mono, x in w.coeffs.items()})
 
     insert(v)
     queue = [v]
     while queue:
         u = queue.pop()
         deg = u.degree()
-        for m in range(-n_max, n_max + 1):
-            if m == 0:
-                continue
-            nd = deg - m
-            if nd < 0 or nd > n_max:
-                continue
+        for m in (-1, -2):
+            if deg - m > n_max:
+                break
             w = apply_mode(m, u)
             if w and insert(w):
                 queue.append(w)

@@ -165,6 +165,22 @@ def test_criterion_11_virasoro():
                 "(3,5) defect at degree >= 19", ok, t0)
 
 
+def test_criterion_11_quotient_reach():
+    from qvir.characters import MinimalModelLabel, feigin_fuchs_character
+    from qvir.partitions import count_table
+    from qvir.virasoro import quotient_graded_dims
+    t0 = time.perf_counter()
+    lab = MinimalModelLabel(3, 4)
+    dims = quotient_graded_dims(lab, 18)
+    ff = feigin_fuchs_character(lab, 19)
+    totals = [0] * 19
+    for (n, _), c in count_table(18)["P"].items():
+        totals[n] += c
+    ok = dims == [int(ff.coefficient(n)) for n in range(19)] == totals
+    ok = ok and time.perf_counter() - t0 < 2
+    _report(11, "quotient dimensions to degree 18 == character == |P(n)|", ok, t0)
+
+
 def test_criterion_12_dilogarithm():
     from qvir.nahm import (PRECISION_DPS, ising_quasiparticle_matrix,
                            printed_fixed_point, rogers_dilog, solve_nahm_system)

@@ -82,12 +82,24 @@ def test_walk_totals_match_mod16_product():
 def wide_pattern(monkeypatch):
     """An extra exceptional pattern spanning 10 part values."""
     monkeypatch.setitem(EXCEPTIONAL_PATTERNS, "wide", (11, 2))
-    forbidden_patterns.cache_clear()
     _patterns_by_min.cache_clear()
     yield
     monkeypatch.undo()
-    forbidden_patterns.cache_clear()
     _patterns_by_min.cache_clear()
+
+
+def test_one_cache_clear_follows_a_table_edit(monkeypatch):
+    # warm every view of the table at weight 13, then edit the table
+    assert is_avoiding((11, 2)) and len(enumerate_P(13)) == len(brute_force_P(13))
+    monkeypatch.setitem(EXCEPTIONAL_PATTERNS, "wide", (11, 2))
+    _patterns_by_min.cache_clear()
+    try:
+        assert not is_avoiding((11, 2))
+        assert enumerate_P(13) == brute_force_P(13)
+    finally:
+        monkeypatch.undo()
+        _patterns_by_min.cache_clear()
+    assert is_avoiding((11, 2))
 
 
 def test_walk_follows_the_pattern_table(wide_pattern):

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from qvir.qseries import (QSeries, ZeroConstantTerm, _qbinom_coeffs, pochhammer,
-                          pochhammer_inf, q_binomial, q_product)
+from qvir.qseries import (QSeries, ZeroConstantTerm, _qbinom_coeffs, _qbinom_row,
+                          pochhammer, pochhammer_inf, q_binomial, q_product)
 
 
 def series(pairs, trunc=None):
@@ -133,6 +133,32 @@ def test_q_binomial_pascal_exhaustive():
             lhs = q_binomial(m, n)
             rhs = q_binomial(m - 1, n - 1) + q_binomial(m - 1, n).shift(n)
             assert lhs == rhs, (m, n)
+
+
+def _qbinom_by_division(m, n):
+    """Reference: [m, n] as the exact quotient, one factor at a time, at the
+    index asked for (no symmetry)."""
+    b = [1]
+    for j in range(1, n + 1):
+        s = m - n + j
+        f = b + [0] * s
+        for i, c in enumerate(b):
+            f[i + s] -= c
+        g = [0] * (len(f) - j)
+        for i in range(len(g)):
+            g[i] = f[i] + (g[i - j] if i >= j else 0)
+        b = g
+    return tuple(b)
+
+
+def test_q_binomial_rows_shared_by_symmetry():
+    _qbinom_row.cache_clear()
+    for m in range(31):
+        for n in range(m + 1):
+            assert _qbinom_coeffs(m, n) == _qbinom_by_division(m, n), (m, n)
+    # one cached row per pair {n, m - n}
+    assert _qbinom_row.cache_info().currsize == sum(m // 2 + 1 for m in range(31))
+    assert _qbinom_coeffs(5, -1) == _qbinom_coeffs(5, 6) == ()
 
 
 def test_q_binomial_nonneg_and_degree():
@@ -340,7 +366,7 @@ def test_integer_polynomials_never_see_fractions(monkeypatch):
     monkeypatch.setattr(QSeries, "__init__", spy)
     family_poly.cache_clear()
     q_binomial.cache_clear()
-    _qbinom_coeffs.cache_clear()  # T_n packs these directly
+    _qbinom_row.cache_clear()  # T_n packs these directly
     built = [family_poly(sector, "T", 20) for sector in ("vac", "half", "sixteenth")]
     built += [q_binomial(30, 15), pochhammer_inf(40)]
     P = P_of_t_q(12)

@@ -3,12 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from qvir import virasoro
 from qvir.characters import MinimalModelLabel, feigin_fuchs_character
+from qvir.linalg import Echelon, int_row
 from qvir.partitions import enumerate_P
-from qvir.virasoro import (PRINTED_SINGULAR_34, VirVector, apply_mode,
+from qvir.virasoro import (PRINTED_SINGULAR_34, VirVector, _apply_one, apply_mode,
                            apply_word, basis_monomials, kernel_generator_symbol,
                            lemma_b_check, lemma_bp_check, quotient_graded_dims,
-                           singular_vector_check, solve_singular_vector)
+                           singular_vector_check, solve_singular_vector,
+                           submodule_spaces)
 
 
 HALF = F(1, 2)
@@ -94,6 +97,71 @@ def test_quotient_dims_below_singular_degree():
     lab = MinimalModelLabel(3, 4)
     dims = quotient_graded_dims(lab, 5)
     assert dims == [len(basis_monomials(n)) for n in range(6)]
+
+
+def submodule_by_every_mode(label, n_max):
+    """Reference: the span of the singular vector closed under every mode
+    L_m with 0 < |m| <= n_max, in rational arithmetic."""
+    v = solve_singular_vector(label)
+    spaces, indexes = {}, {}
+
+    def insert(w):
+        d = w.degree()
+        if d not in spaces:
+            spaces[d] = Echelon()
+            indexes[d] = {m: i for i, m in enumerate(basis_monomials(d))}
+        return spaces[d].insert(int_row(w.coeffs, indexes[d]))
+
+    insert(v)
+    queue = [v]
+    while queue:
+        u = queue.pop()
+        deg = u.degree()
+        for m in range(-n_max, n_max + 1):
+            if m == 0 or not 0 <= deg - m <= n_max:
+                continue
+            w = apply_mode(m, u)
+            if w and insert(w):
+                queue.append(w)
+    return spaces
+
+
+@pytest.mark.parametrize("p, pp, n_max", [(3, 4, 12), (3, 5, 12), (2, 5, 10)])
+def test_submodule_matches_every_mode_closure(p, pp, n_max):
+    lab = MinimalModelLabel(p, pp)
+    want = submodule_by_every_mode(lab, n_max)
+    got = submodule_spaces(lab, n_max)
+    assert sorted(got) == sorted(want)
+    for d in want:
+        assert got[d].rank == want[d].rank, d
+        assert got[d].reduced() == want[d].reduced(), d
+
+
+@pytest.mark.parametrize("c", [HALF, F(-22, 5)])
+def test_lowering_modes_act_integrally(c):
+    for deg in range(11):
+        for mono in basis_monomials(deg):
+            for m in (-1, -2):
+                out = _apply_one(c, m, mono)
+                assert all(type(x) is int for x in out.values()), (m, mono)
+
+
+def test_submodule_applies_two_lowering_modes_to_int_vectors(monkeypatch):
+    lab = MinimalModelLabel(3, 4)
+    v = solve_singular_vector(lab)
+    monkeypatch.setattr(virasoro, "solve_singular_vector", lambda label: v)
+    seen = []
+
+    def spy(m, u):
+        seen.append(m)
+        assert all(type(x) is int for x in u.coeffs.values()), u
+        return apply_mode(m, u)
+
+    monkeypatch.setattr(virasoro, "apply_mode", spy)
+    spaces = submodule_spaces(lab, 12)
+    assert set(seen) == {-1, -2}
+    assert all(type(x) is int for ech in spaces.values()
+               for row in ech.pivots.values() for x in row.values())
 
 
 def test_lemma_b_exact():
