@@ -15,10 +15,16 @@ import json
 import sys
 import time
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
+from typing import get_type_hints
 
 REPORT_SCHEMA = 1
+
+# the choice sets: report format -> file extension, and the generator subsets
+# of the hilbert subcommand (names of diffalg generators)
+FORMATS = {"json": "json", "csv": "csv", "text": "txt"}
+GENERATOR_SETS = {"a": ("GEN_A",), "b": ("GEN_B",), "ab": ("GEN_A", "GEN_B")}
 
 
 class ConfigError(ValueError):
@@ -42,18 +48,18 @@ class RunConfig:
     out: str | None = None
 
     def validate(self):
-        for f in fields(self):
-            if f.name.startswith("trunc_") or f.name in ("prop51_kmax", "deriv_kmax"):
-                v = getattr(self, f.name)
-                if not isinstance(v, int) or v < 1:
-                    raise ConfigError("%s must be a positive integer" % f.name)
-        if self.format not in ("json", "csv", "text"):
-            raise ConfigError("format must be json, csv or text")
-        if self.gens not in ("a", "b", "ab"):
-            raise ConfigError("gens must be a, b or ab")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        for name in INT_FIELDS:
+            v = getattr(self, name)
+            if not isinstance(v, int) or v < 1:
+                raise ConfigError("%s must be a positive integer" % name)
+        for name, choices in (("format", FORMATS), ("gens", GENERATOR_SETS)):
+            if getattr(self, name) not in choices:
+                raise ConfigError("%s must be one of %s" % (name, ", ".join(choices)))
         return self
+
+
+# every int field is an order, or the process count jobs; the rest are strings
+INT_FIELDS = tuple(name for name, kind in get_type_hints(RunConfig).items() if kind is int)
 
 
 def load_config_file(path: str) -> dict:
@@ -68,7 +74,7 @@ def load_config_file(path: str) -> dict:
         key, value = (x.strip() for x in line.split("=", 1))
         if key not in known:
             raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
-        if key in ("format", "out", "gens"):
+        if key not in INT_FIELDS:
             out[key] = value
         else:
             try:
@@ -100,9 +106,8 @@ def _agreement_entry(name, a, b, data=None):
                   first_failure=None if first is None else str(first), data=data)
 
 
-def check_characters_equal(cfg: RunConfig) -> list:
+def check_characters_equal(n: int) -> list:
     from qvir import characters as ch
-    n = cfg.trunc_qseries
     exprs = {w: ch.alt_expression(w, n) for w in ch.ALT_EXPRESSIONS}
     base = exprs["BGG"]
     out = [_agreement_entry("BGG == %s" % w, base, exprs[w])
@@ -114,17 +119,15 @@ def check_characters_equal(cfg: RunConfig) -> list:
     return out
 
 
-def check_nahm_e8(cfg: RunConfig) -> list:
+def check_nahm_e8(n: int) -> list:
     from qvir import characters as ch
-    n = cfg.trunc_e8
     lhs = ch.nahm_sum(ch.e8_nahm_data(), n)
     rhs = ch.feigin_fuchs_character(ch.MinimalModelLabel(3, 4), n)
     return [_agreement_entry("E8 fermionic sum == vacuum character", lhs, rhs)]
 
 
-def check_modules_identities(cfg: RunConfig) -> list:
+def check_modules_identities(n: int) -> list:
     from qvir import characters as ch
-    n = cfg.trunc_modules
     return [_agreement_entry("%s: classical == quasiparticle" % which,
                              ch.module_character(which, "Classical", n),
                              ch.module_character(which, "New", n))
@@ -140,10 +143,9 @@ def _P_totals(n: int) -> list:
     return totals
 
 
-def check_partitions_count(cfg: RunConfig) -> list:
+def check_partitions_count(n: int) -> list:
     from qvir import characters as ch
     from qvir import partitions as pt
-    n = cfg.trunc_qseries
     prod = ch.mod16_product(n + 1)
     totals = _P_totals(n)
     bad = [m for m in range(n + 1) if totals[m] != prod.coefficient(m)]
@@ -156,9 +158,8 @@ def check_partitions_count(cfg: RunConfig) -> list:
     return out
 
 
-def check_recursion(cfg: RunConfig) -> list:
+def check_recursion(n: int) -> list:
     from qvir import partitions as pt
-    n = cfg.trunc_tq
     rep = pt.recursion_check(n)
     table = rep["count_table"]
     rows = [["n", "m", "a", "b", "c", "d", "e", "p"]]
@@ -175,9 +176,8 @@ def check_recursion(cfg: RunConfig) -> list:
                    data={"count_table": rows})]
 
 
-def check_functional_eqs(cfg: RunConfig) -> list:
+def check_functional_eqs(n: int) -> list:
     from qvir import characters as ch
-    n = cfg.trunc_tq
     rep = ch.functional_equation_check(n)
     out = []
     for w in ch.CLASS_NAMES:
@@ -194,22 +194,22 @@ def check_functional_eqs(cfg: RunConfig) -> list:
     out.append(_entry("P == A+B+C+D+E", first is None, order,
                       first_failure=None if first is None else json.dumps(
                           {"t_degree": first[0], "q_exponent": str(first[1])})))
-    substitution = "bigraded substitution: t-exponents nonnegative"
-    detail = "construction raises on a negative exponent"
     try:
-        bg = P.bigrade()
+        bg, error = P.bigrade(), None
     except ValueError as exc:
-        return out + [_entry(substitution, False, detail=detail, first_failure=str(exc)),
-                      _entry("bigraded character at t=1", False, first_failure=str(exc))]
-    out.append(_entry(substitution, True, n, detail=detail))
+        bg, error = None, str(exc)
+    ok = error is None
+    out.append(_entry("bigraded substitution: t-exponents nonnegative", ok,
+                      n if ok else None, first_failure=error,
+                      detail="construction raises on a negative exponent"))
     out.append(_agreement_entry("bigraded character at t=1", bg.specialize_t1(),
-                                ch.alt_expression("BGG", n)))
+                                ch.alt_expression("BGG", n)) if ok
+               else _entry("bigraded character at t=1", False, first_failure=error))
     return out
 
 
-def check_families(cfg: RunConfig) -> list:
+def check_families(n: int) -> list:
     from qvir import polyfamilies as pf
-    n = cfg.trunc_tq
     out = []
     for sector in pf.SECTORS:
         rep = pf.equality_check(sector, n)
@@ -227,16 +227,15 @@ def check_families(cfg: RunConfig) -> list:
                           ("sixteenth", min(25, n))):
         rep = pf.limit_check(sector, 2 * trunc, trunc)
         out.append(_entry("limit of %s family" % sector, rep["passed"], trunc))
-    out.append(_entry("sample polynomials", True,
-                      data={"polynomials": {
-                          "S_8": pf.family_poly("vac", "S", 8).to_json_dict(),
-                          "T_8": pf.family_poly("vac", "T", 8).to_json_dict()}}))
+    s8, t8 = pf.family_poly("vac", "S", 8), pf.family_poly("vac", "T", 8)
+    out.append(_entry("sample polynomials", s8 == t8, data={"polynomials": {
+        "S_8": s8.to_json_dict(), "T_8": t8.to_json_dict()}}))
     return out
 
 
-def check_recurrence_s(cfg: RunConfig) -> list:
+def check_recurrence_s(n: int) -> list:
     from qvir import polyfamilies as pf
-    n = min(cfg.trunc_tq, 30)
+    n = min(n, 30)
     rep = pf.recurrence_check_S(n)
     residuals = [["side", "n", "residual"]]
     for side in pf.SIDES:
@@ -249,28 +248,25 @@ def check_recurrence_s(cfg: RunConfig) -> list:
                    data={"residuals": residuals})]
 
 
-def check_hilbert(cfg: RunConfig) -> list:
+def check_hilbert(n: int, gens: str) -> list:
     from qvir import characters as ch
     from qvir import diffalg as da
-    n = cfg.trunc_hilbert
+    from qvir import virasoro as vi
     out = []
-    gens = {"a": (da.GEN_A,), "b": (da.GEN_B,), "ab": (da.GEN_A, da.GEN_B)}[cfg.gens]
-    h = da.hilbert_quotient(gens, n)
+    h = da.hilbert_quotient(tuple(getattr(da, g) for g in GENERATOR_SETS[gens]), n)
     ff = ch.feigin_fuchs_character(ch.MinimalModelLabel(3, 4), n + 1)
     rows = [["weight", "dimension"]] + [[d, int(h.coefficient(d))]
                                         for d in range(n + 1)]
     out.append(_agreement_entry("quotient Hilbert series (gens=%s) == vacuum character"
-                                % cfg.gens, h, ff, data={"hilbert_coefficients": rows}))
-    if cfg.gens != "ab":
+                                % gens, h, ff, data={"hilbert_coefficients": rows}))
+    if gens != "ab":
         return out
     for s in (2, 3):
-        hs = da.hilbert_quotient((da.DiffPoly({(2,) * s: 1}),), min(n, 25))
+        hs = da.hilbert_quotient((da.arc_generator(s),), min(n, 25))
         ag = ch.andrews_gordon_product(s, min(n, 25) + 1)
         out.append(_agreement_entry("free quotient s=%d == Andrews-Gordon product" % s,
                                     hs, ag))
-    a5 = da.DiffPoly({(2, 2, 2, 2): 1})
-    b5 = da.DiffPoly({(5, 2, 2, 2): Fraction(-1, 9), (4, 3, 2, 2): 1})
-    h5 = da.hilbert_quotient((a5, b5), 21)
+    h5 = da.hilbert_quotient((da.arc_generator(4), vi.kernel_generator_symbol(5)), 21)
     ff5 = ch.feigin_fuchs_character(ch.MinimalModelLabel(3, 5), 22)
     diffs = [int(h5.coefficient(d) - ff5.coefficient(d)) for d in range(22)]
     first_strict = next((d for d, g in enumerate(diffs) if g > 0), None)
@@ -280,26 +276,25 @@ def check_hilbert(cfg: RunConfig) -> list:
     return out
 
 
-def check_prop51(cfg: RunConfig) -> list:
+def check_prop51(kmax: int, deriv_kmax: int) -> list:
     from qvir import diffalg as da
-    rep = da.prop51_check(cfg.prop51_kmax)
+    rep = da.prop51_check(kmax)
     bad = [e for e in rep["entries"] if not e["passed"]]
-    out = [_entry("leading monomials for all patterns, k <= %d" % cfg.prop51_kmax,
+    out = [_entry("leading monomials for all patterns, k <= %d" % kmax,
                   rep["passed"],
                   detail="%d patterns; findings: %d" % (len(rep["entries"]),
                                                         len(rep["findings"])),
                   first_failure=json.dumps(bad[0]) if bad else None)]
-    drep = da.verify_derivative_formulas(cfg.deriv_kmax)
+    drep = da.verify_derivative_formulas(deriv_kmax)
     bad = [e for e in drep["entries"] if not e["passed"]]
-    out.append(_entry("derivative coefficient tables, k <= %d" % cfg.deriv_kmax,
+    out.append(_entry("derivative coefficient tables, k <= %d" % deriv_kmax,
                       drep["passed"],
                       first_failure=json.dumps(bad[0]) if bad else None))
     return out
 
 
-def check_groebner(cfg: RunConfig) -> list:
+def check_groebner(n: int) -> list:
     from qvir import diffalg as da
-    n = cfg.trunc_groebner
     rep = da.groebner_check(n)
     bad = [d for d in rep["per_degree"] if not d["passed"]]
     ranks = [["weight", "rank", "pivot_monomials"]]
@@ -308,15 +303,15 @@ def check_groebner(cfg: RunConfig) -> list:
     return [_entry("pivot sets == divisibility closure, d <= %d" % n, rep["passed"],
                    n, first_failure=json.dumps(bad[0]) if bad else None,
                    data={"slice_ranks_and_pivots": ranks}),
+            # waits for a perfbench/reference/ re-capture: verdict = w_family_required
             _entry("w family required in the basis", True,
                    detail="required: %s; monomials covered only by w: %s"
                    % (rep["w_family_required"], rep["w_only_monomials"][:2]))]
 
 
-def check_singular_vector(cfg: RunConfig) -> list:
+def check_singular_vector(n: int) -> list:
     from qvir import characters as ch
     from qvir import virasoro as vi
-    n = cfg.trunc_virasoro
     out = []
     lab = ch.MinimalModelLabel(3, 4)
     v = vi.solve_singular_vector(lab)
@@ -333,7 +328,7 @@ def check_singular_vector(cfg: RunConfig) -> list:
     return out
 
 
-def check_lemma_b(cfg: RunConfig) -> list:
+def check_lemma_b() -> list:
     from qvir import virasoro as vi
     rep = vi.lemma_b_check()
     out = [_entry("degree-9 kernel combination, exact", rep["passed"],
@@ -346,7 +341,7 @@ def check_lemma_b(cfg: RunConfig) -> list:
     return out
 
 
-def check_nahm_alpha(cfg: RunConfig) -> list:
+def check_nahm_alpha() -> list:
     import mpmath as mp
     from qvir import nahm
     from qvir.characters import e8_nahm_data
@@ -376,49 +371,43 @@ def check_nahm_alpha(cfg: RunConfig) -> list:
     return out
 
 
-CHECKS = {
-    "characters-equal": check_characters_equal,
-    "nahm-e8": check_nahm_e8,
-    "modules-identities": check_modules_identities,
-    "partitions-count": check_partitions_count,
-    "recursion": check_recursion,
-    "functional-eqs": check_functional_eqs,
-    "families": check_families,
-    "recurrence-s": check_recurrence_s,
-    "hilbert": check_hilbert,
-    "prop51": check_prop51,
-    "groebner": check_groebner,
-    "singular-vector": check_singular_vector,
-    "lemma-b": check_lemma_b,
-    "nahm-alpha": check_nahm_alpha,
+# subcommand -> (the RunConfig fields it reads, its check); run_check passes
+# the check exactly those fields, and the --trunc, --gens and --jobs rules
+# follow from them
+COMMANDS = {
+    "characters-equal": (("trunc_qseries",), check_characters_equal),
+    "nahm-e8": (("trunc_e8",), check_nahm_e8),
+    "modules-identities": (("trunc_modules",), check_modules_identities),
+    "partitions-count": (("trunc_qseries",), check_partitions_count),
+    "recursion": (("trunc_tq",), check_recursion),
+    "functional-eqs": (("trunc_tq",), check_functional_eqs),
+    "families": (("trunc_tq",), check_families),
+    "recurrence-s": (("trunc_tq",), check_recurrence_s),
+    "hilbert": (("trunc_hilbert", "gens"), check_hilbert),
+    "prop51": (("prop51_kmax", "deriv_kmax"), check_prop51),
+    "groebner": (("trunc_groebner",), check_groebner),
+    "singular-vector": (("trunc_virasoro",), check_singular_vector),
+    "lemma-b": ((), check_lemma_b),
+    "nahm-alpha": ((), check_nahm_alpha),
 }
 
-# the primary truncation order each subcommand reads, for --trunc overrides;
-# lemma-b and nahm-alpha read none, so --trunc is rejected there
-_TRUNC_KEY = {
-    "characters-equal": "trunc_qseries",
-    "nahm-e8": "trunc_e8",
-    "modules-identities": "trunc_modules",
-    "partitions-count": "trunc_qseries",
-    "recursion": "trunc_tq",
-    "functional-eqs": "trunc_tq",
-    "families": "trunc_tq",
-    "recurrence-s": "trunc_tq",
-    "hilbert": "trunc_hilbert",
-    "prop51": "prop51_kmax",
-    "groebner": "trunc_groebner",
-    "singular-vector": "trunc_virasoro",
-}
+
+def _reads(command: str) -> tuple:
+    """The RunConfig fields a subcommand reads; `all` reads every field that
+    some subcommand reads, plus jobs."""
+    if command != "all":
+        return COMMANDS[command][0]
+    return tuple(dict.fromkeys(f for r, _ in COMMANDS.values() for f in r)) + ("jobs",)
 
 
 def run_check(name: str, cfg: RunConfig) -> dict:
     """Run one subcommand's checks; a check that raises becomes one FAIL
     entry naming the exception and where it was raised, so the rest of a
     battery still runs."""
-    check = CHECKS[name]
+    fields_read, check = COMMANDS[name]
     t0 = time.perf_counter()
     try:
-        checks = check(cfg)
+        checks = check(*(getattr(cfg, f) for f in fields_read))
     except Exception as exc:
         import traceback
         where = traceback.extract_tb(exc.__traceback__)[-1]
@@ -430,24 +419,17 @@ def run_check(name: str, cfg: RunConfig) -> dict:
             "elapsed_s": round(time.perf_counter() - t0, 3), "checks": checks}
 
 
-def _run_check_star(args):
-    name, cfg = args
-    return run_check(name, cfg)
-
-
 def run_all(cfg: RunConfig) -> list:
-    names = list(CHECKS)
+    names = list(COMMANDS)
     if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            reports = list(pool.map(_run_check_star, [(n, cfg) for n in names]))
+            reports = list(pool.map(run_check, names, repeat(cfg)))
     else:
-        reports = [run_check(n, cfg) for n in names]
+        reports = list(map(run_check, names, repeat(cfg)))
     summary = {"command": "summary", "passed": all(r["passed"] for r in reports),
                "elapsed_s": round(sum(r["elapsed_s"] for r in reports), 3),
-               "checks": [{"name": r["command"], "passed": r["passed"],
-                           "verified_order": None, "detail": None,
-                           "first_failure": None} for r in reports]}
+               "checks": [_entry(r["command"], r["passed"]) for r in reports]}
     return reports + [summary]
 
 
@@ -509,9 +491,8 @@ def write_reports(reports: list, cfg: RunConfig) -> None:
         path.write_text(text)
         return
     path.mkdir(parents=True, exist_ok=True)
-    ext = {"json": "json", "csv": "csv", "text": "txt"}[cfg.format]
     for r in reports:
-        (path / ("%s.%s" % (r["command"], ext))).write_text(render([r], cfg))
+        (path / ("%s.%s" % (r["command"], FORMATS[cfg.format]))).write_text(render([r], cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification battery for the c=1/2 vacuum module: "
                     "q-series identities, partition counts, and the "
                     "differential ideal of its singular support.")
-    p.add_argument("command", choices=sorted(CHECKS) + ["all"])
+    p.add_argument("command", choices=sorted(COMMANDS) + ["all"])
     p.add_argument("--trunc", type=int, default=None,
                    help="override the subcommand's primary truncation order")
-    p.add_argument("--gens", choices=("a", "b", "ab"), default=None,
+    p.add_argument("--gens", choices=GENERATOR_SETS, default=None,
                    help="generator subset for the hilbert subcommand")
-    p.add_argument("--format", choices=("json", "csv", "text"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes for `all`")
     p.add_argument("--out", default=None,
@@ -547,17 +528,20 @@ def main(argv=None) -> int:
             v = getattr(args, flag)
             if v is not None:
                 overrides[flag] = v
-        for flag, commands in (("jobs", ("all",)), ("gens", ("hilbert", "all"))):
-            if getattr(args, flag) is not None and args.command not in commands:
+        reads = _reads(args.command)
+        for flag in ("jobs", "gens"):
+            if getattr(args, flag) is not None and flag not in reads:
+                users = [c for c in (*COMMANDS, "all") if flag in _reads(c)]
                 raise ConfigError("--%s applies to %s only" % (
-                    flag, " and ".join("`%s`" % c for c in commands)))
+                    flag, " and ".join("`%s`" % c for c in users)))
         if args.trunc is not None:
             if args.command == "all":
                 raise ConfigError("--trunc applies to single subcommands; "
                                   "use a config file to set orders for `all`")
-            if args.command not in _TRUNC_KEY:
+            order = next((f for f in reads if f in INT_FIELDS), None)
+            if order is None:
                 raise ConfigError("--trunc: %s reads no truncation order" % args.command)
-            overrides[_TRUNC_KEY[args.command]] = args.trunc
+            overrides[order] = args.trunc
         cfg = replace(RunConfig(), **overrides).validate()
     except (ConfigError, OSError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)

@@ -35,10 +35,6 @@ class ZeroPolynomial(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-def grevlex_less(lam: tuple, mu: tuple) -> bool:
-    return grevlex_key(lam) < grevlex_key(mu)
-
-
 def mono_mul(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b, reverse=True))
 
@@ -149,20 +145,17 @@ def derive(f: DiffPoly) -> DiffPoly:
     return DiffPoly(out)
 
 
-def divided_derivative(f: DiffPoly, n: int) -> DiffPoly:
-    """The n-th derivative divided by n!, built one exact step at a time."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out = f
-    for i in range(1, n + 1):
-        out = derive(out).scale(Fraction(1, i))
-    return out
+def arc_generator(k: int) -> DiffPoly:
+    """The k-th power of the degree-2 generator: the arc-algebra generator
+    of the (3, k+1) model (GEN_A for k = 3); alone, its differential ideal has
+    the Andrews-Gordon product of index k as quotient Hilbert series."""
+    return DiffPoly({(2,) * k: 1})
 
 
 # the defining ideal: the cube of the degree-2 generator, and the degree-9
 # element.  B_SCALED = 6*GEN_B is the scaling under which the printed
 # leading-coefficient tables below hold.
-GEN_A = DiffPoly({(2, 2, 2): 1})
+GEN_A = arc_generator(3)
 GEN_B = DiffPoly({(5, 2, 2): Fraction(1, 6), (4, 3, 2): 1})
 GEN_B_SCALED = GEN_B.scale(6)
 

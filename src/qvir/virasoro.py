@@ -301,14 +301,14 @@ def lemma_bp_check(pp: int) -> dict:
         raise ValueError("(3, %d) is not coprime; no such minimal model" % pp)
     lab = MinimalModelLabel(3, pp)
     w = 2 * pp + 1
-    arc = diffalg.hilbert_quotient((diffalg.DiffPoly({(2,) * (pp - 1): 1}),), w)
+    arc_ideal = (diffalg.arc_generator(pp - 1),)
+    arc = diffalg.hilbert_quotient(arc_ideal, w)
     spaces = submodule_spaces(lab, w)
     # read the ranks before the symbol test below extends the degree-w echelon
     vir = quotient_graded_dims(lab, w, spaces)
     kernel_dims = [int(arc.coefficient(d)) - vir[d] for d in range(w + 1)]
     sym = kernel_generator_symbol(pp)
-    not_in_arc_ideal = not diffalg.membership(
-        sym, (diffalg.DiffPoly({(2,) * (pp - 1): 1}),))
+    not_in_arc_ideal = not diffalg.membership(sym, arc_ideal)
     # the lift: same coefficients read as PBW monomials; its class modulo the
     # submodule must drop to PBW length <= p'-2
     lift = VirVector(lab.central_charge, sym.terms)

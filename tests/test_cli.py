@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import qvir
-from qvir.cli import (CHECKS, ConfigError, RunConfig, load_config_file, main,
+from qvir.cli import (COMMANDS, ConfigError, RunConfig, load_config_file, main,
                       render, run_all, run_check)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -96,13 +96,21 @@ def test_flags_that_change_nothing_exit_2(argv, rejected, capsys):
     assert "%s applies to" % rejected in err
 
 
+def test_a_check_receives_the_fields_its_row_reads_and_trunc_sets_the_first(monkeypatch):
+    got = []
+    monkeypatch.setitem(COMMANDS, "hilbert", (("trunc_hilbert", "gens", "deriv_kmax"),
+                                              lambda *args: got.append(args) or []))
+    assert main(["hilbert", "--trunc", "7", "--gens", "b", "--format", "json"]) == 0
+    assert got == [(7, "b", RunConfig().deriv_kmax)]
+
+
 def test_a_raising_check_becomes_a_failed_entry(monkeypatch, capsys):
     from qvir.polyfamilies import StabilizationNotReached
 
-    def raising(cfg):
+    def raising(n):
         raise StabilizationNotReached("sector 'vac' not stable below q^9 at n=2")
 
-    monkeypatch.setitem(CHECKS, "families", raising)
+    monkeypatch.setitem(COMMANDS, "families", (("trunc_tq",), raising))
     rep = run_check("families", RunConfig())
     assert rep["passed"] is False
     [entry] = rep["checks"]
@@ -112,13 +120,13 @@ def test_a_raising_check_becomes_a_failed_entry(monkeypatch, capsys):
     assert entry["detail"].startswith("raised in raising (test_cli.py:")
 
     calls = []
-    for name in CHECKS:
+    for name in COMMANDS:
         if name != "families":
-            monkeypatch.setitem(CHECKS, name, lambda cfg, name=name: calls.append(name) or [])
+            monkeypatch.setitem(COMMANDS, name, ((), lambda name=name: calls.append(name) or []))
     reports = run_all(RunConfig())
     assert len(reports) == 15 and len(calls) == 13
     assert [c["passed"] for c in reports[-1]["checks"]] == \
-        [name != "families" for name in CHECKS]
+        [name != "families" for name in COMMANDS]
     assert main(["all"]) == 1
     assert "StabilizationNotReached" in capsys.readouterr().out
 
@@ -157,6 +165,23 @@ def test_functional_eqs_t1_entry_catches_a_wrong_P(monkeypatch):
     assert entries["bigraded character at t=1"]["first_failure"] == "5"
 
 
+def test_families_sample_entry_catches_a_wrong_T8(monkeypatch):
+    from qvir import polyfamilies as pf
+    from qvir.qseries import QSeries
+
+    real = pf.family_poly
+
+    def wrong_T8(sector, side, n):
+        poly = real(sector, side, n)
+        return poly + QSeries.q_power(3) if (sector, side, n) == ("vac", "T", 8) else poly
+
+    monkeypatch.setattr(pf, "family_poly", wrong_T8)
+    rep = run_check("families", RunConfig(trunc_tq=8))
+    entries = {c["name"]: c for c in rep["checks"]}
+    assert not entries["sample polynomials"]["passed"]
+    assert not rep["passed"]
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# reduced orders\ntrunc_qseries = 12\nformat = json\n")
@@ -165,10 +190,11 @@ def test_config_file_roundtrip(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        RunConfig(trunc_qseries=0).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(format="xml").validate()
+    # every int field, jobs included, must be a positive int
+    for bad in ({"trunc_qseries": 0}, {"jobs": 0}, {"jobs": "2"}, {"deriv_kmax": 1.5},
+                {"format": "xml"}, {"gens": "c"}):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad).validate()
     RunConfig().validate()
 
 
@@ -202,7 +228,7 @@ def test_every_registered_check_runs_quickly_at_tiny_orders():
     cfg = RunConfig(trunc_qseries=10, trunc_modules=8, trunc_tq=8,
                     trunc_hilbert=10, trunc_groebner=9, trunc_virasoro=7,
                     trunc_e8=6, prop51_kmax=1, deriv_kmax=1)
-    for name in CHECKS:
+    for name in COMMANDS:
         rep = run_check(name, cfg)
         assert rep["passed"], (name, render([rep], cfg))
 
