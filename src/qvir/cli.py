@@ -235,7 +235,6 @@ def check_families(n: int) -> list:
 
 def check_recurrence_s(n: int) -> list:
     from qvir import polyfamilies as pf
-    n = min(n, 30)
     rep = pf.recurrence_check_S(n)
     residuals = [["side", "n", "residual"]]
     for side in pf.SIDES:

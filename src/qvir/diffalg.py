@@ -8,6 +8,12 @@ both defining generators below are length-homogeneous, every weight slice of
 the differential ideal splits into independent blocks by length, which keeps
 the exact row reductions small.
 
+A block inserts its rows generator by generator, derivative order upwards.
+It skips every monomial multiple of a row that was redundant in a lower
+block, since the multiple is then redundant too, and it stops once its rank
+is the number of its monomials; ``_build_block`` has the proof.  The rank
+and the reduced echelon form are those of inserting every row.
+
 The grevlex order grades by weight; within a weight the monomial whose
 partition has the larger part at the first disagreement is the smaller one.
 """
@@ -20,9 +26,9 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from qvir.linalg import Echelon, int_row
-from qvir.partitions import (EXCEPTIONAL_PATTERNS, PATTERN_FAMILIES, count_min2,
-                             forbidden_patterns, grevlex_key, partitions_min2,
-                             partitions_min2_length, pattern)
+from qvir.partitions import (EXCEPTIONAL_PATTERNS, PATTERN_FAMILIES, contains_pattern,
+                             count_min2, forbidden_patterns, grevlex_key, index_by_min,
+                             partitions_min2, partitions_min2_length, pattern)
 from qvir.qseries import QSeries, exact_terms, frac_str
 
 
@@ -193,7 +199,8 @@ def monomials_of_weight_length(d: int, l: int) -> tuple:
 @lru_cache(maxsize=None)
 def _multipliers(n: int, m: int) -> tuple:
     """The multipliers of _build_block: partitions_min2_length(n, m), kept
-    in the order it yields them, so that rows are inserted in that order."""
+    in the order it yields them (descending lex), so that rows are inserted
+    in that order; the skip rule of _build_block relies on it."""
     return tuple(partitions_min2_length(n, m))
 
 
@@ -239,38 +246,81 @@ def _primitive(g: DiffPoly) -> DiffPoly:
     return scaled.scale(Fraction(1, gcd(*scaled.terms.values())))
 
 
-def _build_block(gens, d: int, l: int):
-    """Echelon basis of the length-l part of the weight-d ideal slice.
+def _build_block(gens, d: int, l: int, gkey: tuple):
+    """Echelon basis of the length-l part of the weight-d ideal slice, and
+    the multipliers of the rows it kept.
 
     Derivation keeps the factor count of a generator, so with every
     generator of one length the slice splits into blocks by length.  Each
     generator is replaced by its primitive integer multiple, so every row is
     an int map from the start.
+
+    The rows of the block are mu * d^[k] g for each generator g in turn, each
+    k upwards and each mu in _multipliers(d - w_g - k, l - len(g)); mu fixes
+    k.  A row is redundant when it lies in the span of the rows before it.
+    Two rules skip only redundant rows, so the kept rows span the block:
+
+    * once the block is full (its rank is the number of its monomials),
+      every later row is redundant;
+    * for some part j of mu, the row (g, k, mu minus j) was not kept in the
+      block (d - j, l - 1): that row is redundant there.  _multipliers lists
+      the multipliers of one weight and length in descending lex order,
+      which is the lex monomial order with larger variables first, so
+      multiplying by x_j keeps their order.  Hence x_j maps every row before
+      (g, k, mu minus j) in the lower block (earlier generators, smaller k,
+      earlier multipliers) to a row before (g, k, mu) in this one, and x_j
+      times a relation among the lower rows is a relation among these.
+
+    By induction over the rows of every block in this order, a row that is
+    skipped or that does not raise the rank is in the span of the rows
+    before it, and the kept rows span what all rows span.  So the block's
+    span, rank and reduced echelon form are those of the all-rows build.
+    The lower blocks come from the cache, built only when a row reads them.
+
+    Returns (echelon, monomials, kept), where kept[i] is the set of
+    multipliers of the kept rows of generator gens[i].
     """
     monos = monomials_of_weight_length(d, l)
     index = {m: i for i, m in enumerate(monos)}
+    full = len(monos)
     ech = Echelon()
-    for g in map(_primitive, gens):
+    kept = tuple(set() for _ in gens)
+    for gi, g in enumerate(map(_primitive, gens)):
         wg = g.weight()
         extra = l - _length(g)
         if extra < 0:
             continue
+        lower: dict[int, set] = {}
+
+        def kept_below(j):
+            out = lower.get(j)
+            if out is None:
+                out = lower[j] = _block_cached(gens, d - j, l - 1, gkey)[2][gi]
+            return out
+
         for k in range(0, d - wg + 1):
             dg = cached_divided_derivative(g, k)
             for mu in _multipliers(d - wg - k, extra):
-                ech.insert({index[mono_mul(m, mu)]: c for m, c in dg.terms.items()})
-    return ech, monos, index
+                # one lookup per distinct part j of mu
+                if any(mu[:i] + mu[i + 1:] not in kept_below(j)
+                       for i, j in enumerate(mu) if i == 0 or j != mu[i - 1]):
+                    continue
+                if ech.insert({index[mono_mul(m, mu)]: c for m, c in dg.terms.items()}):
+                    kept[gi].add(mu)
+                    if ech.rank == full:
+                        return ech, monos, kept
+    return ech, monos, kept
 
 
+# (gens key, weight, length) -> _build_block's (echelon, monomials, kept)
 _BLOCK_CACHE: dict[tuple, tuple] = {}
 
 
-def _block_cached(gens, d: int, l):
-    key = (_gens_key(gens), d, l)
+def _block_cached(gens, d: int, l: int, gkey: tuple | None = None):
+    key = (_gens_key(gens) if gkey is None else gkey, d, l)
     out = _BLOCK_CACHE.get(key)
     if out is None:
-        out = _build_block(gens, d, l)
-        _BLOCK_CACHE[key] = out
+        out = _BLOCK_CACHE[key] = _build_block(gens, d, l, key[0])
     return out
 
 
@@ -313,8 +363,8 @@ def membership(f: DiffPoly, gens) -> bool:
     for m, c in f.terms.items():
         by_len.setdefault(len(m), {})[m] = c
     for l, terms in by_len.items():
-        ech, monos, index = _block_cached(gens, d, l)
-        if ech.reduce(int_row(terms, index)):
+        ech, monos, _ = _block_cached(gens, d, l)
+        if ech.reduce(int_row(terms, {m: i for i, m in enumerate(monos)})):
             return False
     return True
 
@@ -585,8 +635,8 @@ def groebner_check(n_max: int) -> dict:
     gens = (GEN_A, GEN_B)
     patterns = forbidden_patterns(n_max)
     w_lms = {pattern("w", k) for k in range(n_max)} & set(patterns)
-    others = [Counter(b) for b in patterns if b not in w_lms]
-    w_family = [Counter(b) for b in w_lms]
+    others = index_by_min(b for b in patterns if b not in w_lms)
+    w_family = index_by_min(w_lms)
     per_degree = []
     slice_pivots = []
     ok = True
@@ -597,10 +647,10 @@ def groebner_check(n_max: int) -> dict:
         closure, closure_wo = set(), set()
         for m in monomials_of_weight(d):
             have = Counter(m)
-            if any(have >= b for b in others):
+            if contains_pattern(have, others):
                 closure_wo.add(m)
                 closure.add(m)
-            elif any(have >= b for b in w_family):
+            elif contains_pattern(have, w_family):
                 closure.add(m)
         missing = sorted(pivots - closure, key=grevlex_key)
         extra = sorted(closure - pivots, key=grevlex_key)

@@ -87,23 +87,32 @@ def forbidden_patterns(max_weight: int) -> tuple:
     return tuple(out)
 
 
-# The one cached view of the pattern table: clear it after editing the table.
-# Callers go one weight at a time; one entry keeps memory flat.
-@lru_cache(maxsize=1)
-def _patterns_by_min(max_weight: int) -> dict:
-    """Smallest part -> the part counts of each pattern with it (read-only)."""
+def index_by_min(patterns) -> dict:
+    """Smallest part -> the part counts of each of the patterns with it."""
     by_min: dict[int, list] = {}
-    for pat in forbidden_patterns(max_weight):
+    for pat in patterns:
         by_min.setdefault(pat[-1], []).append(Counter(pat))
     return by_min
 
 
+def contains_pattern(have: Counter, by_min: dict) -> bool:
+    """Whether the partition with part counts ``have`` contains one of the
+    patterns indexed by ``index_by_min``."""
+    # a pattern inside the partition has its smallest part among its parts
+    return any(all(have[u] >= k for u, k in pat.items())
+               for v in have for pat in by_min.get(v, ()))
+
+
+# The one cached view of the pattern table: clear it after editing the table.
+# Callers go one weight at a time; one entry keeps memory flat.
+@lru_cache(maxsize=1)
+def _patterns_by_min(max_weight: int) -> dict:
+    """index_by_min of the forbidden patterns (read-only)."""
+    return index_by_min(forbidden_patterns(max_weight))
+
+
 def is_avoiding(lam) -> bool:
-    have = Counter(lam)
-    by_min = _patterns_by_min(weight(lam))
-    # a pattern inside lam has its smallest part among lam's parts
-    return not any(all(have[u] >= k for u, k in pat.items())
-                   for v in have for pat in by_min.get(v, ()))
+    return not contains_pattern(Counter(lam), _patterns_by_min(weight(lam)))
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,17 @@ def test_criterion_08_hilbert_series():
     _report(8, "quotient Hilbert series == vacuum character mod q^31", ok, t0)
 
 
+def test_criterion_08_hilbert_reach(monkeypatch):
+    from qvir import diffalg
+    from qvir.characters import MinimalModelLabel, feigin_fuchs_character
+    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
+    t0 = time.perf_counter()
+    h = diffalg.hilbert_quotient((diffalg.GEN_A, diffalg.GEN_B), 38)
+    ff = feigin_fuchs_character(MinimalModelLabel(3, 4), 39)
+    ok = h.equal_mod(ff, 39) and time.perf_counter() - t0 < 4
+    _report(8, "quotient Hilbert series == vacuum character mod q^39, cold", ok, t0)
+
+
 def test_criterion_09_leading_monomials():
     from qvir.diffalg import prop51_check, verify_derivative_formulas
     t0 = time.perf_counter()

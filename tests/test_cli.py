@@ -182,6 +182,19 @@ def test_families_sample_entry_catches_a_wrong_T8(monkeypatch):
     assert not rep["passed"]
 
 
+def test_recurrence_s_order_above_30_changes_the_report():
+    reports = {}
+    for n in (30, 31):
+        code, out, err = run_cli("recurrence-s", "--trunc", str(n), "--format", "json")
+        assert code == 0, err
+        rep = json.loads(out)["reports"][0]
+        rep.pop("elapsed_s")
+        reports[n] = rep
+    assert reports[31]["checks"][0]["name"] == \
+        "eight-term recurrence, both families, n <= 31"
+    assert reports[31]["passed"] and reports[31] != reports[30]
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# reduced orders\ntrunc_qseries = 12\nformat = json\n")

@@ -13,12 +13,13 @@ from qvir.characters import (MinimalModelLabel, andrews_gordon_product,
 from qvir.diffalg import (DiffPoly, ELEMENT_NAMES, GEN_A, GEN_B, GEN_B_SCALED,
                           ZeroPolynomial, build_element, cached_divided_derivative,
                           derive, groebner_check,
-                          hilbert_quotient, ideal_slice, membership,
+                          hilbert_quotient, ideal_slice, membership, mono_mul,
                           monomials_of_weight, prop51_check,
                           verify_derivative_formulas)
 from qvir.linalg import Echelon
 from qvir.partitions import (EXCEPTIONAL_PATTERNS, count_min2, forbidden_patterns,
-                             grevlex_key, partitions_min2, pattern)
+                             grevlex_key, partitions_min2, partitions_min2_length,
+                             pattern)
 from qvir.virasoro import VirVector, lemma_b_check, solve_singular_vector
 
 
@@ -276,6 +277,91 @@ def test_scaled_generator_spans_same_ideal():
     for d in range(6, 16):
         assert ideal_slice(GENS, d).pivots == \
             ideal_slice((GEN_A, GEN_B_SCALED), d).pivots
+
+
+# -- the skip rule of _build_block ---------------------------------------------
+
+def all_rows_block(gens, d, l):
+    # the oracle: every row mu * d^[k] g of the block inserted, none skipped
+    monos = diffalg.monomials_of_weight_length(d, l)
+    index = {m: i for i, m in enumerate(monos)}
+    ech = Echelon()
+    for g in map(diffalg._primitive, gens):
+        wg = g.weight()
+        extra = l - diffalg._length(g)
+        if extra < 0:
+            continue
+        for k in range(0, d - wg + 1):
+            dg = cached_divided_derivative(g, k)
+            for mu in partitions_min2_length(d - wg - k, extra):
+                ech.insert({index[mono_mul(m, mu)]: c for m, c in dg.terms.items()})
+    return ech
+
+
+def test_multiplying_by_a_part_keeps_the_multiplier_order():
+    # the order lemma behind the skip rule; a part j > n is larger than
+    # every part of a multiplier of weight n and lands first, as j = n + 1 does
+    for n in range(21):
+        for m in range(n // 2 + 1):
+            for j in range(2, n + 3):
+                position = {mu: i for i, mu in
+                            enumerate(diffalg._multipliers(n + j, m + 1))}
+                moved = [position[mono_mul(mu, (j,))] for mu in diffalg._multipliers(n, m)]
+                assert moved == sorted(moved), (n, m, j)
+
+
+@pytest.mark.parametrize("gens, n", [
+    (GENS, 26),
+    ((diffalg.arc_generator(2),), 25),
+    ((diffalg.arc_generator(3),), 25),
+    ((diffalg.arc_generator(4), virasoro.kernel_generator_symbol(5)), 21),
+], ids=["ab", "arc2", "arc3", "3-5"])
+def test_skipping_blocks_match_the_all_rows_build(monkeypatch, gens, n):
+    # every block the hilbert subcommand builds, lower blocks read by the
+    # skip rule included, has the rank and reduced form of inserting every row
+    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
+    hilbert_quotient(gens, n)
+    assert diffalg._BLOCK_CACHE
+    for (_, d, l), (ech, _, _) in diffalg._BLOCK_CACHE.items():
+        oracle = all_rows_block(gens, d, l)
+        assert ech.rank == oracle.rank, (d, l)
+        assert ech.reduced() == oracle.reduced(), (d, l)
+
+
+def test_skipped_rows_leave_few_zero_reductions(monkeypatch):
+    # a count, not a timing: inserting every row reduces 6,666 rows to zero
+    # on the way to weight 30
+    insert, redundant = Echelon.insert, []
+
+    def spy(self, row):
+        kept = insert(self, row)
+        if not kept:
+            redundant.append(row)
+        return kept
+
+    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
+    monkeypatch.setattr(Echelon, "insert", spy)
+    hilbert_quotient(GENS, 30)
+    assert len(redundant) <= 200
+
+
+def test_a_cold_slice_out_of_order_equals_the_ascending_build(monkeypatch):
+    # the weight-24 blocks built first read the lower blocks they need
+    probes = [DiffPoly.monomial(m) for m in monomials_of_weight(24)[::7]]
+    probes += [build_element("s", 4), build_element("w", 2),
+               build_element("w", 2) + DiffPoly.monomial((8, 6, 5, 3, 2))]
+    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
+    cold = ideal_slice(GENS, 24)
+    cold_members = [membership(f, GENS) for f in probes]
+    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
+    cold_members_first = [membership(f, GENS) for f in probes]
+    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
+    for d in range(25):
+        ascending = ideal_slice(GENS, d)
+    assert cold.rows == ascending.rows and cold.pivots == ascending.pivots
+    members = [membership(f, GENS) for f in probes]
+    assert cold_members == cold_members_first == members
+    assert True in members and False in members
 
 
 # -- the printed expansions and elements -------------------------------------
