@@ -52,6 +52,10 @@ class RunConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ConfigError("%s must be a positive integer" % name)
+        # a process pool starts all its workers up front, one task each at most
+        if self.jobs > len(COMMANDS):
+            raise ConfigError("jobs must be at most %d, the number of subcommands"
+                              % len(COMMANDS))
         for name, choices in (("format", FORMATS), ("gens", GENERATOR_SETS)):
             if getattr(self, name) not in choices:
                 raise ConfigError("%s must be one of %s" % (name, ", ".join(choices)))
@@ -64,7 +68,7 @@ INT_FIELDS = tuple(name for name, kind in get_type_hints(RunConfig).items() if k
 
 def load_config_file(path: str) -> dict:
     known = {f.name for f in fields(RunConfig)}
-    out = {}
+    out, set_at = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -74,6 +78,10 @@ def load_config_file(path: str) -> dict:
         key, value = (x.strip() for x in line.split("=", 1))
         if key not in known:
             raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
+        if key in set_at:
+            raise ConfigError("%s:%d: %r is set twice, at lines %d and %d"
+                              % (path, lineno, key, set_at[key], lineno))
+        set_at[key] = lineno
         if key not in INT_FIELDS:
             out[key] = value
         else:

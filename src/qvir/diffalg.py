@@ -15,14 +15,15 @@ is the number of its monomials; ``_build_block`` has the proof.  The rank
 and the reduced echelon form are those of inserting every row.
 
 The grevlex order grades by weight; within a weight the monomial whose
-partition has the larger part at the first disagreement is the smaller one.
+partition has the larger part at the first disagreement is the smaller one,
+so the descending lex listings of ``partitions`` are grevlex-ascending (its
+docstring has the proof) and the columns of a block read them backwards.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 from qvir.linalg import Echelon, int_row
@@ -185,25 +186,6 @@ def cached_divided_derivative(g: DiffPoly, n: int) -> DiffPoly:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def monomials_of_weight(d: int) -> tuple:
-    """All weight-d monomials in grevlex-descending order."""
-    return tuple(sorted(partitions_min2(d), key=grevlex_key, reverse=True))
-
-
-@lru_cache(maxsize=None)
-def monomials_of_weight_length(d: int, l: int) -> tuple:
-    return tuple(sorted(partitions_min2_length(d, l), key=grevlex_key, reverse=True))
-
-
-@lru_cache(maxsize=None)
-def _multipliers(n: int, m: int) -> tuple:
-    """The multipliers of _build_block: partitions_min2_length(n, m), kept
-    in the order it yields them (descending lex), so that rows are inserted
-    in that order; the skip rule of _build_block relies on it."""
-    return tuple(partitions_min2_length(n, m))
-
-
 class GradedIdealSlice:
     """Reduced row-echelon basis of one weight slice of a differential ideal.
 
@@ -255,18 +237,21 @@ def _build_block(gens, d: int, l: int, gkey: tuple):
     generator is replaced by its primitive integer multiple, so every row is
     an int map from the start.
 
-    The rows of the block are mu * d^[k] g for each generator g in turn, each
-    k upwards and each mu in _multipliers(d - w_g - k, l - len(g)); mu fixes
-    k.  A row is redundant when it lies in the span of the rows before it.
-    Two rules skip only redundant rows, so the kept rows span the block:
+    The columns are the monomials of weight d and length l in grevlex-
+    descending order: partitions_min2_length(d, l) read backwards (the
+    ``partitions`` docstring has the proof).  The rows of the block are
+    mu * d^[k] g for each generator g in turn, each k upwards and each mu in
+    partitions_min2_length(d - w_g - k, l - len(g)); mu fixes k.  A row is
+    redundant when it lies in the span of the rows before it.  Two rules
+    skip only redundant rows, so the kept rows span the block:
 
     * once the block is full (its rank is the number of its monomials),
       every later row is redundant;
     * for some part j of mu, the row (g, k, mu minus j) was not kept in the
-      block (d - j, l - 1): that row is redundant there.  _multipliers lists
-      the multipliers of one weight and length in descending lex order,
-      which is the lex monomial order with larger variables first, so
-      multiplying by x_j keeps their order.  Hence x_j maps every row before
+      block (d - j, l - 1): that row is redundant there.  The multipliers
+      of one weight and length come in descending lex order, which is the
+      lex monomial order with larger variables first, so multiplying by
+      x_j keeps their order.  Hence x_j maps every row before
       (g, k, mu minus j) in the lower block (earlier generators, smaller k,
       earlier multipliers) to a row before (g, k, mu) in this one, and x_j
       times a relation among the lower rows is a relation among these.
@@ -280,7 +265,7 @@ def _build_block(gens, d: int, l: int, gkey: tuple):
     Returns (echelon, monomials, kept), where kept[i] is the set of
     multipliers of the kept rows of generator gens[i].
     """
-    monos = monomials_of_weight_length(d, l)
+    monos = partitions_min2_length(d, l)[::-1]
     index = {m: i for i, m in enumerate(monos)}
     full = len(monos)
     ech = Echelon()
@@ -300,7 +285,7 @@ def _build_block(gens, d: int, l: int, gkey: tuple):
 
         for k in range(0, d - wg + 1):
             dg = cached_divided_derivative(g, k)
-            for mu in _multipliers(d - wg - k, extra):
+            for mu in partitions_min2_length(d - wg - k, extra):
                 # one lookup per distinct part j of mu
                 if any(mu[:i] + mu[i + 1:] not in kept_below(j)
                        for i, j in enumerate(mu) if i == 0 or j != mu[i - 1]):
@@ -330,7 +315,7 @@ def _block_lengths(gens, d: int):
     for g in gens:
         lg = _length(g)
         for extra in range(0, (d - g.weight()) // 2 + 1):
-            if monomials_of_weight_length(d, lg + extra):
+            if partitions_min2_length(d, lg + extra):
                 out.add(lg + extra)
     return sorted(out)
 
@@ -645,7 +630,7 @@ def groebner_check(n_max: int) -> dict:
         slice_pivots.append(ideal_slice(gens, d).pivots)
         pivots = set(slice_pivots[-1])
         closure, closure_wo = set(), set()
-        for m in monomials_of_weight(d):
+        for m in partitions_min2(d):
             have = Counter(m)
             if contains_pattern(have, others):
                 closure_wo.add(m)

@@ -10,12 +10,22 @@ P(n) is counted and listed by one walk up the part values 2, 3, ... whose
 state is the multiplicities of the last few values (a transfer matrix);
 ``is_avoiding`` and ``classify`` test a partition against the pattern table
 directly and are the independent oracle for it.
+
+Partitions with parts >= 2 are also the monomial basis of the arc algebra
+(``diffalg``) and the PBW basis of the vacuum module (``virasoro``), listed
+once here by ``partitions_min2`` and ``partitions_min2_length``, both in
+descending lex order.  Within one weight that is ascending grevlex order: no
+partition of n is a proper prefix of another, so two of them differ first
+at some part, and the one with the larger part there is the larger in lex
+and the smaller in grevlex.  Read backwards, a listing is grevlex-descending.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
+from heapq import merge
 
 
 class NotInP(ValueError):
@@ -120,46 +130,36 @@ def is_avoiding(lam) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def partitions_min2(n: int, max_part: int | None = None):
-    """All partitions of n into parts >= 2, largest part first."""
-    if n == 0:
-        yield ()
-        return
-    top = n if max_part is None else min(max_part, n)
-    for v in range(top, 1, -1):
-        if n - v == 1:
-            continue
-        for rest in partitions_min2(n - v, v):
-            yield (v,) + rest
+@lru_cache(maxsize=None)
+def partitions_min2_length(n: int, m: int) -> tuple:
+    """Partitions of n into exactly m parts, all >= 2, in descending lex order.
 
-
-def partitions_min2_length(n: int, m: int, max_part: int | None = None):
-    """Partitions of n into exactly m parts, all >= 2."""
+    Built from the cached rows of m - 1 parts: each largest part v, from
+    the largest down, goes in front of the rows of n - v whose parts are at
+    most v, a suffix of that descending listing.
+    """
     if m == 0:
-        if n == 0:
-            yield ()
-        return
-    if n < 2 * m:
-        return
-    top = n - 2 * (m - 1) if max_part is None else min(max_part, n - 2 * (m - 1))
-    lo = -(-n // m)  # first part at least ceil(n/m)
-    for v in range(top, lo - 1, -1):
-        for rest in partitions_min2_length(n - v, m - 1, v):
-            yield (v,) + rest
+        return ((),) if n == 0 else ()
+    if m == 1:
+        return ((n,),) if n >= 2 else ()
+    out = []
+    for v in range(n - 2 * (m - 1), -(-n // m) - 1, -1):  # down to ceil(n/m)
+        rests = partitions_min2_length(n - v, m - 1)
+        out += [(v,) + rest for rest in rests[bisect_left(rests, -v, key=lambda r: -r[0]):]]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _count_capped(n: int, cap: int) -> int:
-    if n == 0:
-        return 1
-    if n < 0 or cap < 2:
-        return 0
-    return _count_capped(n, cap - 1) + _count_capped(n - cap, cap)
+def partitions_min2(n: int) -> tuple:
+    """All partitions of n into parts >= 2, in descending lex order: the rows
+    of every length merged, so ascending grevlex order."""
+    return tuple(merge(*(partitions_min2_length(n, m) for m in range(n // 2 + 1)),
+                       reverse=True))
 
 
 def count_min2(n: int) -> int:
     """Number of partitions of n with parts >= 2."""
-    return _count_capped(n, n) if n >= 0 else 0
+    return len(partitions_min2(n)) if n >= 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -390,16 +390,13 @@ def recursion_check(n_max: int) -> dict:
 def mourtada_basis(s: int, n: int) -> list:
     """Partitions of n with parts >= 2 satisfying lam_i - lam_{i+s-1} >= 2.
 
-    Equivalently at most s-1 parts fall in any window {p, p+1}.
+    Equivalently at most s-1 parts fall in any window {p, p+1}.  Listed in
+    grevlex-ascending order, the order of ``partitions_min2``.
     """
     if s < 2:
         raise ValueError("need s >= 2")
-    out = []
-    for lam in partitions_min2(n):
-        if all(lam[i] - lam[i + s - 1] >= 2 for i in range(len(lam) - s + 1)):
-            out.append(lam)
-    out.sort(key=grevlex_key)
-    return out
+    return [lam for lam in partitions_min2(n)
+            if all(lam[i] - lam[i + s - 1] >= 2 for i in range(len(lam) - s + 1))]
 
 
 def class_generating_function(n_max: int):

@@ -152,17 +152,13 @@ def singular_vector_check(v: VirVector) -> bool:
     return all(not apply_mode(m, v) for m in (1, 2))
 
 
-def basis_monomials(degree: int) -> tuple:
-    return tuple(sorted(partitions_min2(degree), key=_grevlex_key))
-
-
 def solve_singular_vector(label: MinimalModelLabel) -> VirVector:
     """The degree-(p-1)(p'-1) vector killed by the first two positive modes,
     normalized so the power of the degree-2 mode has coefficient 1."""
     c = label.central_charge
     deg = label.singular_degree
-    basis = basis_monomials(deg)
-    cols = {m: i for i, m in enumerate(basis)}
+    basis = partitions_min2(deg)
+    cols = _basis_index(deg)
     ech = Echelon()
     for m in (1, 2):
         # one row per target monomial: its coefficient in L_m of each basis vector
@@ -188,13 +184,14 @@ def solve_singular_vector(label: MinimalModelLabel) -> VirVector:
 
 
 def _basis_index(degree: int) -> dict:
-    """Column of each PBW monomial of the degree: its place in basis_monomials."""
-    return {m: i for i, m in enumerate(basis_monomials(degree))}
+    """Column of each PBW monomial of the degree: its place in the
+    grevlex-ascending partitions_min2 listing."""
+    return {m: i for i, m in enumerate(partitions_min2(degree))}
 
 
 def submodule_spaces(label: MinimalModelLabel, n_max: int) -> dict:
     """Degreewise echelons of the submodule generated by the singular
-    vector v, over the columns of basis_monomials, up to degree n_max: the
+    vector v, over the columns of _basis_index, up to degree n_max: the
     span of v closed under L_-1 and L_-2 alone, on integer vectors.
 
     Why these two modes suffice: ``solve_singular_vector`` raises unless L_1

@@ -62,6 +62,26 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert "unknown key" in err
 
 
+def test_a_key_set_twice_exits_2_naming_both_lines(tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("trunc_tq = 5\nformat = json\n\ntrunc_tq = 6\n")
+    code, out, err = run_cli("recursion", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "'trunc_tq' is set twice, at lines 1 and 4" in err
+
+
+def test_jobs_above_the_subcommand_count_exits_2(monkeypatch, capsys):
+    # rejected before run_all, so no worker process is started
+    monkeypatch.setattr("qvir.cli.run_all", lambda cfg: pytest.fail("run_all was called"))
+    for jobs in (len(COMMANDS) + 1, 500):
+        assert main(["all", "--jobs", str(jobs), "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "jobs must be at most %d" % len(COMMANDS) in err
+    RunConfig(jobs=len(COMMANDS)).validate()
+
+
 def test_missing_config_file_exits_2(tmp_path):
     code, _, err = run_cli("characters-equal", "--config",
                            str(tmp_path / "absent.cfg"))

@@ -14,8 +14,7 @@ from qvir.diffalg import (DiffPoly, ELEMENT_NAMES, GEN_A, GEN_B, GEN_B_SCALED,
                           ZeroPolynomial, build_element, cached_divided_derivative,
                           derive, groebner_check,
                           hilbert_quotient, ideal_slice, membership, mono_mul,
-                          monomials_of_weight, prop51_check,
-                          verify_derivative_formulas)
+                          prop51_check, verify_derivative_formulas)
 from qvir.linalg import Echelon
 from qvir.partitions import (EXCEPTIONAL_PATTERNS, count_min2, forbidden_patterns,
                              grevlex_key, partitions_min2, partitions_min2_length,
@@ -37,7 +36,7 @@ def test_grevlex_examples():
 
 
 def test_grevlex_total_order():
-    monos = monomials_of_weight(9)
+    monos = partitions_min2(9)
     for a, b in itertools.combinations(monos, 2):
         assert (grevlex_key(a) < grevlex_key(b)) != (grevlex_key(b) < grevlex_key(a))
 
@@ -79,7 +78,7 @@ def test_divided_derivative_against_multinomial_oracle(n):
 
 def test_leibniz_on_random_pairs():
     rng = random.Random(99)
-    monos = [m for w in range(2, 9) for m in monomials_of_weight(w)]
+    monos = [m for w in range(2, 9) for m in partitions_min2(w)[::-1]]
     for _ in range(30):
         f = DiffPoly({rng.choice(monos): F(rng.randint(-4, 4), rng.randint(1, 3))
                       for _ in range(2)})
@@ -92,7 +91,7 @@ def test_divided_derivatives_of_integer_polynomials_are_integral():
     # d^[k] of the degree-n generator is C(n+k-2, k) times the degree-(n+k)
     # one, so by the divided-power Leibniz rule no denominator can appear
     rng = random.Random(61)
-    monos = [m for w in range(2, 11) for m in monomials_of_weight(w)]
+    monos = [m for w in range(2, 11) for m in partitions_min2(w)[::-1]]
     for _ in range(30):
         f = DiffPoly({rng.choice(monos): rng.choice((-5, -2, -1, 1, 3, 7))
                       for _ in range(rng.randint(1, 4))})
@@ -118,7 +117,7 @@ def test_leading_monomial_examples():
 
 
 def test_lm_multiplicative():
-    monos = [m for w in range(2, 8) for m in monomials_of_weight(w)]
+    monos = [m for w in range(2, 8) for m in partitions_min2(w)[::-1]]
     rng = random.Random(3)
     for _ in range(40):
         f = DiffPoly({rng.choice(monos): 1, rng.choice(monos): F(1, 2)})
@@ -134,8 +133,8 @@ def test_lm_multiplicative():
 def test_lm_multiplicative_exhaustive_low_weight():
     for w1 in range(2, 8):
         for w2 in range(2, 15 - w1):
-            for a in monomials_of_weight(w1):
-                for b in monomials_of_weight(w2):
+            for a in partitions_min2(w1):
+                for b in partitions_min2(w2):
                     pa, pb = DiffPoly.monomial(a), DiffPoly.monomial(b)
                     assert pa.mul(pb).leading_monomial() == tuple(
                         sorted(a + b, reverse=True))
@@ -282,8 +281,9 @@ def test_scaled_generator_spans_same_ideal():
 # -- the skip rule of _build_block ---------------------------------------------
 
 def all_rows_block(gens, d, l):
-    # the oracle: every row mu * d^[k] g of the block inserted, none skipped
-    monos = diffalg.monomials_of_weight_length(d, l)
+    # the oracle: every row mu * d^[k] g of the block inserted, none skipped,
+    # over the monomials sorted grevlex-descending
+    monos = sorted(partitions_min2_length(d, l), key=grevlex_key, reverse=True)
     index = {m: i for i, m in enumerate(monos)}
     ech = Echelon()
     for g in map(diffalg._primitive, gens):
@@ -305,8 +305,8 @@ def test_multiplying_by_a_part_keeps_the_multiplier_order():
         for m in range(n // 2 + 1):
             for j in range(2, n + 3):
                 position = {mu: i for i, mu in
-                            enumerate(diffalg._multipliers(n + j, m + 1))}
-                moved = [position[mono_mul(mu, (j,))] for mu in diffalg._multipliers(n, m)]
+                            enumerate(partitions_min2_length(n + j, m + 1))}
+                moved = [position[mono_mul(mu, (j,))] for mu in partitions_min2_length(n, m)]
                 assert moved == sorted(moved), (n, m, j)
 
 
@@ -347,7 +347,7 @@ def test_skipped_rows_leave_few_zero_reductions(monkeypatch):
 
 def test_a_cold_slice_out_of_order_equals_the_ascending_build(monkeypatch):
     # the weight-24 blocks built first read the lower blocks they need
-    probes = [DiffPoly.monomial(m) for m in monomials_of_weight(24)[::7]]
+    probes = [DiffPoly.monomial(m) for m in partitions_min2(24)[::-1][::7]]
     probes += [build_element("s", 4), build_element("w", 2),
                build_element("w", 2) + DiffPoly.monomial((8, 6, 5, 3, 2))]
     monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})

@@ -6,8 +6,8 @@ import pytest
 from qvir.characters import MinimalModelLabel
 from qvir.diffalg import DiffPoly
 from qvir.linalg import Echelon, int_row
-from qvir.partitions import count_min2, enumerate_P
-from qvir.virasoro import VirVector, basis_monomials, submodule_spaces
+from qvir.partitions import count_min2, enumerate_P, partitions_min2
+from qvir.virasoro import VirVector, submodule_spaces
 
 
 def gauss_jordan(rows, ncols):
@@ -161,7 +161,7 @@ def test_int_row_clears_denominators_of_both_vector_types():
     index = {(4, 3, 2): 0, (5, 2, 2): 1}
     assert int_row(DiffPoly({(5, 2, 2): F(1, 6), (4, 3, 2): 1}).terms, index) == {0: 6, 1: 1}
     v = VirVector(F(1, 2), {(4, 2): F(-33, 8), (6,): F(-27, 16), (2, 2, 2): 1})
-    cols = {m: i for i, m in enumerate(basis_monomials(6))}
+    cols = {m: i for i, m in enumerate(partitions_min2(6))}
     row = int_row(v.coeffs, cols)
     assert row == {cols[(4, 2)]: -66, cols[(6,)]: -27, cols[(2, 2, 2)]: 16}
 

@@ -1,3 +1,5 @@
+from itertools import pairwise
+
 import pytest
 
 from qvir.characters import (andrews_gordon_product, mod16_product,
@@ -5,9 +7,10 @@ from qvir.characters import (andrews_gordon_product, mod16_product,
 from qvir.partitions import (CLASSES, EXCEPTIONAL_PATTERNS, NotInP, _patterns_by_min,
                              classify, class_generating_function, contains,
                              count_min2, count_table, enumerate_P,
-                             forbidden_patterns, is_avoiding, mourtada_basis,
+                             forbidden_patterns, grevlex_key, is_avoiding, mourtada_basis,
                              partitions_min2, partitions_min2_length,
                              pattern_width, recursion_check)
+from qvir.qseries import q_product
 
 
 def test_contains_multiset_semantics():
@@ -186,8 +189,24 @@ def test_mourtada_counts_match_product(s):
 
 
 def test_partition_generators():
-    assert sorted(partitions_min2(6)) == sorted([(6,), (4, 2), (3, 3), (2, 2, 2)])
-    assert list(partitions_min2_length(6, 2)) == [(4, 2), (3, 3)]
+    assert partitions_min2(6) == ((6,), (4, 2), (3, 3), (2, 2, 2))
+    assert partitions_min2_length(6, 2) == ((4, 2), (3, 3))
     assert count_min2(6) == 4
     assert count_min2(0) == 1
     assert count_min2(1) == 0
+    # the counts against the generating function prod_{j >= 2} 1/(1 - q^j)
+    gf = q_product(61, [(j, -1, -1) for j in range(2, 61)])
+    try:
+        assert [count_min2(n) for n in range(61)] == [gf.coefficient(n) for n in range(61)]
+    finally:  # the listings up to 60 hold about a million partitions
+        partitions_min2.cache_clear()
+        partitions_min2_length.cache_clear()
+    for n in range(31):
+        listing = partitions_min2(n)
+        assert all(sum(lam) == n and min(lam, default=2) >= 2
+                   and list(lam) == sorted(lam, reverse=True) for lam in listing)
+        # strictly ascending grevlex, so no partition is listed twice
+        assert all(grevlex_key(a) < grevlex_key(b) for a, b in pairwise(listing)), n
+        # the rows of each length split the listing, each in its order
+        for m in range(n // 2 + 1):
+            assert partitions_min2_length(n, m) == tuple(lam for lam in listing if len(lam) == m)

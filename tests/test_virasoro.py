@@ -6,9 +6,9 @@ import pytest
 from qvir import virasoro
 from qvir.characters import MinimalModelLabel, feigin_fuchs_character
 from qvir.linalg import Echelon, int_row
-from qvir.partitions import enumerate_P
+from qvir.partitions import enumerate_P, partitions_min2
 from qvir.virasoro import (PRINTED_SINGULAR_34, VirVector, _apply_one, apply_mode,
-                           apply_word, basis_monomials, kernel_generator_symbol,
+                           apply_word, kernel_generator_symbol,
                            lemma_b_check, lemma_bp_check, quotient_graded_dims,
                            singular_vector_check, solve_singular_vector,
                            submodule_spaces)
@@ -47,7 +47,7 @@ def test_bracket_relation_random():
     for _ in range(40):
         c = rng.choice([HALF, F(-22, 5), F(0), F(-3, 5)])
         deg = rng.randint(2, 9)
-        monos = basis_monomials(deg)
+        monos = partitions_min2(deg)
         u = VirVector(c, {m: F(rng.randint(-3, 3), rng.randint(1, 2))
                           for m in rng.sample(monos, min(2, len(monos)))})
         m1 = rng.randint(-4, 4)
@@ -96,7 +96,7 @@ def test_quotient_dims_34():
 def test_quotient_dims_below_singular_degree():
     lab = MinimalModelLabel(3, 4)
     dims = quotient_graded_dims(lab, 5)
-    assert dims == [len(basis_monomials(n)) for n in range(6)]
+    assert dims == [len(partitions_min2(n)) for n in range(6)]
 
 
 def submodule_by_every_mode(label, n_max):
@@ -109,7 +109,7 @@ def submodule_by_every_mode(label, n_max):
         d = w.degree()
         if d not in spaces:
             spaces[d] = Echelon()
-            indexes[d] = {m: i for i, m in enumerate(basis_monomials(d))}
+            indexes[d] = {m: i for i, m in enumerate(partitions_min2(d))}
         return spaces[d].insert(int_row(w.coeffs, indexes[d]))
 
     insert(v)
@@ -140,7 +140,7 @@ def test_submodule_matches_every_mode_closure(p, pp, n_max):
 @pytest.mark.parametrize("c", [HALF, F(-22, 5)])
 def test_lowering_modes_act_integrally(c):
     for deg in range(11):
-        for mono in basis_monomials(deg):
+        for mono in partitions_min2(deg):
             for m in (-1, -2):
                 out = _apply_one(c, m, mono)
                 assert all(type(x) is int for x in out.values()), (m, mono)
