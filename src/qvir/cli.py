@@ -246,8 +246,7 @@ def check_recurrence_s(n: int) -> list:
     rep = pf.recurrence_check_S(n)
     residuals = [["side", "n", "residual"]]
     for side in pf.SIDES:
-        for m in range(0, min(n, 6) + 1):
-            r = pf.recurrence_residual(side, m)
+        for m, r in enumerate(rep["residuals"][side][:7]):
             residuals.append([side, m, "0" if not r else repr(r)])
     return [_entry("eight-term recurrence, both families, n <= %d" % n,
                    rep["passed"],
@@ -354,9 +353,10 @@ def check_nahm_alpha() -> list:
     from qvir.characters import e8_nahm_data
     out = []
     with mp.workdps(nahm.PRECISION_DPS):
-        for z10 in range(1, 10):
-            z = mp.mpf(z10) / 10
-            err = abs(nahm.rogers_dilog(z) + nahm.rogers_dilog(1 - z) - mp.pi ** 2 / 6)
+        points = [mp.mpf(z10) / 10 for z10 in range(1, 10)]
+        dilog = [nahm.rogers_dilog(z) for z in points]  # L(1 - z) is dilog[-1 - i]
+        for i, z in enumerate(points):
+            err = abs(dilog[i] + dilog[-1 - i] - mp.pi ** 2 / 6)
             if err >= mp.mpf(10) ** -12:
                 out.append(_entry("dilogarithm reflection at z=%s" % float(z), False,
                                   detail=str(err)))

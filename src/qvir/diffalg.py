@@ -30,7 +30,7 @@ from qvir.linalg import Echelon, int_row
 from qvir.partitions import (EXCEPTIONAL_PATTERNS, PATTERN_FAMILIES, contains_pattern,
                              count_min2, forbidden_patterns, grevlex_key, index_by_min,
                              partitions_min2, partitions_min2_length, pattern)
-from qvir.qseries import QSeries, exact_terms, frac_str
+from qvir.qseries import QSeries, exact_quotient, exact_terms, frac_str
 
 
 class ZeroPolynomial(ArithmeticError):
@@ -88,6 +88,10 @@ class DiffPoly:
 
     def scale(self, c) -> "DiffPoly":
         return DiffPoly({m: v * c for m, v in self.terms.items()})
+
+    def divide(self, d: int) -> "DiffPoly":
+        """self / d for a nonzero int d, under the coefficient rule."""
+        return DiffPoly({m: exact_quotient(v, d) for m, v in self.terms.items()})
 
     __mul__ = None  # use mul() / mul_monomial(); avoids silent scalar confusion
 
@@ -177,7 +181,7 @@ def cached_divided_derivative(g: DiffPoly, n: int) -> DiffPoly:
     chain = _DD_CACHE.setdefault(key, [g])
     while len(chain) <= n:
         i = len(chain)
-        chain.append(derive(chain[-1]).scale(Fraction(1, i)))
+        chain.append(derive(chain[-1]).divide(i))
     return chain[n]
 
 
@@ -225,7 +229,7 @@ def _primitive(g: DiffPoly) -> DiffPoly:
     derivative of an integer polynomial is integral."""
     den = lcm(*(c.denominator for c in g.terms.values()))
     scaled = g.scale(den)
-    return scaled.scale(Fraction(1, gcd(*scaled.terms.values())))
+    return scaled.divide(gcd(*scaled.terms.values()))
 
 
 def _build_block(gens, d: int, l: int, gkey: tuple):
@@ -368,7 +372,7 @@ def hilbert_quotient(gens, n_max: int) -> QSeries:
 # the printed derivative expansions
 # ---------------------------------------------------------------------------
 
-def _polyval(coeffs, k: int) -> Fraction:
+def _polyval(coeffs, k: int) -> int:
     v = 0
     for c in coeffs:
         v = v * k + c
@@ -418,11 +422,11 @@ def verify_derivative_formulas(k_max: int) -> dict:
         for offset, scale, table in rows:
             for k in range(0, k_max + 1):
                 order = 3 * k + offset
-                f = cached_divided_derivative(gen, order).scale(Fraction(1, scale))
+                f = cached_divided_derivative(gen, order).divide(scale)
                 listed = {}
                 for mono0, num, divisor in table:
                     mono = tuple(x + k for x in mono0)
-                    listed[mono] = _polyval(_p(num), k) / divisor
+                    listed[mono] = exact_quotient(_polyval(num, k), divisor)
                 entry = {"generator": gen_name, "order": order, "k": k, "passed": True,
                          "mismatches": []}
                 for mono, want in listed.items():
@@ -451,10 +455,6 @@ ELEMENT_NAMES = tuple(name for name in (*PATTERN_FAMILIES, *EXCEPTIONAL_PATTERNS
                       if not name.startswith("a"))
 
 
-def _p(coeffs):
-    return tuple(Fraction(c) for c in coeffs)
-
-
 def _element_ingredients(name: str, k: int) -> list:
     """The printed combination as (coefficient, monomial-multiplier, base) triples.
 
@@ -465,27 +465,28 @@ def _element_ingredients(name: str, k: int) -> list:
     """
     if name == "r":
         return [(1, (), ("b", 3 * k + 1)),
-                (-_polyval(_p((19, 55, 48, 12)), k) / 6, (), ("a", 3 * k + 4))]
+                (-exact_quotient(_polyval((19, 55, 48, 12), k), 6), (), ("a", 3 * k + 4))]
     if name == "s":
         return [(1, (), ("b", 3 * k + 2)),
-                (-_polyval(_p((19, 74, 91, 36)), k) / 6, (), ("a", 3 * k + 5))]
+                (-exact_quotient(_polyval((19, 74, 91, 36), k), 6), (), ("a", 3 * k + 5))]
     if name == "t":
         return [(1, (), ("b", 3 * k)),
-                (-_polyval(_p((19, 36, 17, 0)), k) / 6, (), ("a", 3 * k + 3))]
+                (-exact_quotient(_polyval((19, 36, 17, 0), k), 6), (), ("a", 3 * k + 3))]
     if name == "u":
         if k == 0:
             return [(8, (5,), ("t", 0)), (-6, (2,), ("t", 1))]
         j = k - 1
         return [(2 * j + 10, (6 + j,), ("t", j + 1)),
                 (-(2 * j + 8), (3 + j,), ("t", j + 2)),
-                (-Fraction((2 * j + 10) * (3 * j + 20), 3), (2 + j,), ("a", 3 * j + 10))]
+                (-exact_quotient((2 * j + 10) * (3 * j + 20), 3), (2 + j,), ("a", 3 * j + 10))]
     if name == "v":
-        return [(_polyval(_p((11, 318, 3061, 9426)), k), (2 + k,), ("t", k + 2)),
-                (-_polyval(_p((7, 90, 349, 370)), k), (6 + k,), ("s", k)),
-                (-_polyval(_p((11, 191, 1029, 1745)), k), (3 + k,), ("s", k + 1)),
-                (-8 * _polyval(_p((1, 19, 121, 255)), k), (4 + k,), ("r", k + 1)),
-                (_polyval(_p((35, 709, 5075, 14763, 13690)), k) / 3, (6 + k,), ("a", 3 * k + 5)),
-                (Fraction(8, 3) * _polyval(_p((1, 26, 254, 1102, 1785)), k),
+        return [(_polyval((11, 318, 3061, 9426), k), (2 + k,), ("t", k + 2)),
+                (-_polyval((7, 90, 349, 370), k), (6 + k,), ("s", k)),
+                (-_polyval((11, 191, 1029, 1745), k), (3 + k,), ("s", k + 1)),
+                (-8 * _polyval((1, 19, 121, 255), k), (4 + k,), ("r", k + 1)),
+                (exact_quotient(_polyval((35, 709, 5075, 14763, 13690), k), 3),
+                 (6 + k,), ("a", 3 * k + 5)),
+                (exact_quotient(8 * _polyval((1, 26, 254, 1102, 1785), k), 3),
                  (3 + k,), ("a", 3 * k + 8))]
     if name == "w":
         return [(k + 2, (6 + k,), ("r", k)),
@@ -500,22 +501,22 @@ def _element_ingredients(name: str, k: int) -> list:
                     (1216, (7,), ("t", 1)), (-10304, (4,), ("t", 2)),
                     (72128, (7,), ("a", 6)), (Fraction(112000, 3), (6,), ("a", 7))]
         j = k - 2
-        return [(2 * _polyval(_p((-1, -23, -189, -657, -810)), j), (7 + j,), ("r", j + 2)),
-                (_polyval(_p((-7, -162, -1129, -2198, 1360)), j), (4 + j,), ("r", j + 3)),
-                (-4 * _polyval(_p((1, 28, 289, 1302, 2160)), j), (6 + j,), ("s", j + 2)),
-                (Fraction(16, 1) * _polyval(_p((13, 384, 3849, 14962, 16600)), j)
-                 / (j + 4), (3 + j,), ("s", j + 3)),
-                (-_polyval(_p((5, 162, 1911, 7850, 4880)), j), (8 + j,), ("t", j + 2)),
-                (-_polyval(_p((7, 207, 2265, 10841, 19080)), j), (5 + j,), ("t", j + 3)),
-                (_polyval(_p((21, 691, 8865, 55173, 165650, 190800)), j),
+        return [(2 * _polyval((-1, -23, -189, -657, -810), j), (7 + j,), ("r", j + 2)),
+                (_polyval((-7, -162, -1129, -2198, 1360), j), (4 + j,), ("r", j + 3)),
+                (-4 * _polyval((1, 28, 289, 1302, 2160), j), (6 + j,), ("s", j + 2)),
+                (exact_quotient(16 * _polyval((13, 384, 3849, 14962, 16600), j), j + 4),
+                 (3 + j,), ("s", j + 3)),
+                (-_polyval((5, 162, 1911, 7850, 4880), j), (8 + j,), ("t", j + 2)),
+                (-_polyval((7, 207, 2265, 10841, 19080), j), (5 + j,), ("t", j + 3)),
+                (_polyval((21, 691, 8865, 55173, 165650, 190800), j),
                  (8 + j,), ("a", 3 * j + 9)),
-                (-2 * _polyval(_p((1, 47, 901, 8393, 37218, 62640)), j),
+                (-2 * _polyval((1, 47, 901, 8393, 37218, 62640), j),
                  (2 + j,), ("a", 3 * j + 15)),
-                (Fraction(2, 3) * _polyval(_p((9, 311, 4253, 28769, 96258, 127440)), j),
+                (exact_quotient(2 * _polyval((9, 311, 4253, 28769, 96258, 127440), j), 3),
                  (7 + j,), ("a", 3 * j + 10))]
     if name == "z":
         return [(k + 6, (2 + k,), ("y", k + 2)),
-                (-32 * _polyval(_p((4, 165, 2427, 14184, 27440)), k),
+                (-32 * _polyval((4, 165, 2427, 14184, 27440), k),
                  (8 + k, 7 + k), ("r", k))]
     if name == "e1":
         return [(3, (2,), ("s", 0)), (-1, (5,), ("a", 2))]

@@ -27,6 +27,15 @@ sum of the products of ordinary binomials.  The slot width w is the fewest
 whole bytes with 2^(8w - 1) above that bound.
 S_n stays a sum of ``QSeries``, so ``S_n == T_n`` compares two independent
 computations.
+
+The limit checks compare coefficients below q^t only, so ``family`` builds
+S_n and T_n mod q^t.  A coefficient below q^t of a sum, a shift or a product
+reads only coefficients below q^t, so a term at q^e >= q^t is dropped and
+each q-binomial of a term at q^e is computed mod q^(t - e); for the limit
+that is the Gaussian-polynomial rule [N, y] -> 1/(q)_y (Andrews, The Theory
+of Partitions, section 3.3) read coefficient by coefficient.  The exact
+polynomials, which the equality and recurrence checks compare, stay cached
+in ``family_poly``.
 """
 
 from __future__ import annotations
@@ -34,9 +43,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import comb
 
-from qvir.qseries import QSeries, _qbinom_coeffs, q_binomial, single_sum
+from qvir.qseries import QSeries, _qbinom_coeffs, _slots_below, q_binomial, single_sum
 
 
 class StabilizationNotReached(ArithmeticError):
@@ -68,18 +76,33 @@ _T_ROWS = {
 @lru_cache(maxsize=None)
 def family_poly(sector: str, side: str, n: int) -> QSeries:
     """The exact polynomial S_n or T_n of the given sector."""
+    return family(sector, side, n)
+
+
+def family(sector: str, side: str, n: int, trunc=None) -> QSeries:
+    """S_n or T_n of the given sector mod q^trunc; exact for trunc None.
+
+    Each side is a sum of shifted products of q-binomials, and truncation
+    commutes with sums, shifts and products: a coefficient below q^t of
+    q^e f, of f + g or of f g reads only coefficients below q^t of the
+    factors.  So a term at q^e with e >= t is dropped, and each q-binomial
+    of a term at q^e is needed only mod q^(t - e), which ``_qbinom_coeffs``
+    computes by its exact loop with every list capped.
+    """
     if sector not in SECTORS or side not in SIDES:
         raise ValueError("unknown family %r/%r" % (sector, side))
     if n < 0 or (sector != "vac" and n < 1):
         raise ValueError("n out of range for sector %r" % (sector,))
+    t = None if trunc is None else Fraction(trunc)
     if side == "T":
-        return _packed_T(sector, n)
+        return _packed_T(sector, n, t)
     (a, b), (c, d), s = _S_ROWS[sector]
-    out = QSeries.zero()
-    k = 0
-    while c * k + d <= n - k - s:
-        out = out + q_binomial(n - k - s, c * k + d).shift(a * k * k + b * k)
+    out = QSeries.zero(t)
+    k = e = 0
+    while c * k + d <= n - k - s and (t is None or e < t):
+        out = out + q_binomial(n - k - s, c * k + d, None if t is None else t - e).shift(e)
         k += 1
+        e = a * k * k + b * k
     return out
 
 
@@ -97,10 +120,15 @@ def _pack(coeffs, width: int) -> int:
 
 def _unpack(value: int, width: int, slots: int) -> dict:
     """The nonzero coefficients below q^slots of the polynomial whose value at
-    q = 2^(8 width) is ``value``, read as signed digits of that base."""
+    q = 2^(8 width) is ``value``, read as signed digits of that base.
+
+    Slot e is read from value mod 2^(8 width (e + 1)), so the digits below
+    q^slots are exact whenever each of them lies in [-2^(8 width - 1),
+    2^(8 width - 1)), whatever the digits above."""
     half = 1 << (8 * width - 1)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")  # half per slot
-    raw = (value + bias).to_bytes(width * slots, "little")
+    mask = (1 << (8 * width * slots)) - 1
+    raw = ((value + bias) & mask).to_bytes(width * slots, "little")
     out = {}
     for e in range(slots):
         c = int.from_bytes(raw[e * width:(e + 1) * width], "little") - half
@@ -109,30 +137,48 @@ def _unpack(value: int, width: int, slots: int) -> dict:
     return out
 
 
-def _packed_T(sector: str, n: int) -> QSeries:
-    """T_n from its value at q = 2^(8 width), one big integer."""
+def _packed_T(sector: str, n: int, t=None) -> QSeries:
+    """T_n mod q^t (exact for t None) from its value at q = 2^(8 width), one
+    big integer.
+
+    Mod q^t, a term at q^e >= q^t is dropped and the q-binomials of a term at
+    q^e are packed mod q^(t - e) (one row per pair, capped at the largest
+    need among its terms), so the slots below q^t hold T_n's coefficients
+    and only those are decoded.  The slots above q^t hold partial sums,
+    which the width still bounds: every q-binomial coefficient is
+    nonnegative, so a slot is at most, in absolute value, the sum over the
+    terms of the products of their rows' values at q = 1, and dropping terms
+    or coefficients only lowers that sum.
+    """
+    slots = None if t is None else _slots_below(t, 1)
     (l1, l2), (s1, j1), sigma, (a, b, c), (s2, j2) = _T_ROWS[sector]
     terms = []  # (exponent, sign, (x1, y1), (x2, y2)) for each nonzero B(s, j)
-    bound = 0  # the q = 1 value of the sum with every sign taken as +1
-    top = 0  # the largest exponent a term reaches; [x, y] has degree y (x - y)
+    caps = {}  # (x, y) -> the slots its row needs, None for all of them
     for k in range(0, n // 4 + 2):
         for m in range(0, max(0, n - 4 * k) // 2 + 3):
             e = 4 * k * k + 3 * k * m + m * m + l1 * k + l2 * m
             for sign, s, j, shift in ((1, s1, j1, 0), (sigma, s2, j2, a * k + b * m + c)):
                 x1, y1 = n - 3 * k - m - s, k
                 x2, y2 = n - 4 * k - m - s, m - j
-                if 0 <= y1 <= x1 and 0 <= y2 <= x2:
+                if 0 <= y1 <= x1 and 0 <= y2 <= x2 and (slots is None or e + shift < slots):
                     terms.append((e + shift, sign, (x1, y1), (x2, y2)))
-                    bound += comb(x1, y1) * comb(x2, y2)
-                    top = max(top, e + shift + y1 * (x1 - y1) + y2 * (x2 - y2))
+                    for xy in ((x1, y1), (x2, y2)):
+                        caps[xy] = None if slots is None else max(caps.get(xy, 0),
+                                                                  slots - e - shift)
+    rows = {xy: _qbinom_coeffs(*xy, cap) for xy, cap in caps.items()}
+    at_one = {xy: sum(row) for xy, row in rows.items()}
+    bound = 0  # the q = 1 value of the sum with every sign taken as +1
+    top = 0  # the largest exponent a term reaches
+    for e, _, xy1, xy2 in terms:
+        bound += at_one[xy1] * at_one[xy2]
+        top = max(top, e + len(rows[xy1]) + len(rows[xy2]) - 2)
     width = _slot_bytes(bound)
-    packed = {xy: _pack(_qbinom_coeffs(*xy), width)
-              for xy in {xy for term in terms for xy in term[2:]}}
+    packed = {xy: _pack(row, width) for xy, row in rows.items()}
     acc = 0
     for e, sign, xy1, xy2 in terms:
         p = (packed[xy1] * packed[xy2]) << (8 * width * e)
         acc = acc + p if sign > 0 else acc - p
-    return QSeries(_unpack(acc, width, top + 1))
+    return QSeries(_unpack(acc, width, top + 1 if slots is None else min(top + 1, slots)), t)
 
 
 def equality_check(sector: str, n_max: int) -> dict:
@@ -169,17 +215,19 @@ def recurrence_residual(side: str, n: int) -> QSeries:
 
 
 def recurrence_check_S(n_max: int) -> dict:
-    """Verify the recurrence exactly for 0 <= n <= n_max, for both families."""
+    """Verify the recurrence exactly for 0 <= n <= n_max, for both families;
+    ``residuals[side][n]`` is the residual at n."""
     failures = []
+    residuals = {side: [recurrence_residual(side, n) for n in range(0, n_max + 1)]
+                 for side in SIDES}
     for side in SIDES:
-        for n in range(0, n_max + 1):
-            r = recurrence_residual(side, n)
+        for n, r in enumerate(residuals[side]):
             if r:
                 e = min(x for x, _ in r.terms())
                 failures.append({"side": side, "n": n, "exponent": str(e),
                                  "coefficient": str(r.coefficient(e))})
     return {"passed": not failures, "n_max": n_max, "failures": failures[:5],
-            "failure_count": len(failures)}
+            "failure_count": len(failures), "residuals": residuals}
 
 
 def limit_series(sector: str, trunc) -> QSeries:
@@ -189,22 +237,18 @@ def limit_series(sector: str, trunc) -> QSeries:
 
 
 def limit_check(sector: str, n: int, trunc) -> dict:
-    """Compare the degree-n polynomial with the limit series mod q^trunc.
+    """Compare the degree-n polynomials with the limit series mod q^trunc.
 
     Stabilization oracle: the families at n and n+1 must already agree below
-    the order; n = 2*trunc is a safe default.
+    the order; n = 2*trunc is a safe default.  Every family is built mod
+    q^trunc, which leaves each compared coefficient exact.
     """
     t = Fraction(trunc)
-    side_checks = {}
-    cur = family_poly(sector, "S", n)
-    nxt = family_poly(sector, "S", n + 1)
-    if not cur.truncate(t).equal_mod(nxt.truncate(t)):
+    cur = family(sector, "S", n, t)
+    if not cur.equal_mod(family(sector, "S", n + 1, t)):
         raise StabilizationNotReached(
             "sector %r not stable below q^%s at n=%d" % (sector, t, n))
     lim = limit_series(sector, t)
-    for side in SIDES:
-        poly = family_poly(sector, side, n)
-        ok = poly.truncate(t).equal_mod(lim)
-        side_checks[side] = ok
+    side_checks = {"S": cur.equal_mod(lim), "T": family(sector, "T", n, t).equal_mod(lim)}
     return {"passed": all(side_checks.values()), "sector": sector, "n": n,
             "order": str(t), "sides": side_checks}

@@ -51,6 +51,14 @@ def _exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def exact_quotient(a, d: int):
+    """a / d under the coefficient rule, for a rational a and a nonzero int d;
+    an int that d divides is divided as an int, with no Fraction built."""
+    if type(a) is int and a % d == 0:
+        return a // d
+    return _exact(Fraction(a, d))
+
+
 def exact_terms(terms) -> dict:
     """The nonzero entries of a map key -> rational, keyed by ``tuple(key)``
     and stored under the coefficient rule."""
@@ -442,40 +450,56 @@ def single_sum(trunc, exponent, index, offset=0) -> QSeries:
     return out
 
 
-def _qbinom_coeffs(m: int, n: int) -> tuple:
-    """Integer coefficients of the Gaussian binomial [m choose n]_q; empty
-    out of range.  [m, n] = [m, m - n], so both read one cached row, built
-    at the smaller index."""
-    if n < 0 or n > m:
+def _qbinom_coeffs(m: int, n: int, cap=None) -> tuple:
+    """Integer coefficients of the Gaussian binomial [m choose n]_q below q^cap
+    (all of them for cap None); empty out of range or for cap < 1.  [m, n] =
+    [m, m - n], so both read one cached row, built at the smaller index, and
+    a cap above the degree n (m - n) reads the complete row."""
+    if n < 0 or n > m or (cap is not None and cap < 1):
         return ()
-    return _qbinom_row(m, min(n, m - n))
+    n = min(n, m - n)
+    if cap is not None and cap > n * (m - n):
+        cap = None
+    return _qbinom_row(m, n, cap)
 
 
 @lru_cache(maxsize=None)
-def _qbinom_row(m: int, n: int) -> tuple:
-    """The coefficients of [m choose n]_q for 0 <= n <= m.
+def _qbinom_row(m: int, n: int, cap=None) -> tuple:
+    """The coefficients of [m choose n]_q below q^cap (all of them for cap
+    None), for 0 <= n <= m.
 
     Computed as the exact quotient (q)_m / ((q)_n (q)_{m-n}), one factor at a
     time: multiply by (1-q^{m-n+j}) then divide by (1-q^j); each intermediate
-    quotient is again a Gaussian binomial, so every division is exact.
+    quotient is again a Gaussian binomial, so every division is exact.  A
+    coefficient below q^cap of a product with, or a quotient by, a series
+    with constant term 1 reads only coefficients below q^cap, so the loop
+    keeps the first cap slots of every list and the result is exact.  The
+    check that a division leaves no remainder reads the whole dividend, so it
+    runs at every step whose dividend is complete: at all steps when cap is
+    None.
     """
     b = [1]
     for j in range(1, n + 1):
         s = m - n + j
-        f = b + [0] * s
-        for i, c in enumerate(b):
-            f[i + s] -= c
-        g = [0] * (len(f) - j)
+        full = (j - 1) * (m - n) + 1 + s  # the dividend's length
+        size = full if cap is None else min(full, cap)
+        f = b + [0] * (size - len(b))
+        for i in range(size - s):
+            f[i + s] -= b[i]
+        g = [0] * min(full - j, size)
         for i in range(len(g)):
             g[i] = f[i] + (g[i - j] if i >= j else 0)
-        for i in range(len(g), len(f)):
-            if f[i] != (-g[i - j] if 0 <= i - j < len(g) else 0):
-                raise ArithmeticError("inexact division in q-binomial")
+        if size == full:
+            for i in range(len(g), len(f)):
+                if f[i] != (-g[i - j] if 0 <= i - j < len(g) else 0):
+                    raise ArithmeticError("inexact division in q-binomial")
         b = g
     return tuple(b)
 
 
 @lru_cache(maxsize=None)
-def q_binomial(m: int, n: int) -> QSeries:
-    """Gaussian binomial coefficient as an exact polynomial; zero out of range."""
-    return QSeries(dict(enumerate(_qbinom_coeffs(m, n))))
+def q_binomial(m: int, n: int, trunc=None) -> QSeries:
+    """Gaussian binomial coefficient mod q^trunc (an exact polynomial for
+    trunc None); zero out of range."""
+    cap = None if trunc is None else _slots_below(_to_frac(trunc), 1)
+    return QSeries(dict(enumerate(_qbinom_coeffs(m, n, cap))), trunc)

@@ -215,6 +215,52 @@ def test_recurrence_s_order_above_30_changes_the_report():
     assert reports[31]["passed"] and reports[31] != reports[30]
 
 
+def test_recurrence_s_builds_each_residual_once(monkeypatch):
+    # the table reads the residuals that recurrence_check_S computed; it is
+    # the table the report always had, each residual built from the families
+    from qvir import polyfamilies as pf
+    real = pf.recurrence_residual
+    built = []
+
+    def spy(side, n):
+        built.append((side, n))
+        return real(side, n)
+
+    monkeypatch.setattr(pf, "recurrence_residual", spy)
+    for n in (3, 8):
+        built.clear()
+        rep = run_check("recurrence-s", RunConfig(trunc_tq=n))
+        assert rep["passed"]
+        assert sorted(built) == sorted((side, m) for side in pf.SIDES for m in range(n + 1))
+        want = [["side", "n", "residual"]]
+        for side in pf.SIDES:
+            for m in range(min(n, 6) + 1):
+                r = real(side, m)
+                want.append([side, m, "0" if not r else repr(r)])
+        assert rep["checks"][0]["data"] == {"residuals": want}
+
+
+def test_nahm_alpha_evaluates_each_dilogarithm_once(monkeypatch):
+    # L(k/10) for k = 1..9 once each, read twice by the reflection pairs;
+    # the two solves add one call per fixed-point entry (2 + 8)
+    import mpmath as mp
+    from qvir import nahm
+    real = nahm.rogers_dilog
+    args = []
+
+    def spy(z):
+        args.append(z)
+        return real(z)
+
+    monkeypatch.setattr(nahm, "rogers_dilog", spy)
+    rep = run_check("nahm-alpha", RunConfig())
+    assert rep["passed"]
+    assert len(args) == 19
+    tenths = [z for z in args if z * 10 == int(z * 10)]
+    with mp.workdps(nahm.PRECISION_DPS):
+        assert tenths == [mp.mpf(k) / 10 for k in range(1, 10)]
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# reduced orders\ntrunc_qseries = 12\nformat = json\n")

@@ -272,6 +272,44 @@ def test_exact_containers_store_ints_while_integral(monkeypatch):
     assert {int, F} <= {type(c) for c in stored}
 
 
+def test_prop51_path_hands_no_integral_fraction(monkeypatch):
+    # structural guard, not a timing: the divided derivatives, the printed
+    # multipliers and the expansion tables divide by exact_quotient, so an
+    # integral value stays an int; a Fraction default in a scalar or a divide
+    # would pass every value check unseen.  (A printed multiplier such as
+    # 81856/3 is a true fraction, and its products are Fractions.)
+    handed = []
+    init = DiffPoly.__init__
+
+    def spy(self, terms=None):
+        handed.extend((terms or {}).values())
+        init(self, terms)
+
+    monkeypatch.setattr(DiffPoly, "__init__", spy)
+    monkeypatch.setattr(diffalg, "_DD_CACHE", {})
+    monkeypatch.setattr(diffalg, "_ELEMENT_CACHE", {})
+    for gen in (GEN_A, GEN_B_SCALED):
+        cached_divided_derivative(gen, 24)
+    assert handed and all(type(c) is int for c in handed)
+    handed.clear()
+    assert verify_derivative_formulas(3)["passed"]
+    assert handed and all(type(c) is int or c.denominator != 1 for c in handed)
+    for name in ELEMENT_NAMES:
+        for k in range(1 if name.startswith("e") else 4):
+            for c, _, _ in diffalg._element_ingredients(name, k):
+                assert type(c) is int or c.denominator != 1, (name, k, c)
+    assert prop51_check(3)["passed"]
+
+
+def test_divide_keeps_the_coefficient_rule():
+    p = DiffPoly({(2, 2): 6, (3,): F(9, 2), (4,): -4})
+    q = p.divide(3)
+    assert q == DiffPoly({(2, 2): 2, (3,): F(3, 2), (4,): F(-4, 3)})
+    assert type(q.terms[(2, 2)]) is int
+    assert type(p.divide(-2).terms[(2, 2)]) is int and p.divide(-2).terms[(2, 2)] == -3
+    assert DiffPoly({(2,): F(3, 2)}).divide(1) == DiffPoly({(2,): F(3, 2)})
+
+
 def test_scaled_generator_spans_same_ideal():
     for d in range(6, 16):
         assert ideal_slice(GENS, d).pivots == \

@@ -4,9 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 import qvir.polyfamilies as pf
+import qvir.qseries as qs
 from qvir.characters import alt_expression, module_character
-from qvir.polyfamilies import (SECTORS, StabilizationNotReached, equality_check,
-                               family_poly, limit_check, limit_series,
+from qvir.polyfamilies import (SECTORS, SIDES, StabilizationNotReached, equality_check,
+                               family, family_poly, limit_check, limit_series,
                                recurrence_check_S, recurrence_residual)
 from qvir.qseries import QSeries, q_binomial
 
@@ -76,6 +77,51 @@ def test_limit_half_matches_module_character():
 def test_limit_sixteenth_matches_module_character():
     assert limit_series("sixteenth", 25).equal_mod(
         module_character("V_sixteenth", "Classical", 25))
+
+
+# -- the families mod q^t -------------------------------------------------------
+
+@pytest.mark.parametrize("sector", SECTORS)
+def test_truncated_family_is_the_exact_one_cut(sector):
+    # every n <= 45, the 1/2 sector from its boundary n = 1 on, orders below,
+    # inside and beyond the degree, and a fractional order
+    for n in range(0 if sector == "vac" else 1, 46):
+        for side in SIDES:
+            exact = family_poly(sector, side, n)
+            for t in (0, 1, 2, 7, 20, 31, F(51, 2), 2 * n + 1, 10 ** 4):
+                got = family(sector, side, n, t)
+                assert got == exact.truncate(t), (sector, side, n, t)
+                assert got.trunc == t
+
+
+def test_limit_check_builds_only_below_the_order(monkeypatch):
+    # the limit checks read coefficients below q^t, so they build no exact
+    # family polynomial, no q-binomial row with a slot at q^t or above, and
+    # decode no packed slot at q^t or above
+    rows, decoded = [], []
+    row, unpack = qs._qbinom_row, pf._unpack
+
+    def row_spy(m, n, cap=None):
+        out = row(m, n, cap)
+        rows.append(out)
+        return out
+
+    def unpack_spy(value, width, slots):
+        decoded.append(slots)
+        return unpack(value, width, slots)
+
+    monkeypatch.setattr(qs, "_qbinom_row", row_spy)
+    monkeypatch.setattr(pf, "_unpack", unpack_spy)
+    for orders in ((20, 20, 20), (30, 25, 25), (9, 4, 13)):
+        for sector, t in zip(SECTORS, orders):
+            family_poly.cache_clear()
+            q_binomial.cache_clear()
+            rows.clear()
+            decoded.clear()
+            assert limit_check(sector, 2 * t, t)["passed"]
+            assert family_poly.cache_info().misses == 0
+            assert rows and max(map(len, rows)) <= t, (sector, t)
+            assert decoded == [t], (sector, t)
 
 
 def test_stabilization_guard():
@@ -214,6 +260,22 @@ def test_packed_T_fails_one_byte_too_narrow(monkeypatch):
     for (sector, n), poly in want.items():
         try:
             wrong += pf._packed_T(sector, n) != poly
+        except OverflowError:
+            wrong += 1
+    assert wrong > 0
+
+
+@pytest.mark.parametrize("t", [10, 20])
+def test_truncated_T_fails_one_byte_too_narrow(monkeypatch, t):
+    # mod q^t the bound comes from the capped rows; one byte less still
+    # misreads some T_n below q^t or overflows the decoder
+    want = {(sector, n): family_poly(sector, "T", n).truncate(t) for sector, n in T_ORDERS}
+    width = pf._slot_bytes
+    monkeypatch.setattr(pf, "_slot_bytes", lambda bound: width(bound) - 1)
+    wrong = 0
+    for (sector, n), poly in want.items():
+        try:
+            wrong += pf._packed_T(sector, n, t) != poly
         except OverflowError:
             wrong += 1
     assert wrong > 0

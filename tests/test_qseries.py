@@ -161,6 +161,22 @@ def test_q_binomial_rows_shared_by_symmetry():
     assert _qbinom_coeffs(5, -1) == _qbinom_coeffs(5, 6) == ()
 
 
+def test_q_binomial_mod_q_t():
+    # a capped row is the prefix of the complete one; a cap past the degree
+    # reads the complete, shared row
+    _qbinom_row.cache_clear()
+    for m in range(21):
+        for n in range(-1, m + 2):
+            exact = q_binomial(m, n)
+            row = _qbinom_coeffs(m, n)
+            for t in (0, 1, 2, 3, 7, n * (m - n), n * (m - n) + 1, 40):
+                assert _qbinom_coeffs(m, n, t) == row[:t], (m, n, t)
+                assert q_binomial(m, n, t) == exact.truncate(t), (m, n, t)
+            assert q_binomial(m, n, F(7, 2)) == exact.truncate(F(7, 2))
+    assert _qbinom_row(9, 4, 10 ** 3) == _qbinom_row(9, 4)
+    assert _qbinom_coeffs(9, 4, 10 ** 3) is _qbinom_coeffs(9, 5)
+
+
 def test_q_binomial_nonneg_and_degree():
     for m in range(21):
         for n in range(m + 1):
