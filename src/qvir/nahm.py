@@ -4,12 +4,25 @@ Solves the algebraic system 1 - Q_i = prod_j Q_j^(A_ij) on (0,1)^n by
 mpmath's multidimensional Newton method in x = log Q, with the Jacobian in
 closed form, and evaluates the growth exponent
 alpha = sum_i (pi^2/6 - L(Q_i)) with the Rogers dilogarithm L, built on
-mpmath's `polylog`.  All numerics run at 40 significant digits;
-the exact-arithmetic modules never call into this one.
+mpmath's `polylog`.  The exact-arithmetic modules never call into this one.
+
+The solve has two stages.  Stage 1 runs Newton's method in doubles (mpmath's
+``fp`` context) from Q = (1/2, ..., 1/2); most steps are taken there, where
+a step costs a small part of a 40-digit one.  Its root serves only as the
+start of stage 2, Newton's method at 40 significant digits.  Newton's method
+converges quadratically near a simple root (for positive definite A the root
+in (0,1)^n is unique, Zagier, "The Dilogarithm Function", 2007): an error of
+about 1e-16 becomes about 1e-32 after one step and falls below the 40-digit
+tolerance after the second, so stage 2 takes two steps.  Everything that
+decides a verdict, the root, the residual test, 0 < Q_i < 1 and alpha, is
+computed at 40 digits from the stage-2 root.  A poor start costs stage 2
+more steps or ends in NoConvergence; for positive definite A it cannot lead
+to another root, since there is none.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -62,12 +75,13 @@ class NahmSolution:
                                                  float(self.alpha))
 
 
-def _equations(Af):
+def _equations(Af, ctx=mp):
     """F(x) = 1 - e^(x_i) - e^((Ax)_i) and its Jacobian
-    dF_i/dx_j = -delta_ij e^(x_i) - A_ij e^((Ax)_i), for mpmath's findroot."""
+    dF_i/dx_j = -delta_ij e^(x_i) - A_ij e^((Ax)_i), for ``ctx.findroot``:
+    mpmath's ``mp`` at its working precision, or ``mp.fp`` in doubles."""
 
     def exps(x):
-        return [mp.exp(xi) for xi in x], [mp.exp(mp.fdot(row, x)) for row in Af]
+        return [ctx.exp(xi) for xi in x], [ctx.exp(ctx.fdot(row, x)) for row in Af]
 
     def F(*x):
         ex, eax = exps(x)
@@ -75,20 +89,22 @@ def _equations(Af):
 
     def J(*x):
         ex, eax = exps(x)
-        return mp.matrix([[-a * v - (u if i == j else 0) for j, a in enumerate(row)]
-                          for i, (row, u, v) in enumerate(zip(Af, ex, eax))])
+        return ctx.matrix([[-a * v - (u if i == j else 0) for j, a in enumerate(row)]
+                           for i, (row, u, v) in enumerate(zip(Af, ex, eax))])
 
     return F, J
 
 
 def solve_nahm_system(A) -> NahmSolution:
-    """Newton's method in x = log Q from Q = (1/2, ..., 1/2).
+    """Newton's method in x = log Q, in doubles from Q = (1/2, ..., 1/2), then
+    at 40 digits from that root.
 
     The root of F_i(x) = 1 - e^(x_i) - e^((Ax)_i) is sought; every real root
     has 0 < Q_i < 1, because 1 - e^(x_i) = e^((Ax)_i) > 0.  NoConvergence is
-    raised unless the residual, recomputed in Q, is small relative to Q_i and
-    P_i: a root at infinity, where a Q_i or P_i tends to 0, leaves a small
-    absolute residual but not a small relative one.
+    raised if either stage fails, and unless the residual, recomputed in Q at
+    40 digits, is small relative to Q_i and P_i: a root at infinity, where a
+    Q_i or P_i tends to 0, leaves a small absolute residual but not a small
+    relative one.
     """
     A = [[Fraction(x) for x in row] for row in A]
     n = len(A)
@@ -96,13 +112,21 @@ def solve_nahm_system(A) -> NahmSolution:
         raise ValueError("matrix must be square")
     if any(A[i][j] != A[j][i] for i in range(n) for j in range(n)):
         raise ValueError("matrix must be symmetric")
+    try:  # stage 1, in doubles: it only picks the start of stage 2
+        F, J = _equations([[float(x) for x in row] for row in A], mp.fp)
+        start = list(mp.fp.findroot(F, [-math.log(2)] * n, solver="mdnewton", J=J,
+                                    maxsteps=NEWTON_STEPS))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise NoConvergence("Newton's method in doubles found no root: %s" % exc) from exc
+    # from a NaN start, mpmath's step-halving loop would never end
+    if not all(map(math.isfinite, start)):
+        raise NoConvergence("Newton's method in doubles found no root: x = %s" % start)
     with mp.workdps(PRECISION_DPS):
         Af = [[mp.mpf(x.numerator) / x.denominator for x in row] for row in A]
 
         F, J = _equations(Af)
         try:
-            x = mp.findroot(F, [-mp.log(2)] * n, solver="mdnewton", J=J,
-                           maxsteps=NEWTON_STEPS)
+            x = mp.findroot(F, start, solver="mdnewton", J=J, maxsteps=NEWTON_STEPS)
         except (ValueError, ZeroDivisionError) as exc:
             raise NoConvergence("Newton's method found no root: %s" % exc) from exc
         Q = [mp.exp(xi) for xi in x]

@@ -25,8 +25,9 @@ value a coefficient of T_n is at most the same coefficient of the sum with
 every sign taken as +1, and that is at most the sum's value at q = 1: the
 sum of the products of ordinary binomials.  The slot width w is the fewest
 whole bytes with 2^(8w - 1) above that bound.
-S_n stays a sum of ``QSeries``, so ``S_n == T_n`` compares two independent
-computations.
+S_n is summed directly: each q-binomial row is added, coefficient by
+coefficient, at its offset q^e into one map, so ``S_n == T_n`` compares two
+independent computations.
 
 The limit checks compare coefficients below q^t only, so ``family`` builds
 S_n and T_n mod q^t.  A coefficient below q^t of a sum, a shift or a product
@@ -44,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
-from qvir.qseries import QSeries, _qbinom_coeffs, _slots_below, q_binomial, single_sum
+from qvir.qseries import QSeries, _qbinom_coeffs, _slots_below, single_sum
 
 
 class StabilizationNotReached(ArithmeticError):
@@ -72,6 +73,20 @@ _T_ROWS = {
     "sixteenth": ((1, 1), (1, 0), 1, (3, 0, 1), (2, 0)),
 }
 
+# the eight-term recurrence
+#   q^(4n+15) S_n + (1 + q) q^(2n+11) (S_(n+3) - S_(n+4)) - q^3 S_(n+5)
+#     + (1 + q + q^2) (q S_(n+6) - S_(n+7)) + S_(n+8) = 0
+# as one row (j, (u, v), sign) per term sign q^(u n + v) S_(n+j)
+_RECURRENCE = (
+    (0, (4, 15), 1),
+    (3, (2, 11), 1), (3, (2, 12), 1),
+    (4, (2, 11), -1), (4, (2, 12), -1),
+    (5, (0, 3), -1),
+    (6, (0, 1), 1), (6, (0, 2), 1), (6, (0, 3), 1),
+    (7, (0, 0), -1), (7, (0, 1), -1), (7, (0, 2), -1),
+    (8, (0, 0), 1),
+)
+
 
 @lru_cache(maxsize=None)
 def family_poly(sector: str, side: str, n: int) -> QSeries:
@@ -97,13 +112,16 @@ def family(sector: str, side: str, n: int, trunc=None) -> QSeries:
     if side == "T":
         return _packed_T(sector, n, t)
     (a, b), (c, d), s = _S_ROWS[sector]
-    out = QSeries.zero(t)
+    slots = None if t is None else _slots_below(t, 1)
+    out = {}
     k = e = 0
-    while c * k + d <= n - k - s and (t is None or e < t):
-        out = out + q_binomial(n - k - s, c * k + d, None if t is None else t - e).shift(e)
+    while c * k + d <= n - k - s and (slots is None or e < slots):
+        row = _qbinom_coeffs(n - k - s, c * k + d, None if slots is None else slots - e)
+        for i, x in enumerate(row, e):
+            out[i] = out.get(i, 0) + x
         k += 1
         e = a * k * k + b * k
-    return out
+    return QSeries(out, t)
 
 
 def _slot_bytes(bound: int) -> int:
@@ -203,15 +221,15 @@ def equality_check(sector: str, n_max: int) -> dict:
 
 
 def recurrence_residual(side: str, n: int) -> QSeries:
-    """The eight-term recurrence combination for the vacuum family at index n."""
-    S = lambda j: family_poly("vac", side, j)
-    one_q = QSeries.from_terms([(0, 1), (1, 1)])
-    one_q_q2 = QSeries.from_terms([(0, 1), (1, 1), (2, 1)])
-    return (S(n).shift(4 * n + 15)
-            + (one_q * (S(n + 3) - S(n + 4))).shift(2 * n + 11)
-            - S(n + 5).shift(3)
-            + one_q_q2 * (S(n + 6).shift(1) - S(n + 7))
-            + S(n + 8))
+    """The eight-term recurrence combination for the vacuum family at index n:
+    the sum over the rows (j, (u, v), sign) of ``_RECURRENCE`` of
+    sign q^(u n + v) S_(n+j), summed into one coefficient map."""
+    out = {}
+    for j, (u, v), sign in _RECURRENCE:
+        shift = u * n + v
+        for k, c in family_poly("vac", side, n + j).coeffs.items():
+            out[k + shift] = out.get(k + shift, 0) + sign * c
+    return QSeries(out)
 
 
 def recurrence_check_S(n_max: int) -> dict:

@@ -3,6 +3,7 @@ import random
 import mpmath as mp
 import pytest
 
+import qvir.nahm as nahm
 from qvir.characters import e8_nahm_data, gordon_matrix
 from qvir.nahm import (DomainError, NoConvergence, PRECISION_DPS, _equations,
                        ising_quasiparticle_matrix, printed_fixed_point, rogers_dilog,
@@ -157,7 +158,84 @@ def test_no_root_raises(A):
 
 def test_root_at_infinity_is_rejected(monkeypatch):
     # x = log Q = -120 leaves |1 - Q - Q^0| = Q < 1e-52 for [[0]], yet it is
-    # no root: the residual is all of Q
-    monkeypatch.setattr(mp, "findroot", lambda *args, **kwargs: mp.matrix([-120]))
+    # no root: the residual is all of Q.  The patch replaces the 40-digit
+    # stage, which must still run, at 40 digits, after the double stage
+    dps = []
+
+    def findroot(*args, **kwargs):
+        dps.append(mp.mp.dps)
+        return mp.matrix([-120])
+
+    monkeypatch.setattr(mp, "findroot", findroot)
     with pytest.raises(NoConvergence):
         solve_nahm_system([[0]])
+    assert dps == [PRECISION_DPS]
+
+
+# -- the two stages: doubles, then 40 digits -----------------------------------
+
+def one_stage_root(A):
+    """Q from Newton's method at 40 digits all the way from Q = (1/2, ...,
+    1/2): the reference for the two-stage solve."""
+    with mp.workdps(PRECISION_DPS):
+        F, J = _equations([[mpf(int(a)) for a in row] for row in A])
+        x = mp.findroot(F, [-mp.log(2)] * len(A), solver="mdnewton", J=J, maxsteps=100)
+        return [mp.exp(xi) for xi in x]
+
+
+TWO_STAGE_MATRICES = ([("ising", ising_quasiparticle_matrix()), ("E8", e8_nahm_data().A)]
+                      + [("gordon%d" % s, gordon_matrix(s).A) for s in range(2, 9)])
+
+
+@pytest.mark.parametrize("A", [A for _, A in TWO_STAGE_MATRICES],
+                         ids=[name for name, _ in TWO_STAGE_MATRICES])
+def test_two_stage_root_is_the_one_stage_root(A):
+    with mp.workdps(PRECISION_DPS):
+        got = solve_nahm_system(A).Q
+        for q, ref in zip(got, one_stage_root(A)):
+            assert abs(q - ref) < mpf(10) ** -35
+
+
+@pytest.mark.parametrize("A", [ising_quasiparticle_matrix(), e8_nahm_data().A],
+                         ids=["2x2", "E8"])
+def test_two_stage_takes_few_40_digit_steps(monkeypatch, A):
+    # Newton's method from a root in doubles needs two 40-digit steps; the
+    # one-stage solve above takes 7 (2x2) and 10 (E8).  Each step evaluates
+    # J once
+    calls = []
+    equations = nahm._equations
+
+    def spy(Af, ctx=mp):
+        F, J = equations(Af, ctx)
+
+        def counted_J(*x):
+            if ctx is mp:
+                calls.append(mp.mp.dps)
+            return J(*x)
+
+        return F, counted_J
+
+    monkeypatch.setattr(nahm, "_equations", spy)
+    solve_nahm_system(A)
+    assert 1 <= len(calls) <= 3
+    assert min(calls) >= PRECISION_DPS  # findroot adds guard digits
+
+
+@pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError, ValueError])
+def test_a_failed_double_stage_is_no_convergence(monkeypatch, error):
+    # no fallback to the 40-digit solve from Q = 1/2
+    def fail(*args, **kwargs):
+        raise error("stage 1")
+
+    monkeypatch.setattr(mp.fp, "findroot", fail)
+    monkeypatch.setattr(mp, "findroot", lambda *args, **kwargs: pytest.fail("stage 2 ran"))
+    with pytest.raises(NoConvergence):
+        solve_nahm_system(ising_quasiparticle_matrix())
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_a_non_finite_double_start_is_no_convergence(monkeypatch, value):
+    monkeypatch.setattr(mp.fp, "findroot", lambda *args, **kwargs: mp.fp.matrix([value]))
+    monkeypatch.setattr(mp, "findroot", lambda *args, **kwargs: pytest.fail("stage 2 ran"))
+    with pytest.raises(NoConvergence):
+        solve_nahm_system([[2]])

@@ -79,6 +79,64 @@ def test_limit_sixteenth_matches_module_character():
         module_character("V_sixteenth", "Classical", 25))
 
 
+# -- the recurrence and S_n summed into one coefficient map ---------------------
+
+def series_residual(S, n):
+    """The recurrence combination written as QSeries sums and products: the
+    reference for the row table in recurrence_residual."""
+    one_q = QSeries.from_terms([(0, 1), (1, 1)])
+    one_q_q2 = QSeries.from_terms([(0, 1), (1, 1), (2, 1)])
+    return (S(n).shift(4 * n + 15)
+            + (one_q * (S(n + 3) - S(n + 4))).shift(2 * n + 11)
+            - S(n + 5).shift(3)
+            + one_q_q2 * (S(n + 6).shift(1) - S(n + 7))
+            + S(n + 8))
+
+
+def test_recurrence_rows_match_the_series_expression():
+    for side in SIDES:
+        for n in range(13):
+            want = series_residual(lambda j: family_poly("vac", side, j), n)
+            assert not want
+            assert recurrence_residual(side, n) == want, (side, n)
+
+
+@pytest.mark.parametrize("j", [0, 5, 11, 20])
+def test_recurrence_rows_match_the_series_expression_off_the_identity(monkeypatch, j):
+    # S_j replaced by S_j + q^j: every residual reading it is nonzero, and
+    # the rows must still give the series expression's polynomial
+    exact = pf.family_poly
+
+    def bent(sector, side, n):
+        p = exact(sector, side, n)
+        return p + QSeries.q_power(j) if n == j else p
+
+    monkeypatch.setattr(pf, "family_poly", bent)
+    nonzero = 0
+    for side in SIDES:
+        for n in range(13):
+            want = series_residual(lambda i: bent("vac", side, i), n)
+            nonzero += bool(want)
+            assert recurrence_residual(side, n) == want, (side, n)
+    assert nonzero > 0
+
+
+def test_S_is_summed_without_series_additions(monkeypatch):
+    adds = []
+    add = QSeries.__add__
+
+    def add_spy(self, other):
+        adds.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(QSeries, "__add__", add_spy)
+    family_poly.cache_clear()
+    for n in (0, 9, 30):
+        family_poly("vac", "S", n)
+        family("half", "S", n + 1, 17)
+    assert adds == []
+
+
 # -- the families mod q^t -------------------------------------------------------
 
 @pytest.mark.parametrize("sector", SECTORS)
