@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import ceil, gcd
 
 from qvir.linalg import Echelon
-from qvir.qseries import (QSeries, _min_trunc, frac_str, inv_pochhammer, pochhammer_inf,
-                          q_binomial, q_product, single_sum)
+from qvir.qseries import (QSeries, _min_trunc, frac_str, inv_pochhammer, q_binomial,
+                          q_product, single_sum)
 
 
 class NotPositiveDefinite(ValueError):
@@ -204,7 +204,7 @@ def feigin_fuchs_character(label: MinimalModelLabel, trunc) -> QSeries:
             break
         m += 1
     numer = QSeries.from_terms(terms, n)
-    return numer * pochhammer_inf(n).inverse(n)
+    return numer * inv_pochhammer(ceil(n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,7 @@ def alt_expression(which: str, trunc) -> QSeries:
                 if e2 < n:
                     terms.append((e2, -1))
             m += 1
-        return QSeries.from_terms(terms, n) * pochhammer_inf(n).inverse(n)
+        return QSeries.from_terms(terms, n) * inv_pochhammer(ceil(n), n)
     if which == "FermionHalf":
         return ((_half_odd_product(n, 1) + _half_odd_product(n, -1))
                 * Fraction(1, 2)).reduce_denom()
@@ -306,16 +306,17 @@ def _leading_minors_positive(A) -> bool:
     return True
 
 
-def nahm_sum(data: NahmData, trunc) -> QSeries:
-    """Sum of q^(k^T A k / 2 + k^T B + C) / prod (q)_{k_i} over k >= 0, mod q^trunc.
+def _nahm_terms(data: NahmData, n: Fraction):
+    """The terms of the Nahm sum below q^n, in walk order: each is
+    (e, k, 1/((q)_k1 ... (q)_kr) mod q^(n - e)) for e = k^T A k / 2 + k^T B + C.
 
-    Enumeration walks coordinates left to right keeping the exact partial
-    value of the exponent; with nonnegative entries this partial value only
-    grows, so branches at or above the truncation are pruned.  For matrices
-    with negative off-diagonal entries a Gershgorin eigenvalue bound caps the
-    coordinate box instead.
+    The walk goes through the coordinates left to right keeping the exact
+    partial value of the exponent; with nonnegative entries this partial
+    value only grows, so branches at or above the truncation are pruned.  For
+    matrices with negative off-diagonal entries a Gershgorin eigenvalue bound
+    caps the coordinate box instead.  Each term's divisor is one
+    ``q_product`` over the factors (1 - q^j), j <= k_i, of every k_i.
     """
-    n = Fraction(trunc)
     A, B, C = data.A, data.B, data.C
     d = data.dim
     monotone = all(x >= 0 for row in A for x in row) and all(x >= 0 for x in B)
@@ -351,21 +352,17 @@ def nahm_sum(data: NahmData, trunc) -> QSeries:
             ki += 1
 
     walk(0, [], C)
-    denom = 1
-    for e, _ in terms:
-        denom = lcm(denom, e.denominator)
-    out = QSeries.zero(n, denom)
-    cache: dict[tuple[int, ...], QSeries] = {}
     for e, k in terms:
-        key = tuple(sorted(x for x in k if x))
-        prod = cache.get(key)
-        if prod is None:
-            prod = QSeries.one(n)
-            for x in key:
-                prod = prod * inv_pochhammer(x, n)
-            cache[key] = prod
-        out = out + prod.truncate(n - e).shift(e)
-    return out.truncate(n)
+        yield e, k, q_product(n - e, ((j, -1, -1) for x in k for j in range(1, x + 1)))
+
+
+def nahm_sum(data: NahmData, trunc) -> QSeries:
+    """Sum of q^(k^T A k / 2 + k^T B + C) / prod (q)_{k_i} over k >= 0, mod q^trunc."""
+    n = Fraction(trunc)
+    out = QSeries.zero(n)
+    for e, _, inv in _nahm_terms(data, n):
+        out = out + inv.shift(e)
+    return out
 
 
 def e8_cartan_matrix() -> list[list[int]]:
@@ -389,7 +386,8 @@ def e8_cartan_inverse() -> tuple:
         ech.insert(aug)
     reduced = ech.reduced()
     # the primitive reduced rows are [I | A^-1] exactly when A^-1 is integral
-    assert all(reduced.get(i, {}).get(i) == 1 for i in range(n))
+    if not all(reduced.get(i, {}).get(i) == 1 for i in range(n)):
+        raise ArithmeticError("the E8 Cartan matrix has no integral inverse")
     return tuple(tuple(reduced[i].get(n + j, 0) for j in range(n)) for i in range(n))
 
 
@@ -410,8 +408,14 @@ def gordon_matrix(s: int) -> NahmData:
 # ---------------------------------------------------------------------------
 
 
+# the quadratic form 4 k1^2 + 3 k1 k2 + k2^2 = k^T A k / 2 of every
+# quasiparticle sum, and the matrix whose growth exponent nahm-alpha checks
+QUASIPARTICLE_MATRIX = ((8, 3), (3, 2))
+
+
 def _quasiparticle_sum(trunc, bracket, linear=(0, 0), offset=0, t_base=0) -> TQSeries:
-    """The Nahm-type double sum for the matrix (8 3; 3 2), mod q^trunc:
+    """The Nahm sum for QUASIPARTICLE_MATRIX with B = linear and C = offset,
+    each term graded by t and multiplied by a bracket, mod q^trunc:
 
         sum over k1, k2 >= 0 of t^(t_base + 2k1 + k2) bracket(k1, k2)
             * q^(4k1^2 + 3k1k2 + k2^2 + l1 k1 + l2 k2 + offset) / ((q)_k1 (q)_k2)
@@ -421,22 +425,12 @@ def _quasiparticle_sum(trunc, bracket, linear=(0, 0), offset=0, t_base=0) -> TQS
     the TQSeries is built once at the end.
     """
     n = Fraction(trunc)
-    l1, l2 = linear
     parts: dict[int, QSeries] = {}
-    k1 = 0
-    while 4 * k1 * k1 + l1 * k1 + offset < n:
-        k2 = 0
-        while True:
-            e = 4 * k1 * k1 + 3 * k1 * k2 + k2 * k2 + l1 * k1 + l2 * k2 + offset
-            if e >= n:
-                break
-            br = QSeries.from_terms([(a * k1 + b * k2 + c, x) for (a, b, c), x in bracket])
-            term = (inv_pochhammer(k1, n - e) * inv_pochhammer(k2, n - e)
-                    * br.truncate(n - e)).shift(e)
-            m = t_base + 2 * k1 + k2
-            parts[m] = parts[m] + term if m in parts else term
-            k2 += 1
-        k1 += 1
+    for e, (k1, k2), inv in _nahm_terms(NahmData(QUASIPARTICLE_MATRIX, linear, offset), n):
+        br = QSeries.from_terms([(a * k1 + b * k2 + c, x) for (a, b, c), x in bracket])
+        term = (inv * br.truncate(n - e)).shift(e)
+        m = t_base + 2 * k1 + k2
+        parts[m] = parts[m] + term if m in parts else term
     return TQSeries(parts, n)
 
 

@@ -350,7 +350,7 @@ def check_lemma_b() -> list:
 def check_nahm_alpha() -> list:
     import mpmath as mp
     from qvir import nahm
-    from qvir.characters import e8_nahm_data
+    from qvir.characters import QUASIPARTICLE_MATRIX, e8_nahm_data
     out = []
     with mp.workdps(nahm.PRECISION_DPS):
         points = [mp.mpf(z10) / 10 for z10 in range(1, 10)]
@@ -362,7 +362,7 @@ def check_nahm_alpha() -> list:
                                   detail=str(err)))
         out.append(_entry("dilogarithm reflection identity, z = 0.1..0.9",
                           not out, detail="tolerance 1e-12"))
-        sol = nahm.solve_nahm_system(nahm.ising_quasiparticle_matrix())
+        sol = nahm.solve_nahm_system(QUASIPARTICLE_MATRIX)
         q1, q2 = nahm.printed_fixed_point()
         ok_q = abs(sol.Q[0] - q1) < mp.mpf(10) ** -10 and abs(sol.Q[1] - q2) < mp.mpf(10) ** -10
         out.append(_entry("fixed point matches closed forms", ok_q,

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
 
-from qvir.linalg import Echelon, int_row
+from qvir.linalg import Echelon, int_row, primitive
 from qvir.partitions import (EXCEPTIONAL_PATTERNS, PATTERN_FAMILIES, contains_pattern,
                              count_min2, forbidden_patterns, grevlex_key, index_by_min,
                              partitions_min2, partitions_min2_length, pattern)
@@ -227,9 +226,7 @@ def _primitive(g: DiffPoly) -> DiffPoly:
     by the divided-power Leibniz rule, with d^[k] of the degree-n generator
     equal to C(n+k-2, k) times the degree-(n+k) one, every divided
     derivative of an integer polynomial is integral."""
-    den = lcm(*(c.denominator for c in g.terms.values()))
-    scaled = g.scale(den)
-    return scaled.divide(gcd(*scaled.terms.values()))
+    return DiffPoly(primitive(g.terms))
 
 
 def _build_block(gens, d: int, l: int, gkey: tuple):

@@ -38,6 +38,16 @@ def int_row(coeffs: dict, index: dict) -> dict:
     return {index[k]: int(c * den) for k, c in coeffs.items()}
 
 
+def primitive(coeffs: dict) -> dict:
+    """The primitive integer multiple of the map key -> rational: scaled by
+    the least common denominator, then divided by the content, so the signs
+    are kept."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    ints = {k: int(c * den) for k, c in coeffs.items()}
+    content = gcd(*ints.values())
+    return {k: x // content for k, x in ints.items()}
+
+
 def _normalize(row: dict, lead: int) -> None:
     """Divide out the content of the row, in place, and make the entry at
     its pivot column lead positive."""

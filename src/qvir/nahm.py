@@ -139,12 +139,9 @@ def solve_nahm_system(A) -> NahmSolution:
         return NahmSolution(A, Q, max(res), alpha)
 
 
-def ising_quasiparticle_matrix():
-    return [[8, 3], [3, 2]]
-
-
 def printed_fixed_point():
-    """The closed-form solution for the 2x2 matrix above."""
+    """The closed-form solution for the quasiparticle matrix (8 3; 3 2),
+    ``characters.QUASIPARTICLE_MATRIX``."""
     with mp.workdps(PRECISION_DPS):
         r = mp.sqrt(2 * mp.sqrt(2) - 1)
         q1 = (r + mp.sqrt(2) - 1) / 2

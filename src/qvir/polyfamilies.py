@@ -211,9 +211,8 @@ def equality_check(sector: str, n_max: int) -> dict:
     for n in range(start, n_max + 1):
         s = family_poly(sector, "S", n)
         t = family_poly(sector, "T", n)
-        if s != t:
-            diff = s - t
-            e = min(x for x, _ in diff.terms())
+        e = s.agreement(t)[1]
+        if e is not None:
             failures.append({"n": n, "exponent": str(e),
                              "S": str(s.coefficient(e)), "T": str(t.coefficient(e))})
     return {"passed": not failures, "sector": sector, "n_max": n_max,
@@ -240,8 +239,8 @@ def recurrence_check_S(n_max: int) -> dict:
                  for side in SIDES}
     for side in SIDES:
         for n, r in enumerate(residuals[side]):
-            if r:
-                e = min(x for x, _ in r.terms())
+            e = r.order()
+            if e is not None:
                 failures.append({"side": side, "n": n, "exponent": str(e),
                                  "coefficient": str(r.coefficient(e))})
     return {"passed": not failures, "n_max": n_max, "failures": failures[:5],

@@ -6,12 +6,14 @@ finite truncation order (coefficients at exponents >= the order are unknown)
 or is an exact polynomial (``trunc is None``).  All arithmetic is exact, and
 the truncation order of every result is the largest order justified by the
 operands: min of the truncs for addition, min(trunc_a + ord_b, trunc_b +
-ord_a) for multiplication.
+ord_a) for multiplication.  No series is inverted: the one divisor the
+program needs, a product of factors (1 - q^j), is divided out in place by
+``q_product``.
 
 Coefficient rule: a stored coefficient is a Python ``int`` when it is
 integral and a ``Fraction`` only when it is not.  ``QSeries.__init__``
-enforces this for every constructor, so the product, sum and inverse loops
-run on ints for the integer polynomials that dominate the work (q-binomials,
+enforces this for every constructor, so the product and sum loops run on
+ints for the integer polynomials that dominate the work (q-binomials,
 Pochhammer symbols, the quasiparticle and congruence products) and pay for
 ``Fraction``, which reduces by a gcd after every operation, only where a
 true fraction appears.  The other exact containers follow the same rule:
@@ -29,10 +31,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-
-class ZeroConstantTerm(ArithmeticError):
-    """Raised when inverting a series whose constant term vanishes."""
 
 
 def _to_frac(x) -> Fraction:
@@ -247,34 +245,6 @@ class QSeries:
     def truncate(self, n) -> "QSeries":
         return QSeries(self.coeffs, _min_trunc(self.trunc, _to_frac(n)), self.denom)
 
-    def inverse(self, trunc=None) -> "QSeries":
-        """Multiplicative inverse mod q^trunc (defaults to this series' trunc)."""
-        t = _min_trunc(self.trunc, None if trunc is None else _to_frac(trunc))
-        if t is None and not set(self.coeffs) <= {0}:
-            raise ValueError("an exact non-constant polynomial needs an explicit trunc")
-        c0 = self.coeffs.get(0, 0)
-        if c0 == 0:
-            raise ZeroConstantTerm("constant term is zero")
-        r0 = _exact(Fraction(1, c0))  # stays an int for c0 = +-1
-        if t is None:
-            return QSeries({0: r0})
-        d = self.denom
-        n = _slots_below(t, d)
-        a = self.coeffs
-        akeys = sorted(k for k in a if 0 < k < n)
-        inv: dict[int, int | Fraction] = {0: r0}
-        for k in range(1, n):
-            s = 0
-            for j in akeys:
-                if j > k:
-                    break
-                bk = inv.get(k - j)
-                if bk is not None:
-                    s += a[j] * bk
-            if s:
-                inv[k] = -s * r0
-        return QSeries(inv, t, d)
-
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other):
@@ -409,7 +379,7 @@ def pochhammer_inf(trunc) -> QSeries:
 
 def inv_pochhammer(n: int, trunc) -> QSeries:
     """1/(q)_n mod q^trunc."""
-    return pochhammer(n).inverse(trunc)
+    return q_product(trunc, ((j, -1, -1) for j in range(1, n + 1)))
 
 
 def q_product(trunc, factors) -> QSeries:

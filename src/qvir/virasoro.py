@@ -15,10 +15,9 @@ on ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 from qvir.characters import MinimalModelLabel
-from qvir.linalg import Echelon, int_row
+from qvir.linalg import Echelon, int_row, primitive
 from qvir.partitions import partitions_min2, count_min2
 from qvir.partitions import grevlex_key as _grevlex_key
 from qvir.qseries import exact_terms, frac_str
@@ -208,10 +207,7 @@ def submodule_spaces(label: MinimalModelLabel, n_max: int) -> dict:
     echelon row after it holds ints only.
     """
     v = solve_singular_vector(label)
-    den = lcm(*(x.denominator for x in v.coeffs.values()))
-    ints = {mono: int(x * den) for mono, x in v.coeffs.items()}
-    content = gcd(*ints.values())
-    v = VirVector(v.c, {mono: x // content for mono, x in ints.items()})
+    v = VirVector(v.c, primitive(v.coeffs))
     spaces: dict[int, Echelon] = {}
     indexes: dict[int, dict] = {}
 

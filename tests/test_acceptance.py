@@ -193,11 +193,12 @@ def test_criterion_11_quotient_reach():
 
 
 def test_criterion_12_dilogarithm():
-    from qvir.nahm import (PRECISION_DPS, ising_quasiparticle_matrix,
-                           printed_fixed_point, rogers_dilog, solve_nahm_system)
+    from qvir.characters import QUASIPARTICLE_MATRIX
+    from qvir.nahm import (PRECISION_DPS, printed_fixed_point, rogers_dilog,
+                           solve_nahm_system)
     t0 = time.perf_counter()
     with mp.workdps(PRECISION_DPS):
-        sol = solve_nahm_system(ising_quasiparticle_matrix())
+        sol = solve_nahm_system(QUASIPARTICLE_MATRIX)
         q1, q2 = printed_fixed_point()
         ok = abs(sol.Q[0] - q1) < mp.mpf(10) ** -10
         ok = ok and abs(sol.Q[1] - q2) < mp.mpf(10) ** -10

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qvir import characters
 from qvir.characters import (ALT_EXPRESSIONS, CLASS_NAMES, MODULES,
                              MinimalModelLabel, NahmData, NotPositiveDefinite,
                              TQSeries, alt_expression, andrews_gordon_product,
@@ -124,6 +125,18 @@ def test_e8_cartan_inverse_is_integral_inverse():
             assert s == (1 if i == j else 0)
 
 
+def test_e8_cartan_inverse_raises_unless_integral(monkeypatch):
+    # 2 I has determinant 256, so its inverse is not integral
+    monkeypatch.setattr(characters, "e8_cartan_matrix",
+                        lambda: [[2 if i == j else 0 for j in range(8)] for i in range(8)])
+    e8_cartan_inverse.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            e8_cartan_inverse()
+    finally:
+        e8_cartan_inverse.cache_clear()
+
+
 def test_e8_nahm_sum_equals_character():
     lhs = nahm_sum(e8_nahm_data(), 12)
     rhs = feigin_fuchs_character(MinimalModelLabel(3, 4), 12)
@@ -198,6 +211,66 @@ def test_class_E_lowest_term():
     E = class_closed_form("E", 12)
     assert min(E.t_degrees()) == 3
     assert E.t_component(3).order() == 8
+
+
+def brute_quasiparticle(trunc, bracket, linear=(0, 0), offset=0, t_base=0):
+    """{(t-degree, q-exponent): coefficient} of the sum over k1, k2 >= 0 of
+    t^(t_base + 2k1 + k2) bracket(k1, k2) q^(4k1^2 + 3k1k2 + k2^2 + l1 k1 +
+    l2 k2 + offset) / ((q)_k1 (q)_k2) below q^trunc, by a plain double loop;
+    1/(q)_k counts partitions into parts <= k."""
+    def parts_at_most(k):
+        c = [1] + [0] * (trunc - 1)
+        for j in range(1, k + 1):
+            for i in range(j, trunc):
+                c[i] += c[i - j]
+        return c
+
+    out = {}
+    for k1 in range(trunc):
+        for k2 in range(trunc):
+            e = 4 * k1 * k1 + 3 * k1 * k2 + k2 * k2 + linear[0] * k1 + linear[1] * k2 + offset
+            if e >= trunc:
+                continue
+            c1, c2 = parts_at_most(k1), parts_at_most(k2)
+            for (a, b, c), x in bracket:
+                for i in range(trunc):
+                    for j in range(trunc - i):
+                        x_exp = e + a * k1 + b * k2 + c + i + j
+                        if x_exp < trunc:
+                            key = (t_base + 2 * k1 + k2, x_exp)
+                            out[key] = out.get(key, 0) + x * c1[i] * c2[j]
+    return {key: c for key, c in out.items() if c}
+
+
+def tq_terms(s):
+    return {(m, e): c for m, comp in s.parts.items() for e, c in comp.terms()}
+
+
+def t1_terms(brute):
+    out = {}
+    for (_, e), c in brute.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("trunc", [1, 6, 25])
+def test_quasiparticle_sums_match_a_plain_double_loop(trunc):
+    one = [((0, 0, 0), 1)]
+    assert tq_terms(P_of_t_q(trunc)) == brute_quasiparticle(
+        trunc, [((0, 0, 0), 1), ((1, 0, 0), -1), ((1, 1, 0), 1)])
+    for which, bracket, linear, offset in (
+            ("V0", [((0, 0, 0), 1), ((4, 2, 1), -1)], (0, 0), 0),
+            ("V_half", [((0, 0, 0), 1), ((8, 4, 6), -1)], (2, 0), F(1, 2)),
+            ("V_sixteenth", [((1, 1, 0), 1), ((4, 1, 1), 1)], (0, 0), 0)):
+        got = module_character(which, "New", trunc)
+        assert got.trunc == trunc
+        assert dict(got.terms()) == t1_terms(brute_quasiparticle(trunc, bracket, linear, offset))
+    for which, t_base, offset, linear in (("A", 0, 0, (2, 2)), ("B", 1, 2, (5, 3)),
+                                          ("C", 2, 5, (9, 4)), ("D", 2, 4, (8, 4)),
+                                          ("E", 3, 8, (11, 5))):
+        got = class_quasiparticle_form(which, trunc)
+        assert got.trunc == trunc
+        assert tq_terms(got) == brute_quasiparticle(trunc, one, linear, offset, t_base)
 
 
 @pytest.mark.parametrize("which", CLASS_NAMES)

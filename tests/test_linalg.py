@@ -5,7 +5,7 @@ import pytest
 
 from qvir.characters import MinimalModelLabel
 from qvir.diffalg import DiffPoly
-from qvir.linalg import Echelon, int_row
+from qvir.linalg import Echelon, int_row, primitive
 from qvir.partitions import count_min2, enumerate_P, partitions_min2
 from qvir.virasoro import VirVector, submodule_spaces
 
@@ -164,6 +164,12 @@ def test_int_row_clears_denominators_of_both_vector_types():
     cols = {m: i for i, m in enumerate(partitions_min2(6))}
     row = int_row(v.coeffs, cols)
     assert row == {cols[(4, 2)]: -66, cols[(6,)]: -27, cols[(2, 2, 2)]: 16}
+
+
+def test_primitive_divides_out_denominators_and_content_and_keeps_signs():
+    assert primitive({"a": F(-2, 3), "b": F(4, 9), "c": 2}) == {"a": -3, "b": 2, "c": 9}
+    assert primitive({"a": -4, "b": 6}) == {"a": -2, "b": 3}
+    assert primitive({"a": F(1, 2)}) == {"a": 1}
 
 
 def test_submodule_ranks_match_avoiding_partition_counts():

@@ -4,10 +4,9 @@ import mpmath as mp
 import pytest
 
 import qvir.nahm as nahm
-from qvir.characters import e8_nahm_data, gordon_matrix
+from qvir.characters import QUASIPARTICLE_MATRIX, e8_nahm_data, gordon_matrix
 from qvir.nahm import (DomainError, NoConvergence, PRECISION_DPS, _equations,
-                       ising_quasiparticle_matrix, printed_fixed_point, rogers_dilog,
-                       solve_nahm_system)
+                       printed_fixed_point, rogers_dilog, solve_nahm_system)
 
 
 def mpf(x):
@@ -60,7 +59,7 @@ def test_dilog_against_integral():
 
 def test_quasiparticle_matrix_fixed_point():
     with mp.workdps(PRECISION_DPS):
-        sol = solve_nahm_system(ising_quasiparticle_matrix())
+        sol = solve_nahm_system(QUASIPARTICLE_MATRIX)
         q1, q2 = printed_fixed_point()
         assert abs(sol.Q[0] - q1) < mpf(10) ** -10
         assert abs(sol.Q[1] - q2) < mpf(10) ** -10
@@ -73,7 +72,7 @@ def test_quasiparticle_matrix_fixed_point():
 
 def test_alpha_is_pi2_over_12():
     with mp.workdps(PRECISION_DPS):
-        sol = solve_nahm_system(ising_quasiparticle_matrix())
+        sol = solve_nahm_system(QUASIPARTICLE_MATRIX)
         assert abs(sol.alpha - mp.pi ** 2 / 12) < mpf(10) ** -10
         assert abs(sol.effective_charge - mpf(1) / 2) < mpf(10) ** -10
 
@@ -104,7 +103,7 @@ def test_e8_effective_charge():
         assert abs(sol.effective_charge - mpf(1) / 2) < mpf(10) ** -8
 
 
-@pytest.mark.parametrize("A", [ising_quasiparticle_matrix(), e8_nahm_data().A],
+@pytest.mark.parametrize("A", [QUASIPARTICLE_MATRIX, e8_nahm_data().A],
                          ids=["2x2", "E8"])
 def test_jacobian_matches_central_differences(A):
     # the closed-form Jacobian handed to findroot, against
@@ -183,7 +182,7 @@ def one_stage_root(A):
         return [mp.exp(xi) for xi in x]
 
 
-TWO_STAGE_MATRICES = ([("ising", ising_quasiparticle_matrix()), ("E8", e8_nahm_data().A)]
+TWO_STAGE_MATRICES = ([("ising", QUASIPARTICLE_MATRIX), ("E8", e8_nahm_data().A)]
                       + [("gordon%d" % s, gordon_matrix(s).A) for s in range(2, 9)])
 
 
@@ -196,7 +195,7 @@ def test_two_stage_root_is_the_one_stage_root(A):
             assert abs(q - ref) < mpf(10) ** -35
 
 
-@pytest.mark.parametrize("A", [ising_quasiparticle_matrix(), e8_nahm_data().A],
+@pytest.mark.parametrize("A", [QUASIPARTICLE_MATRIX, e8_nahm_data().A],
                          ids=["2x2", "E8"])
 def test_two_stage_takes_few_40_digit_steps(monkeypatch, A):
     # Newton's method from a root in doubles needs two 40-digit steps; the
@@ -230,7 +229,7 @@ def test_a_failed_double_stage_is_no_convergence(monkeypatch, error):
     monkeypatch.setattr(mp.fp, "findroot", fail)
     monkeypatch.setattr(mp, "findroot", lambda *args, **kwargs: pytest.fail("stage 2 ran"))
     with pytest.raises(NoConvergence):
-        solve_nahm_system(ising_quasiparticle_matrix())
+        solve_nahm_system(QUASIPARTICLE_MATRIX)
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
