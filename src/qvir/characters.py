@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, gcd
+from math import ceil, gcd, lcm
 
 from qvir.linalg import Echelon
-from qvir.qseries import (QSeries, _min_trunc, frac_str, inv_pochhammer, q_binomial,
+from qvir.qseries import (QSeries, _min_trunc, _slots_below, frac_str, inv_pochhammer,
                           q_product, single_sum)
 
 
@@ -331,28 +331,38 @@ def _nahm_terms(data: NahmData, n: Fraction):
             while Fraction(1, 2) * g * k * k - abs(B[i]) * k + C < n:
                 k += 1
             caps.append(k)
-    terms: list[tuple[Fraction, tuple[int, ...]]] = []
+    # the walk runs on the int D e, with D the lcm of the denominators of
+    # A/2, B and C, so that it builds no Fraction; for an int x, x < D n
+    # exactly when x < ceil(D n) = top
+    D = lcm(C.denominator, *(x.denominator for x in B),
+            *((x / 2).denominator for row in A for x in row))
+    half = [int(A[i][i] * D / 2) for i in range(d)]
+    AD = [[int(x * D) for x in row] for row in A]
+    BD = [int(x * D) for x in B]
+    top = _slots_below(n, D)
+    terms: list[tuple[int, tuple[int, ...]]] = []
 
     def walk(i, k, partial):
         if i == d:
-            if partial < n:
+            if partial < top:
                 terms.append((partial, tuple(k)))
             return
+        lin = BD[i] + sum(AD[i][j] * k[j] for j in range(i))
         ki = 0
         while True:
-            add = Fraction(1, 2) * A[i][i] * ki * ki + B[i] * ki \
-                + sum(A[i][j] * k[j] for j in range(i)) * ki
+            add = (half[i] * ki + lin) * ki
             if monotone:
                 # add grows with ki, so the first overshoot ends the branch
-                if ki > 0 and partial + add >= n:
+                if ki > 0 and partial + add >= top:
                     break
             elif ki > caps[i]:
                 break
             walk(i + 1, k + [ki], partial + add)
             ki += 1
 
-    walk(0, [], C)
+    walk(0, [], int(C * D))
     for e, k in terms:
+        e = Fraction(e, D)
         yield e, k, q_product(n - e, ((j, -1, -1) for x in k for j in range(1, x + 1)))
 
 
@@ -394,13 +404,6 @@ def e8_cartan_inverse() -> tuple:
 def e8_nahm_data() -> NahmData:
     inv = e8_cartan_inverse()
     return NahmData([[2 * x for x in row] for row in inv])
-
-
-def gordon_matrix(s: int) -> NahmData:
-    """The (s-1)x(s-1) matrix 2*min(i,j) with shift vector (1, 2, ..., s-1)."""
-    size = s - 1
-    A = [[2 * min(i, j) for j in range(1, size + 1)] for i in range(1, size + 1)]
-    return NahmData(A, list(range(1, size + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,75 +480,42 @@ def module_character(which: str, side: str, trunc) -> QSeries:
     return q_product(n, ((m, 1, 1) for m in range(1, int(n) + 1)))
 
 
-def v_half_sum_form(trunc) -> QSeries:
-    """q^(1/2) * sum_{k>=1} q^(2k^2-2k)/(q)_{2k-1}: the classical sum form.
-    Without the q^(1/2) it is the limit of the 1/2-sector S family."""
-    return single_sum(trunc, (2, 2), (2, 1), offset=Fraction(1, 2))
-
-
-def v_sixteenth_sum_form(trunc) -> QSeries:
-    """sum_{k>=0} q^(k(k+1)/2)/(q)_k: distinct-part partitions."""
-    half = Fraction(1, 2)
-    return single_sum(trunc, (half, half), (1, 0))
-
-
 # ---------------------------------------------------------------------------
 # the five-class generating functions and their functional equations
 # ---------------------------------------------------------------------------
 
 CLASS_NAMES = ("A", "B", "C", "D", "E")
 
-
-def _abcde_exponent(which: str, m: int, k: int) -> int:
-    base = {"A": m * (m + 1), "B": m * (m + 1), "C": m * m + 1,
-            "D": m * m, "E": m * m - m + 2}[which]
-    inner = {"A": (k + 1) * m, "B": k * (m + 1), "C": k * (m + 3),
-             "D": k * (m + 2), "E": k * (m + 3)}[which]
-    return base + inner + 2 * k * k
+# (t-degree, q-offset, linear term) of each class's quasiparticle double sum
+_CLASS_SUMS = {
+    "A": (0, 0, (2, 2)),
+    "B": (1, 2, (5, 3)),
+    "C": (2, 5, (9, 4)),
+    "D": (2, 4, (8, 4)),
+    "E": (3, 8, (11, 5)),
+}
 
 
 def class_closed_form(which: str, trunc) -> TQSeries:
-    """Closed-form double sum for one of the five partition classes."""
-    n = Fraction(trunc)
+    """Generating function sum t^m q^n of one of the five partition classes.
+
+    The closed form is a double sum over m >= s and 0 <= k <= m - s of
+    t^(m+k) q^e(m, k) [m - s, k]_q / (q)_(m - s), with s the class's
+    t-degree.  Put j = m - s - k: then [j + k, k]_q / (q)_(j+k) is
+    1 / ((q)_k (q)_j), t^(m+k) is t^(s + 2k + j), and e(m, k) is
+    4k^2 + 3kj + j^2 + l1 k + l2 j + offset.  So the closed form is the
+    quasiparticle sum with (k1, k2) = (k, j), term by term, for the class's
+    row of _CLASS_SUMS.
+    """
     if which not in CLASS_NAMES:
         raise ValueError("class must be one of %s" % (CLASS_NAMES,))
-    shift = {"A": 0, "B": 1, "C": 2, "D": 2, "E": 3}[which]
-    parts: dict[int, QSeries] = {}
-    m = shift
-    while _abcde_exponent(which, m, 0) < n:
-        inv = inv_pochhammer(m - shift, n)
-        for k in range(0, m - shift + 1):
-            e = _abcde_exponent(which, m, k)
-            if e >= n:
-                break  # the exponent grows with k
-            term = (inv * q_binomial(m - shift, k)).truncate(n - e).shift(e)
-            parts[m + k] = parts[m + k] + term if m + k in parts else term
-        m += 1
-    return TQSeries(parts, n)
-
-
-def class_quasiparticle_form(which: str, trunc) -> TQSeries:
-    """Quasiparticle double sums for the five classes: prefactor times
-    sum over (k1, k2) of t^(2k1+k2) q^(4k1^2+3k1k2+k2^2+linear)."""
-    pre_t, pre_q, lin = {
-        "A": (0, 0, (2, 2)),
-        "B": (1, 2, (5, 3)),
-        "C": (2, 5, (9, 4)),
-        "D": (2, 4, (8, 4)),
-        "E": (3, 8, (11, 5)),
-    }[which]
-    return _quasiparticle_sum(trunc, [((0, 0, 0), 1)], lin, pre_q, pre_t)
+    t_base, offset, linear = _CLASS_SUMS[which]
+    return _quasiparticle_sum(trunc, [((0, 0, 0), 1)], linear, offset, t_base)
 
 
 def P_of_t_q(trunc) -> TQSeries:
     """Generating function sum p(n, m) t^m q^n as a quasiparticle double sum."""
     return _quasiparticle_sum(trunc, [((0, 0, 0), 1), ((1, 0, 0), -1), ((1, 1, 0), 1)])
-
-
-def bigraded_character(trunc) -> TQSeries:
-    """The two-variable character of the associated graded algebra:
-    P(t^(-2), t q), realized as the exponent shear t^m q^n -> t^(n-2m) q^n."""
-    return P_of_t_q(trunc).bigrade()
 
 
 def functional_equation_check(trunc) -> dict:

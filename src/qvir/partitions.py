@@ -381,31 +381,3 @@ def recursion_check(n_max: int) -> dict:
             "failure_count": len(failures), "comparisons": comparisons,
             "count_table": t}
 
-
-# ---------------------------------------------------------------------------
-# difference-condition bases
-# ---------------------------------------------------------------------------
-
-
-def mourtada_basis(s: int, n: int) -> list:
-    """Partitions of n with parts >= 2 satisfying lam_i - lam_{i+s-1} >= 2.
-
-    Equivalently at most s-1 parts fall in any window {p, p+1}.  Listed in
-    grevlex-ascending order, the order of ``partitions_min2``.
-    """
-    if s < 2:
-        raise ValueError("need s >= 2")
-    return [lam for lam in partitions_min2(n)
-            if all(lam[i] - lam[i + s - 1] >= 2 for i in range(len(lam) - s + 1))]
-
-
-def class_generating_function(n_max: int):
-    """The table as a TQSeries: sum p(n, m) t^m q^n for n <= n_max."""
-    from qvir.characters import TQSeries
-    from qvir.qseries import QSeries
-    t = count_table(n_max)
-    parts: dict[int, dict[int, int]] = {}
-    for (n, m), c in t["P"].items():
-        parts.setdefault(m, {})[n] = c
-    trunc = n_max + 1
-    return TQSeries({m: QSeries(cs, trunc) for m, cs in parts.items()}, trunc)

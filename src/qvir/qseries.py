@@ -353,23 +353,13 @@ def frac_str(f: Fraction) -> str:
 # -- q-combinatorial primitives -------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _poch_coeffs(n: int) -> tuple:
-    """Integer coefficient list of (q)_n = prod_{j<=n} (1-q^j)."""
-    coeffs = [1]
-    for j in range(1, n + 1):
-        nxt = coeffs + [0] * j
-        for i, c in enumerate(coeffs):
-            nxt[i + j] -= c
-        coeffs = nxt
-    return tuple(coeffs)
-
-
 def pochhammer(n: int, trunc=None) -> QSeries:
-    """The exact polynomial (q)_n = (1-q)(1-q^2)...(1-q^n)."""
+    """The exact polynomial (q)_n = (1-q)(1-q^2)...(1-q^n), of degree
+    n(n+1)/2, mod q^trunc (exact for trunc None)."""
     if n < 0:
         raise ValueError("pochhammer needs n >= 0")
-    return QSeries(dict(enumerate(_poch_coeffs(n))), trunc)
+    return QSeries(q_product(n * (n + 1) // 2 + 1, ((j, -1, 1) for j in range(1, n + 1))).coeffs,
+                   trunc)
 
 
 def pochhammer_inf(trunc) -> QSeries:
@@ -405,18 +395,17 @@ def q_product(trunc, factors) -> QSeries:
     return QSeries(dict(enumerate(c)), t, d)
 
 
-def single_sum(trunc, exponent, index, offset=0) -> QSeries:
-    """sum over k >= 0 of q^(a k^2 + b k + offset) / (q)_(c k + d) mod q^trunc,
+def single_sum(trunc, exponent, index) -> QSeries:
+    """sum over k >= 0 of q^(a k^2 + b k) / (q)_(c k + d) mod q^trunc,
     for exponent = (a, b) and index = (c, d) with a > 0 and b >= 0."""
     n = Fraction(trunc)
     (a, b), (c, d) = exponent, index
     out = QSeries.zero(n)
-    k = 0
-    e = offset
+    k = e = 0
     while e < n:
         out = out + inv_pochhammer(c * k + d, n - e).shift(e)
         k += 1
-        e = a * k * k + b * k + offset
+        e = a * k * k + b * k
     return out
 
 

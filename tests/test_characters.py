@@ -6,13 +6,13 @@ from qvir import characters
 from qvir.characters import (ALT_EXPRESSIONS, CLASS_NAMES, MODULES,
                              MinimalModelLabel, NahmData, NotPositiveDefinite,
                              TQSeries, alt_expression, andrews_gordon_product,
-                             bigraded_character, class_closed_form,
-                             class_quasiparticle_form, e8_cartan_inverse,
+                             class_closed_form, e8_cartan_inverse,
                              e8_cartan_matrix, e8_nahm_data,
                              feigin_fuchs_character, functional_equation_check,
-                             gordon_matrix, mod16_product, module_character,
-                             nahm_sum, quasiparticle_chi, v_half_sum_form,
-                             v_sixteenth_sum_form, P_of_t_q)
+                             mod16_product, module_character, nahm_sum,
+                             quasiparticle_chi, P_of_t_q)
+from qvir.partitions import count_table
+from qvir.polyfamilies import limit_series
 from qvir.qseries import QSeries, inv_pochhammer
 
 
@@ -93,6 +93,15 @@ def test_nahm_rogers_ramanujan():
     assert coeffs(s, 6) == [1, 1, 1, 1, 2, 2]
 
 
+def test_nahm_sum_at_a_fractional_order():
+    # each case has one walk term at q^e, the only one reaching q^e, with
+    # floor(D n) = D e < D n for D the common denominator of the exponents
+    for data, n, e in ((NahmData([[6]]), F(7, 2), 3),
+                       (NahmData([[2]], [0], F(1, 2)), F(7, 4), F(3, 2))):
+        assert nahm_sum(data, n) == nahm_sum(data, n.numerator).truncate(n)
+        assert nahm_sum(data, n).coefficient(e) == 1
+
+
 def test_nahm_requires_positive_definite():
     with pytest.raises(NotPositiveDefinite):
         NahmData([[1, 2], [2, 1]])
@@ -143,9 +152,16 @@ def test_e8_nahm_sum_equals_character():
     assert lhs.equal_mod(rhs, 12)
 
 
+def gordon_data(s):
+    """The (s-1)x(s-1) matrix 2 min(i, j) with shift vector (1, 2, ..., s-1),
+    whose Nahm sum is the Andrews-Gordon product."""
+    size = range(1, s)
+    return NahmData([[2 * min(i, j) for j in size] for i in size], list(size))
+
+
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_andrews_gordon_identity(s):
-    lhs = nahm_sum(gordon_matrix(s), 30)
+    lhs = nahm_sum(gordon_data(s), 30)
     rhs = andrews_gordon_product(s, 30)
     assert lhs.equal_mod(rhs, 30)
 
@@ -177,9 +193,13 @@ def test_module_identities_mod_50():
 
 
 def test_classical_sum_forms():
-    assert v_half_sum_form(25).equal_mod(module_character("V_half", "Classical", 25))
-    assert v_sixteenth_sum_form(25).equal_mod(
-        module_character("V_sixteenth", "Classical", 25))
+    # q^(1/2) sum_k q^(2k^2+2k)/(q)_(2k+1), the half sector's S limit, and
+    # sum_k q^(k(k+1)/2)/(q)_k, a 1x1 Nahm sum, against the product sides
+    n = 25
+    assert limit_series("half", n - F(1, 2)).shift(F(1, 2)).equal_mod(
+        module_character("V_half", "Classical", n))
+    assert nahm_sum(NahmData([[1]], [F(1, 2)]), n).equal_mod(
+        module_character("V_sixteenth", "Classical", n))
 
 
 def test_v0_variants_both_match_product_side():
@@ -268,15 +288,24 @@ def test_quasiparticle_sums_match_a_plain_double_loop(trunc):
     for which, t_base, offset, linear in (("A", 0, 0, (2, 2)), ("B", 1, 2, (5, 3)),
                                           ("C", 2, 5, (9, 4)), ("D", 2, 4, (8, 4)),
                                           ("E", 3, 8, (11, 5))):
-        got = class_quasiparticle_form(which, trunc)
+        got = class_closed_form(which, trunc)
         assert got.trunc == trunc
         assert tq_terms(got) == brute_quasiparticle(trunc, one, linear, offset, t_base)
 
 
 @pytest.mark.parametrize("which", CLASS_NAMES)
-def test_closed_form_equals_quasiparticle_form(which):
-    assert class_closed_form(which, 25).equal_mod(
-        class_quasiparticle_form(which, 25))
+def test_class_sum_counts_the_class(which):
+    # the classes come from the walk in partitions, which reads no sum
+    n = 40
+    counted = {(m, e): c for (e, m), c in count_table(n)[which].items()}
+    assert counted
+    assert tq_terms(class_closed_form(which, n + 1)) == counted
+
+
+def test_class_name_outside_the_five_raises():
+    for bad in ("F", "a", "P", ""):
+        with pytest.raises(ValueError):
+            class_closed_form(bad, 5)
 
 
 def test_P_equals_sum_of_classes():
@@ -305,7 +334,7 @@ def test_functional_equations():
 
 
 def test_bigraded_character():
-    bg = bigraded_character(30)
+    bg = P_of_t_q(30).bigrade()
     # the unique weight-2 state sits in filtration degree 0
     assert bg.t_component(0).coefficient(2) == 1
     assert bg.specialize_t1().equal_mod(quasiparticle_chi(30))

@@ -4,13 +4,21 @@ import mpmath as mp
 import pytest
 
 import qvir.nahm as nahm
-from qvir.characters import QUASIPARTICLE_MATRIX, e8_nahm_data, gordon_matrix
+from qvir.characters import QUASIPARTICLE_MATRIX, e8_nahm_data
 from qvir.nahm import (DomainError, NoConvergence, PRECISION_DPS, _equations,
                        printed_fixed_point, rogers_dilog, solve_nahm_system)
 
 
 def mpf(x):
     return mp.mpf(x)
+
+
+def gordon_matrix(s):
+    """The (s-1)x(s-1) Andrews-Gordon matrix 2 min(i, j); its Nahm sum, with
+    shift vector (1, ..., s-1), is the Andrews-Gordon product, and its
+    effective central charge is 2(s-1)/(2s+1)."""
+    size = range(1, s)
+    return [[2 * min(i, j) for j in size] for i in size]
 
 
 def test_dilog_reflection_identity():
@@ -90,7 +98,7 @@ def test_rogers_ramanujan_golden_point():
 def test_gordon_matrix_effective_charge():
     with mp.workdps(PRECISION_DPS):
         for s in range(2, 9):
-            sol = solve_nahm_system(gordon_matrix(s).A)
+            sol = solve_nahm_system(gordon_matrix(s))
             assert sol.residual < mpf(10) ** -30, s
             assert abs(sol.effective_charge - mpf(2 * (s - 1)) / (2 * s + 1)) \
                 < mpf(10) ** -10, s
@@ -183,7 +191,7 @@ def one_stage_root(A):
 
 
 TWO_STAGE_MATRICES = ([("ising", QUASIPARTICLE_MATRIX), ("E8", e8_nahm_data().A)]
-                      + [("gordon%d" % s, gordon_matrix(s).A) for s in range(2, 9)])
+                      + [("gordon%d" % s, gordon_matrix(s)) for s in range(2, 9)])
 
 
 @pytest.mark.parametrize("A", [A for _, A in TWO_STAGE_MATRICES],

@@ -73,6 +73,17 @@ def test_pochhammer_small():
     assert pochhammer(3) == series([(0, 1), (1, -1), (2, -1), (4, 1), (5, 1), (6, -1)])
 
 
+def test_pochhammer_is_the_product_of_its_factors():
+    # exact products of the binomials (1 - q^j), truncated afterwards
+    for n in range(13):
+        exact = QSeries.one()
+        for j in range(1, n + 1):
+            exact = exact * series([(0, 1), (j, -1)])
+        assert pochhammer(n) == exact and pochhammer(n).trunc is None, n
+        for t in (1, 5, F(7, 2), 400):
+            assert pochhammer(n, t) == exact.truncate(t), (n, t)
+
+
 def test_pochhammer_inf_pentagonal():
     p = pochhammer_inf(6)
     assert [p.coefficient(i) for i in range(6)] == [1, -1, -1, 0, 0, 1]
@@ -351,7 +362,7 @@ def test_integer_polynomials_never_see_fractions(monkeypatch):
     # constructor would bring the slow path back without changing any value,
     # so check what reaches QSeries.__init__ as well as what it stores
     from qvir.characters import (CLASS_NAMES, MODULES, P_of_t_q, TQSeries,
-                                 class_quasiparticle_form, module_character)
+                                 class_closed_form, module_character)
     from qvir.polyfamilies import family_poly
     handed = set()
     init = QSeries.__init__
@@ -370,7 +381,7 @@ def test_integer_polynomials_never_see_fractions(monkeypatch):
     built += list(P.parts.values()) + list(P.bigrade().parts.values())
     built += [module_character(w, "New", 12) for w in MODULES]
     for w in CLASS_NAMES:
-        built += list(class_quasiparticle_form(w, 12).parts.values())
+        built += list(class_closed_form(w, 12).parts.values())
     assert handed == {int}
     assert all(all_int(s) for s in built)
     assert all(all_int(s) for s in TQSeries.from_json_dict(P.to_json_dict()).parts.values())
