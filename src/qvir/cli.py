@@ -108,9 +108,13 @@ def _entry(name, passed, order=None, detail=None, first_failure=None, data=None)
 
 def _agreement_entry(name, a, b, data=None):
     """The entry for the series identity a == b: passed iff the two agree up
-    to their common truncation, with the first differing exponent if not."""
+    to their common truncation, with the first differing exponent if not.  A
+    common truncation below 1 compares too little to pass: at order 0 or
+    below no coefficient is compared at all."""
     order, first = a.agreement(b)
-    return _entry(name, first is None, order,
+    compared = order is None or order >= 1
+    return _entry(name, compared and first is None, order,
+                  detail=None if compared else "common order below 1",
                   first_failure=None if first is None else str(first), data=data)
 
 
@@ -410,8 +414,10 @@ def _reads(command: str) -> tuple:
 def run_check(name: str, cfg: RunConfig) -> dict:
     """Run one subcommand's checks; a check that raises becomes one FAIL
     entry naming the exception and where it was raised, so the rest of a
-    battery still runs."""
+    battery still runs.  An invalid config raises ConfigError before any
+    check runs."""
     fields_read, check = COMMANDS[name]
+    cfg.validate()
     t0 = time.perf_counter()
     try:
         checks = check(*(getattr(cfg, f) for f in fields_read))

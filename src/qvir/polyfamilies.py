@@ -14,38 +14,43 @@ So the S row's sum tends to the single sum
 which ``limit_series`` builds from the same row, and the T row's sum tends
 to a quasiparticle double sum over the matrix (8 3; 3 2).
 
-T_n, the double sum of products of two q-binomials, is evaluated at
-q = 2^(8w) (Kronecker substitution).  Each q-binomial becomes the integer
-sum of c_i 2^(8w i), each term one big-integer product, a power q^e a left
-shift by 8w e bits and the sign a subtraction; all terms go into one
-integer, decoded once, as signed base-2^(8w) digits, into T_n.  The decoding
-is exact when every coefficient of T_n lies strictly between -2^(8w - 1)
-and 2^(8w - 1).  Every q-binomial coefficient is nonnegative, so in absolute
-value a coefficient of T_n is at most the same coefficient of the sum with
-every sign taken as +1, and that is at most the sum's value at q = 1: the
-sum of the products of ordinary binomials.  The slot width w is the fewest
-whole bytes with 2^(8w - 1) above that bound.
-S_n is summed directly: each q-binomial row is added, coefficient by
-coefficient, at its offset q^e into one map, so ``S_n == T_n`` compares two
-independent computations.
+One route evaluates both sides.  ``_terms`` lists a side as terms
+(exponent, sign, pairs), each sign q^exponent times the product of the
+q-binomials [m, k] over its pairs (m, k): one pair a term for S_n, two for
+T_n.  ``_evaluate`` takes term lists to their values at q = B = 2^(8w)
+(Kronecker substitution): ``qseries.pascal_rows`` builds every row by the
+q-Pascal rule, a term is a product of rows shifted by 8w exponent bits, and
+a side is the signed sum of its terms, all of it exact integer arithmetic.
 
-The limit checks compare coefficients below q^t only, so ``family`` builds
-S_n and T_n mod q^t.  A coefficient below q^t of a sum, a shift or a product
-reads only coefficients below q^t, so a term at q^e >= q^t is dropped and
-each q-binomial of a term at q^e is computed mod q^(t - e); for the limit
-that is the Gaussian-polynomial rule [N, y] -> 1/(q)_y (Andrews, The Theory
-of Partitions, section 3.3) read coefficient by coefficient.  The exact
-polynomials, which the equality and recurrence checks compare, stay cached
-in ``family_poly``.
+Soundness.  Every q-binomial coefficient is nonnegative, so a coefficient
+of a side is at most, in absolute value, the same coefficient of the sum
+with every sign taken as +1, and that is at most the sum's value at q = 1,
+the sum over its terms of the products of ``math.comb(m, k)`` (``_bound``).
+The width w is the fewest whole bytes with 2^(8w - 1) above the bound, so
+every coefficient lies strictly inside (-B/2, B/2) and is read back as a
+signed base-B digit (``qseries._unpack``).  Two sides compare as integers:
+the difference of two polynomials with coefficients strictly inside
+(-B/2, B/2) has every coefficient strictly inside (-B, B), and such a
+polynomial whose value at B is 0 is 0 (its lowest nonzero coefficient would
+be a nonzero multiple of B).  A recurrence residual is a signed sum of 13
+shifted values, so 13 times the largest bound of the families it reads
+bounds its coefficients, and its width is taken from that.
+
+The limit checks compare coefficients below q^t only, so ``family_poly``
+builds S_n and T_n mod q^t: a coefficient below q^t of a sum, a shift or a
+product reads only coefficients below q^t, so a term at q^e >= q^t is
+dropped and every row is kept mod B^t; for the limit that is the
+Gaussian-polynomial rule [N, y] -> 1/(q)_y (Andrews, The Theory of
+Partitions, section 3.3) read coefficient by coefficient.  Values are
+decoded only for what a report prints or a failure names.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import repeat
+from math import comb, inf, prod
 
-from qvir.qseries import QSeries, _qbinom_coeffs, _slots_below, single_sum
+from qvir.qseries import QSeries, _slot_bytes, _slots_below, _unpack, pascal_rows, single_sum
 
 
 class StabilizationNotReached(ArithmeticError):
@@ -88,156 +93,101 @@ _RECURRENCE = (
 )
 
 
-@lru_cache(maxsize=None)
-def family_poly(sector: str, side: str, n: int) -> QSeries:
-    """The exact polynomial S_n or T_n of the given sector."""
-    return family(sector, side, n)
-
-
-def family(sector: str, side: str, n: int, trunc=None) -> QSeries:
-    """S_n or T_n of the given sector mod q^trunc; exact for trunc None.
-
-    Each side is a sum of shifted products of q-binomials, and truncation
-    commutes with sums, shifts and products: a coefficient below q^t of
-    q^e f, of f + g or of f g reads only coefficients below q^t of the
-    factors.  So a term at q^e with e >= t is dropped, and each q-binomial
-    of a term at q^e is needed only mod q^(t - e), which ``_qbinom_coeffs``
-    computes by its exact loop with every list capped.
-    """
+def _terms(sector: str, side: str, n: int, slots=None) -> list:
+    """S_n or T_n of the given sector as terms (exponent, sign, pairs), each
+    nonzero: sign q^exponent times the product of [m, k] over its pairs; a
+    term at q^slots or above is left out."""
     if sector not in SECTORS or side not in SIDES:
         raise ValueError("unknown family %r/%r" % (sector, side))
     if n < 0 or (sector != "vac" and n < 1):
         raise ValueError("n out of range for sector %r" % (sector,))
-    t = None if trunc is None else Fraction(trunc)
-    if side == "T":
-        return _packed_T(sector, n, t)
-    (a, b), (c, d), s = _S_ROWS[sector]
-    slots = None if t is None else _slots_below(t, 1)
-    out = {}
-    k = e = 0
-    while c * k + d <= n - k - s and (slots is None or e < slots):
-        row = _qbinom_coeffs(n - k - s, c * k + d, None if slots is None else slots - e)
-        for i, x in enumerate(row, e):
-            out[i] = out.get(i, 0) + x
-        k += 1
-        e = a * k * k + b * k
-    return QSeries(out, t)
-
-
-def _slot_bytes(bound: int) -> int:
-    """The fewest whole bytes w with 2^(8w - 1) > bound."""
-    return bound.bit_length() // 8 + 1
-
-
-def _pack(coeffs, width: int) -> int:
-    """The value at q = 2^(8 width) of the polynomial with the given dense
-    coefficients, each in [0, 2^(8 width)); OverflowError if one is not."""
-    return int.from_bytes(b"".join(map(int.to_bytes, coeffs, repeat(width),
-                                       repeat("little"))), "little")
-
-
-def _unpack(value: int, width: int, slots: int) -> dict:
-    """The nonzero coefficients below q^slots of the polynomial whose value at
-    q = 2^(8 width) is ``value``, read as signed digits of that base.
-
-    Slot e is read from value mod 2^(8 width (e + 1)), so the digits below
-    q^slots are exact whenever each of them lies in [-2^(8 width - 1),
-    2^(8 width - 1)), whatever the digits above."""
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")  # half per slot
-    mask = (1 << (8 * width * slots)) - 1
-    raw = ((value + bias) & mask).to_bytes(width * slots, "little")
-    out = {}
-    for e in range(slots):
-        c = int.from_bytes(raw[e * width:(e + 1) * width], "little") - half
-        if c:
-            out[e] = c
-    return out
-
-
-def _packed_T(sector: str, n: int, t=None) -> QSeries:
-    """T_n mod q^t (exact for t None) from its value at q = 2^(8 width), one
-    big integer.
-
-    Mod q^t, a term at q^e >= q^t is dropped and the q-binomials of a term at
-    q^e are packed mod q^(t - e) (one row per pair, capped at the largest
-    need among its terms), so the slots below q^t hold T_n's coefficients
-    and only those are decoded.  The slots above q^t hold partial sums,
-    which the width still bounds: every q-binomial coefficient is
-    nonnegative, so a slot is at most, in absolute value, the sum over the
-    terms of the products of their rows' values at q = 1, and dropping terms
-    or coefficients only lowers that sum.
-    """
-    slots = None if t is None else _slots_below(t, 1)
+    top = inf if slots is None else slots
+    if side == "S":
+        (a, b), (c, d), s = _S_ROWS[sector]
+        return [(a * k * k + b * k, 1, ((n - k - s, c * k + d),))
+                for k in range(n + 1) if c * k + d <= n - k - s and a * k * k + b * k < top]
     (l1, l2), (s1, j1), sigma, (a, b, c), (s2, j2) = _T_ROWS[sector]
-    terms = []  # (exponent, sign, (x1, y1), (x2, y2)) for each nonzero B(s, j)
-    caps = {}  # (x, y) -> the slots its row needs, None for all of them
+    out = []
     for k in range(0, n // 4 + 2):
         for m in range(0, max(0, n - 4 * k) // 2 + 3):
             e = 4 * k * k + 3 * k * m + m * m + l1 * k + l2 * m
             for sign, s, j, shift in ((1, s1, j1, 0), (sigma, s2, j2, a * k + b * m + c)):
-                x1, y1 = n - 3 * k - m - s, k
-                x2, y2 = n - 4 * k - m - s, m - j
-                if 0 <= y1 <= x1 and 0 <= y2 <= x2 and (slots is None or e + shift < slots):
-                    terms.append((e + shift, sign, (x1, y1), (x2, y2)))
-                    for xy in ((x1, y1), (x2, y2)):
-                        caps[xy] = None if slots is None else max(caps.get(xy, 0),
-                                                                  slots - e - shift)
-    rows = {xy: _qbinom_coeffs(*xy, cap) for xy, cap in caps.items()}
-    at_one = {xy: sum(row) for xy, row in rows.items()}
-    bound = 0  # the q = 1 value of the sum with every sign taken as +1
-    top = 0  # the largest exponent a term reaches
-    for e, _, xy1, xy2 in terms:
-        bound += at_one[xy1] * at_one[xy2]
-        top = max(top, e + len(rows[xy1]) + len(rows[xy2]) - 2)
-    width = _slot_bytes(bound)
-    packed = {xy: _pack(row, width) for xy, row in rows.items()}
-    acc = 0
-    for e, sign, xy1, xy2 in terms:
-        p = (packed[xy1] * packed[xy2]) << (8 * width * e)
-        acc = acc + p if sign > 0 else acc - p
-    return QSeries(_unpack(acc, width, top + 1 if slots is None else min(top + 1, slots)), t)
+                pairs = ((n - 3 * k - m - s, k), (n - 4 * k - m - s, m - j))
+                if all(0 <= y <= x for x, y in pairs) and e + shift < top:
+                    out.append((e + shift, sign, pairs))
+    return out
+
+
+def _bound(terms) -> int:
+    """The value at q = 1 of the sum of the terms with every sign +1: a
+    bound on the absolute value of every coefficient of their signed sum."""
+    return sum(prod(comb(m, k) for m, k in pairs) for _, _, pairs in terms)
+
+
+def _evaluate(term_lists, width: int, slots=None) -> list:
+    """The value at q = 2^(8 width) of each list's signed sum of terms, mod
+    2^(8 width slots) for slots not None; all lists read one set of rows."""
+    rows = pascal_rows({p for terms in term_lists for _, _, pairs in terms for p in pairs},
+                       width, slots)
+    shift = 8 * width
+    return [sum(sign * prod(rows[p] for p in pairs) << (shift * e)
+                for e, sign, pairs in terms)
+            for terms in term_lists]
+
+
+def family_poly(sector: str, side: str, n: int, trunc=None) -> QSeries:
+    """S_n or T_n of the given sector mod q^trunc; exact for trunc None."""
+    t = None if trunc is None else Fraction(trunc)
+    slots = None if t is None else _slots_below(t, 1)
+    terms = _terms(sector, side, n, slots)
+    width = _slot_bytes(_bound(terms))
+    [value] = _evaluate([terms], width, slots)
+    return QSeries(_unpack(value, width, slots), t)
 
 
 def equality_check(sector: str, n_max: int) -> dict:
-    """Exact polynomial equality S_n = T_n over the sector's whole index range.
+    """Exact polynomial equality S_n = T_n over the sector's whole index range,
+    each pair compared as two integers at one width for the whole check.
 
     Every discrepancy is recorded with the first differing coefficient; the
     1/2 sector is known to disagree at the single boundary index n = 1
     (S = 0 while T = 1), which callers treat as a reportable finding.
     """
-    start = 0 if sector == "vac" else 1
+    ns = range(0 if sector == "vac" else 1, n_max + 1)
+    terms = [[_terms(sector, side, n) for n in ns] for side in SIDES]
+    width = _slot_bytes(max(map(_bound, terms[0] + terms[1])))
     failures = []
-    for n in range(start, n_max + 1):
-        s = family_poly(sector, "S", n)
-        t = family_poly(sector, "T", n)
-        e = s.agreement(t)[1]
-        if e is not None:
+    for n, s, t in zip(ns, *(_evaluate(lists, width) for lists in terms)):
+        if s != t:
+            s, t = (QSeries(_unpack(v, width)) for v in (s, t))
+            e = s.agreement(t)[1]
             failures.append({"n": n, "exponent": str(e),
                              "S": str(s.coefficient(e)), "T": str(t.coefficient(e))})
     return {"passed": not failures, "sector": sector, "n_max": n_max,
             "failures": failures}
 
 
-def recurrence_residual(side: str, n: int) -> QSeries:
-    """The eight-term recurrence combination for the vacuum family at index n:
-    the sum over the rows (j, (u, v), sign) of ``_RECURRENCE`` of
-    sign q^(u n + v) S_(n+j), summed into one coefficient map."""
-    out = {}
-    for j, (u, v), sign in _RECURRENCE:
-        shift = u * n + v
-        for k, c in family_poly("vac", side, n + j).coeffs.items():
-            out[k + shift] = out.get(k + shift, 0) + sign * c
-    return QSeries(out)
+def recurrence_residual(values, n: int, width: int) -> int:
+    """The eight-term recurrence combination for the vacuum family at index n,
+    at q = 2^(8 width): the sum over the rows (j, (u, v), sign) of
+    ``_RECURRENCE`` of sign q^(u n + v) F_(n+j), for values[j] = F_j at that
+    q."""
+    return sum(sign * values[n + j] << (8 * width * (u * n + v))
+               for j, (u, v), sign in _RECURRENCE)
 
 
 def recurrence_check_S(n_max: int) -> dict:
-    """Verify the recurrence exactly for 0 <= n <= n_max, for both families;
-    ``residuals[side][n]`` is the residual at n."""
-    failures = []
-    residuals = {side: [recurrence_residual(side, n) for n in range(0, n_max + 1)]
-                 for side in SIDES}
+    """Verify the recurrence exactly for 0 <= n <= n_max, for both families,
+    each residual compared with 0 as an integer at one width for the whole
+    check; ``residuals[side][n]`` is the residual at n (a zero residual
+    decodes to the zero series at no cost)."""
+    terms = {side: [_terms("vac", side, j) for j in range(n_max + 9)] for side in SIDES}
+    width = _slot_bytes(len(_RECURRENCE) * max(_bound(t) for ts in terms.values() for t in ts))
+    failures, residuals = [], {}
     for side in SIDES:
+        values = _evaluate(terms[side], width)
+        residuals[side] = [QSeries(_unpack(recurrence_residual(values, n, width), width))
+                           for n in range(n_max + 1)]
         for n, r in enumerate(residuals[side]):
             e = r.order()
             if e is not None:
@@ -261,11 +211,11 @@ def limit_check(sector: str, n: int, trunc) -> dict:
     q^trunc, which leaves each compared coefficient exact.
     """
     t = Fraction(trunc)
-    cur = family(sector, "S", n, t)
-    if not cur.equal_mod(family(sector, "S", n + 1, t)):
+    cur = family_poly(sector, "S", n, t)
+    if not cur.equal_mod(family_poly(sector, "S", n + 1, t)):
         raise StabilizationNotReached(
             "sector %r not stable below q^%s at n=%d" % (sector, t, n))
     lim = limit_series(sector, t)
-    side_checks = {"S": cur.equal_mod(lim), "T": family(sector, "T", n, t).equal_mod(lim)}
+    side_checks = {"S": cur.equal_mod(lim), "T": family_poly(sector, "T", n, t).equal_mod(lim)}
     return {"passed": all(side_checks.values()), "sector": sector, "n": n,
             "order": str(t), "sides": side_checks}

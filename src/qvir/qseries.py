@@ -13,8 +13,8 @@ program needs, a product of factors (1 - q^j), is divided out in place by
 Coefficient rule: a stored coefficient is a Python ``int`` when it is
 integral and a ``Fraction`` only when it is not.  ``QSeries.__init__``
 enforces this for every constructor, so the product and sum loops run on
-ints for the integer polynomials that dominate the work (q-binomials,
-Pochhammer symbols, the quasiparticle and congruence products) and pay for
+ints for the integer polynomials that dominate the work (Pochhammer
+symbols, the quasiparticle and congruence products) and pay for
 ``Fraction``, which reduces by a gcd after every operation, only where a
 true fraction appears.  The other exact containers follow the same rule:
 ``diffalg.DiffPoly`` and ``virasoro.VirVector`` store their terms through
@@ -29,8 +29,7 @@ may see a coefficient; divide by multiplying with an exact reciprocal
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 
 def _to_frac(x) -> Fraction:
@@ -409,56 +408,74 @@ def single_sum(trunc, exponent, index) -> QSeries:
     return out
 
 
-def _qbinom_coeffs(m: int, n: int, cap=None) -> tuple:
-    """Integer coefficients of the Gaussian binomial [m choose n]_q below q^cap
-    (all of them for cap None); empty out of range or for cap < 1.  [m, n] =
-    [m, m - n], so both read one cached row, built at the smaller index, and
-    a cap above the degree n (m - n) reads the complete row."""
-    if n < 0 or n > m or (cap is not None and cap < 1):
-        return ()
-    n = min(n, m - n)
-    if cap is not None and cap > n * (m - n):
-        cap = None
-    return _qbinom_row(m, n, cap)
+def _slot_bytes(bound: int) -> int:
+    """The fewest whole bytes w with 2^(8w - 1) > bound."""
+    return bound.bit_length() // 8 + 1
 
 
-@lru_cache(maxsize=None)
-def _qbinom_row(m: int, n: int, cap=None) -> tuple:
-    """The coefficients of [m choose n]_q below q^cap (all of them for cap
-    None), for 0 <= n <= m.
+def _unpack(value: int, width: int, slots=None) -> dict:
+    """The nonzero coefficients below q^slots of the polynomial whose value at
+    q = 2^(8 width) is ``value``, read as signed digits of that base.
 
-    Computed as the exact quotient (q)_m / ((q)_n (q)_{m-n}), one factor at a
-    time: multiply by (1-q^{m-n+j}) then divide by (1-q^j); each intermediate
-    quotient is again a Gaussian binomial, so every division is exact.  A
-    coefficient below q^cap of a product with, or a quotient by, a series
-    with constant term 1 reads only coefficients below q^cap, so the loop
-    keeps the first cap slots of every list and the result is exact.  The
-    check that a division leaves no remainder reads the whole dividend, so it
-    runs at every step whose dividend is complete: at all steps when cap is
-    None.
+    Slot e is read from value mod 2^(8 width (e + 1)), so the digits below
+    q^slots are exact whenever each of them lies in [-2^(8 width - 1),
+    2^(8 width - 1)), whatever the digits above.  For slots None every digit
+    is read: a polynomial of degree d whose coefficients lie strictly inside
+    that range has |value| > 2^(8 width d - 1), so value's bit length covers
+    slot d."""
+    if slots is None:
+        slots = abs(value).bit_length() // (8 * width) + 1
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")  # half per slot
+    mask = (1 << (8 * width * slots)) - 1
+    raw = ((value + bias) & mask).to_bytes(width * slots, "little")
+    out = {}
+    for e in range(slots):
+        c = int.from_bytes(raw[e * width:(e + 1) * width], "little") - half
+        if c:
+            out[e] = c
+    return out
+
+
+def pascal_rows(pairs, width: int, slots=None) -> dict:
+    """{(m, k): the value of the Gaussian binomial [m choose k]_q at
+    q = 2^(8 width), mod 2^(8 width slots)} for the given pairs with
+    0 <= k <= m; whole values for slots None.
+
+    One list runs over j and holds [i + j, j] for i = 0, 1, 2, ...; each step
+    in i applies the q-Pascal rule [i + j, j] = [i + j - 1, j - 1] +
+    q^j [i + j - 1, j] (Andrews, The Theory of Partitions, Thm 3.2), one
+    shift and one add an entry, and [m, k] = [m, m - k] reads each pair at
+    j = min(k, m - k).  Every step is integer arithmetic, exact at any width,
+    and the mask keeps each value mod 2^(8 width slots), which any sum,
+    shift or product of the values respects: the slots below q^slots of a
+    result are those of the polynomial it stands for, whatever the carries
+    above.
     """
-    b = [1]
-    for j in range(1, n + 1):
-        s = m - n + j
-        full = (j - 1) * (m - n) + 1 + s  # the dividend's length
-        size = full if cap is None else min(full, cap)
-        f = b + [0] * (size - len(b))
-        for i in range(size - s):
-            f[i + s] -= b[i]
-        g = [0] * min(full - j, size)
-        for i in range(len(g)):
-            g[i] = f[i] + (g[i - j] if i >= j else 0)
-        if size == full:
-            for i in range(len(g), len(f)):
-                if f[i] != (-g[i - j] if 0 <= i - j < len(g) else 0):
-                    raise ArithmeticError("inexact division in q-binomial")
-        b = g
-    return tuple(b)
+    shift = 8 * width
+    mask = -1 if slots is None else (1 << (shift * slots)) - 1
+    wanted = {}  # i -> the pairs read at step i, with their j
+    for m, k in pairs:
+        j = min(k, m - k)
+        wanted.setdefault(m - j, []).append(((m, k), j))
+    row = [1 & mask] * (max((j for at_i in wanted.values() for _, j in at_i), default=0) + 1)
+    out = {}
+    for i in range(max(wanted, default=-1) + 1):
+        if i:
+            for j in range(1, len(row)):
+                row[j] = (row[j - 1] + (row[j] << (shift * j))) & mask
+        for pair, j in wanted.get(i, ()):
+            out[pair] = row[j]
+    return out
 
 
-@lru_cache(maxsize=None)
 def q_binomial(m: int, n: int, trunc=None) -> QSeries:
     """Gaussian binomial coefficient mod q^trunc (an exact polynomial for
-    trunc None); zero out of range."""
-    cap = None if trunc is None else _slots_below(_to_frac(trunc), 1)
-    return QSeries(dict(enumerate(_qbinom_coeffs(m, n, cap))), trunc)
+    trunc None); zero out of range.  Its coefficients are nonnegative and sum
+    to comb(m, n), so one slot of ``_slot_bytes(comb(m, n))`` bytes holds
+    each of them."""
+    if not 0 <= n <= m:
+        return QSeries.zero(trunc)
+    slots = None if trunc is None else _slots_below(_to_frac(trunc), 1)
+    width = _slot_bytes(comb(m, n))
+    return QSeries(_unpack(pascal_rows([(m, n)], width, slots)[m, n], width, slots), trunc)

@@ -192,8 +192,8 @@ def test_families_sample_entry_catches_a_wrong_T8(monkeypatch):
 
     real = pf.family_poly
 
-    def wrong_T8(sector, side, n):
-        poly = real(sector, side, n)
+    def wrong_T8(sector, side, n, trunc=None):
+        poly = real(sector, side, n, trunc)
         return poly + QSeries.q_power(3) if (sector, side, n) == ("vac", "T", 8) else poly
 
     monkeypatch.setattr(pf, "family_poly", wrong_T8)
@@ -223,22 +223,35 @@ def test_recurrence_s_builds_each_residual_once(monkeypatch):
     real = pf.recurrence_residual
     built = []
 
-    def spy(side, n):
-        built.append((side, n))
-        return real(side, n)
+    def spy(values, n, width):
+        built.append(n)
+        return real(values, n, width)
 
     monkeypatch.setattr(pf, "recurrence_residual", spy)
     for n in (3, 8):
         built.clear()
         rep = run_check("recurrence-s", RunConfig(trunc_tq=n))
         assert rep["passed"]
-        assert sorted(built) == sorted((side, m) for side in pf.SIDES for m in range(n + 1))
+        assert sorted(built) == sorted(m for side in pf.SIDES for m in range(n + 1))
         want = [["side", "n", "residual"]]
         for side in pf.SIDES:
             for m in range(min(n, 6) + 1):
-                r = real(side, m)
-                want.append([side, m, "0" if not r else repr(r)])
+                want.append([side, m, "0"])
         assert rep["checks"][0]["data"] == {"residuals": want}
+
+
+@pytest.mark.parametrize("order", [-1, 0])
+def test_no_pass_without_a_comparison(monkeypatch, order):
+    # run_check refuses an order below 1, and past that refusal an identity
+    # whose common order is below 1 fails, as nothing was compared
+    cfg = RunConfig(trunc_qseries=order)
+    with pytest.raises(ConfigError):
+        run_check("characters-equal", cfg)
+    monkeypatch.setattr(RunConfig, "validate", lambda self: self)
+    rep = run_check("characters-equal", cfg)
+    assert not rep["passed"] and rep["checks"]
+    for c in rep["checks"]:
+        assert not c["passed"] and c["detail"] == "common order below 1", c
 
 
 def test_nahm_alpha_evaluates_each_dilogarithm_once(monkeypatch):

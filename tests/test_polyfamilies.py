@@ -7,8 +7,8 @@ import qvir.polyfamilies as pf
 import qvir.qseries as qs
 from qvir.characters import alt_expression, module_character
 from qvir.polyfamilies import (SECTORS, SIDES, StabilizationNotReached, equality_check,
-                               family, family_poly, limit_check, limit_series,
-                               recurrence_check_S, recurrence_residual)
+                               family_poly, limit_check, limit_series, recurrence_check_S,
+                               recurrence_residual)
 from qvir.qseries import QSeries, q_binomial
 
 
@@ -55,8 +55,11 @@ def test_recurrence_30_both_families():
 
 
 def test_recurrence_n0_expansion_vanishes():
-    assert not recurrence_residual("S", 0)
-    assert not recurrence_residual("T", 0)
+    width, _ = residual_width(0)
+    for side in SIDES:
+        assert not recurrence_check_S(0)["residuals"][side][0]
+        values = pf._evaluate([pf._terms("vac", side, j) for j in range(9)], width)
+        assert recurrence_residual(values, 0, width) == 0
 
 
 def test_limit_checks():
@@ -79,7 +82,7 @@ def test_limit_sixteenth_matches_module_character():
         module_character("V_sixteenth", "Classical", 25))
 
 
-# -- the recurrence and S_n summed into one coefficient map ---------------------
+# -- the recurrence residuals as integers ---------------------------------------
 
 def series_residual(S, n):
     """The recurrence combination written as QSeries sums and products: the
@@ -93,31 +96,47 @@ def series_residual(S, n):
             + S(n + 8))
 
 
+def residual_width(n_max):
+    """The width recurrence_check_S(n_max) reads its families at, and their
+    largest bound."""
+    bound = max(pf._bound(pf._terms("vac", side, j)) for side in SIDES
+                for j in range(n_max + 9))
+    return pf._slot_bytes(13 * bound), bound
+
+
+def residual_series(values, n, width):
+    return QSeries(qs._unpack(recurrence_residual(values, n, width), width))
+
+
 def test_recurrence_rows_match_the_series_expression():
+    width, _ = residual_width(12)
     for side in SIDES:
+        values = pf._evaluate([pf._terms("vac", side, j) for j in range(21)], width)
         for n in range(13):
             want = series_residual(lambda j: family_poly("vac", side, j), n)
             assert not want
-            assert recurrence_residual(side, n) == want, (side, n)
+            assert recurrence_residual(values, n, width) == 0, (side, n)
 
 
 @pytest.mark.parametrize("j", [0, 5, 11, 20])
-def test_recurrence_rows_match_the_series_expression_off_the_identity(monkeypatch, j):
-    # S_j replaced by S_j + q^j: every residual reading it is nonzero, and
-    # the rows must still give the series expression's polynomial
-    exact = pf.family_poly
+def test_recurrence_rows_match_the_series_expression_off_the_identity(j):
+    # the value of S_j read by the residuals replaced by that of S_j + q^j:
+    # every residual reading it is nonzero, and the rows must still give the
+    # series expression's polynomial
+    width, _ = residual_width(12)
 
-    def bent(sector, side, n):
-        p = exact(sector, side, n)
+    def bent(side, n):
+        p = family_poly("vac", side, n)
         return p + QSeries.q_power(j) if n == j else p
 
-    monkeypatch.setattr(pf, "family_poly", bent)
     nonzero = 0
     for side in SIDES:
+        values = pf._evaluate([pf._terms("vac", side, i) for i in range(21)], width)
+        values[j] += 1 << (8 * width * j)
         for n in range(13):
-            want = series_residual(lambda i: bent("vac", side, i), n)
+            want = series_residual(lambda i: bent(side, i), n)
             nonzero += bool(want)
-            assert recurrence_residual(side, n) == want, (side, n)
+            assert residual_series(values, n, width) == want, (side, n)
     assert nonzero > 0
 
 
@@ -130,10 +149,9 @@ def test_S_is_summed_without_series_additions(monkeypatch):
         return add(self, other)
 
     monkeypatch.setattr(QSeries, "__add__", add_spy)
-    family_poly.cache_clear()
     for n in (0, 9, 30):
         family_poly("vac", "S", n)
-        family("half", "S", n + 1, 17)
+        family_poly("half", "S", n + 1, 17)
     assert adds == []
 
 
@@ -147,39 +165,38 @@ def test_truncated_family_is_the_exact_one_cut(sector):
         for side in SIDES:
             exact = family_poly(sector, side, n)
             for t in (0, 1, 2, 7, 20, 31, F(51, 2), 2 * n + 1, 10 ** 4):
-                got = family(sector, side, n, t)
+                got = family_poly(sector, side, n, t)
                 assert got == exact.truncate(t), (sector, side, n, t)
                 assert got.trunc == t
 
 
 def test_limit_check_builds_only_below_the_order(monkeypatch):
     # the limit checks read coefficients below q^t, so they build no exact
-    # family polynomial, no q-binomial row with a slot at q^t or above, and
-    # decode no packed slot at q^t or above
+    # family, keep every q-binomial row below q^t and decode no slot at q^t
+    # or above
     rows, decoded = [], []
-    row, unpack = qs._qbinom_row, pf._unpack
+    pascal, unpack = pf.pascal_rows, pf._unpack
 
-    def row_spy(m, n, cap=None):
-        out = row(m, n, cap)
-        rows.append(out)
+    def rows_spy(pairs, width, slots=None):
+        out = pascal(pairs, width, slots)
+        rows.append((width, slots, out))
         return out
 
-    def unpack_spy(value, width, slots):
+    def unpack_spy(value, width, slots=None):
         decoded.append(slots)
         return unpack(value, width, slots)
 
-    monkeypatch.setattr(qs, "_qbinom_row", row_spy)
+    monkeypatch.setattr(pf, "pascal_rows", rows_spy)
     monkeypatch.setattr(pf, "_unpack", unpack_spy)
     for orders in ((20, 20, 20), (30, 25, 25), (9, 4, 13)):
         for sector, t in zip(SECTORS, orders):
-            family_poly.cache_clear()
-            q_binomial.cache_clear()
             rows.clear()
             decoded.clear()
             assert limit_check(sector, 2 * t, t)["passed"]
-            assert family_poly.cache_info().misses == 0
-            assert rows and max(map(len, rows)) <= t, (sector, t)
-            assert decoded == [t], (sector, t)
+            assert [slots for _, slots, _ in rows] == [t] * 3, (sector, t)
+            assert all(v < 1 << (8 * width * t) for width, _, out in rows
+                       for v in out.values()), (sector, t)
+            assert decoded == [t] * 3, (sector, t)
 
 
 def test_stabilization_guard():
@@ -203,10 +220,20 @@ def test_monotone_stabilization():
     assert family_poly("vac", "S", 59).truncate(30).equal_mod(prev)
 
 
-# -- T_n by evaluation at q = 2^(8w) -------------------------------------------
+# -- S_n and T_n by evaluation at q = 2^(8w) -----------------------------------
 
 def _qb(m, n):
     return q_binomial(m, n) if 0 <= n <= m else QSeries.zero()
+
+
+def series_loop_S(sector, n):
+    """S_n summed term by term as shifted QSeries: the reference for the
+    packed evaluation in family_poly."""
+    (a, b), (c, d), s = pf._S_ROWS[sector]
+    out = QSeries.zero()
+    for k in range(n + 1):
+        out = out + _qb(n - k - s, c * k + d).shift(a * k * k + b * k)
+    return out
 
 
 def series_loop_T(sector, n):
@@ -260,11 +287,11 @@ def test_signed_digit_codec_round_trip(width):
     rng = random.Random(1000 + width)
     for coeffs, slots in _random_maps(rng, width):
         want = {e: c for e, c in coeffs.items() if c}
-        assert pf._unpack(_value(coeffs, width), width, slots) == want
-        # more slots than the degree read back as zeros
-        assert pf._unpack(_value(coeffs, width), width, slots + 3) == want
-        dense = [rng.randint(0, (1 << (8 * width)) - 1) for _ in range(slots)]
-        assert pf._pack(dense, width) == _value(dict(enumerate(dense)), width)
+        assert qs._unpack(_value(coeffs, width), width, slots) == want
+        # more slots than the degree read back as zeros, and no slot count
+        # reads every slot
+        assert qs._unpack(_value(coeffs, width), width, slots + 3) == want
+        assert qs._unpack(_value(coeffs, width), width) == want
 
 
 @pytest.mark.parametrize("width", [2, 3, 5, 9])
@@ -279,16 +306,8 @@ def test_codec_fails_one_byte_too_narrow(width):
         if max(map(abs, coeffs.values()), default=0) < edge:
             continue
         checked += 1
-        try:
-            got = pf._unpack(_value(coeffs, narrow), narrow, slots)
-        except OverflowError:
-            continue
-        assert got != coeffs
+        assert qs._unpack(_value(coeffs, narrow), narrow, slots) != coeffs
     assert checked > 30
-    with pytest.raises(OverflowError):
-        pf._pack([1 << (8 * narrow)], narrow)
-    with pytest.raises(OverflowError):
-        pf._pack([-1], width)
 
 
 def test_slot_bytes_is_the_fewest_that_hold_the_bound():
@@ -296,9 +315,16 @@ def test_slot_bytes_is_the_fewest_that_hold_the_bound():
     bounds = [0, 1, 127, 128, 255, 256, 2 ** 15 - 1, 2 ** 15, 2 ** 63, 2 ** 64 - 1]
     bounds += [rng.getrandbits(rng.randint(1, 200)) for _ in range(200)]
     for bound in bounds:
-        w = pf._slot_bytes(bound)
+        w = qs._slot_bytes(bound)
         assert 2 ** (8 * w - 1) > bound
         assert w == 1 or 2 ** (8 * (w - 1) - 1) <= bound
+
+
+@pytest.mark.parametrize("sector", SECTORS)
+def test_packed_S_matches_series_loop(sector):
+    for sec, n in T_ORDERS:
+        if sec == sector:
+            assert family_poly(sector, "S", n) == series_loop_S(sector, n), n
 
 
 @pytest.mark.parametrize("sector", SECTORS)
@@ -308,32 +334,85 @@ def test_packed_T_matches_series_loop(sector):
             assert family_poly(sector, "T", n) == series_loop_T(sector, n), n
 
 
+def one_byte_less(monkeypatch):
+    """Every width polyfamilies picks made one byte narrower, but at least
+    one byte."""
+    width = pf._slot_bytes
+    monkeypatch.setattr(pf, "_slot_bytes", lambda bound: max(1, width(bound) - 1))
+
+
+def count_misread(monkeypatch, order):
+    want = {(sector, side, n): family_poly(sector, side, n, order(n))
+            for sector, n in T_ORDERS for side in SIDES}
+    one_byte_less(monkeypatch)
+    return sum(family_poly(sector, side, n, order(n)) != poly
+               for (sector, side, n), poly in want.items())
+
+
 def test_packed_T_fails_one_byte_too_narrow(monkeypatch):
-    # the q = 1 bound sets the width; one byte less misreads some T_n
-    # (vac at n = 17, for one) or overflows the decoder
-    want = {(sector, n): family_poly(sector, "T", n) for sector, n in T_ORDERS}
-    width = pf._slot_bytes
-    monkeypatch.setattr(pf, "_slot_bytes", lambda bound: width(bound) - 1)
-    wrong = 0
-    for (sector, n), poly in want.items():
-        try:
-            wrong += pf._packed_T(sector, n) != poly
-        except OverflowError:
-            wrong += 1
-    assert wrong > 0
+    # the q = 1 bound sets the width of an exact family; one byte less
+    # misreads some S_n or T_n (vac at n = 17, for one)
+    assert count_misread(monkeypatch, lambda n: None) > 0
 
 
-@pytest.mark.parametrize("t", [10, 20])
-def test_truncated_T_fails_one_byte_too_narrow(monkeypatch, t):
-    # mod q^t the bound comes from the capped rows; one byte less still
-    # misreads some T_n below q^t or overflows the decoder
-    want = {(sector, n): family_poly(sector, "T", n).truncate(t) for sector, n in T_ORDERS}
-    width = pf._slot_bytes
-    monkeypatch.setattr(pf, "_slot_bytes", lambda bound: width(bound) - 1)
-    wrong = 0
-    for (sector, n), poly in want.items():
-        try:
-            wrong += pf._packed_T(sector, n, t) != poly
-        except OverflowError:
-            wrong += 1
-    assert wrong > 0
+def test_truncated_T_fails_one_byte_too_narrow(monkeypatch):
+    # mod q^t the bound of the terms below q^t sets the width; cut at
+    # q^(2n + 1), below the degree from n = 6 on, one byte less still
+    # misreads some S_n or T_n.  (At the limit checks' orders, t = n / 2,
+    # the coefficients below q^t are partition counts, and the bound is
+    # wider than they need.)
+    assert count_misread(monkeypatch, lambda n: 2 * n + 1) > 0
+
+
+def bend_values(monkeypatch, side, bend):
+    """Make pf._evaluate add bend(n, width), an integer, to the value of the
+    vacuum family `side` at index n."""
+    evaluate = pf._evaluate
+
+    def bent(term_lists, width, slots=None):
+        values = evaluate(term_lists, width, slots)
+        for n, terms in enumerate(term_lists):
+            if terms == pf._terms("vac", side, n):
+                values[n] += bend(n, width)
+        return values
+
+    monkeypatch.setattr(pf, "_evaluate", bent)
+
+
+def test_equality_width_one_byte_less_miscompares(monkeypatch):
+    # T_12 + D, D = q^4 - c q^3 with c = 2^(8 (w - 1)) for the check's width
+    # w: D's coefficients are within the difference of two polynomials in
+    # the check's bound, D vanishes at one byte less, and not at w
+    n_max = 12
+    bound = max(pf._bound(pf._terms("vac", side, n)) for side in SIDES
+                for n in range(n_max + 1))
+    c = 1 << (8 * (pf._slot_bytes(bound) - 1))
+    assert 1 < c <= 2 * bound
+    bend_values(monkeypatch, "T", lambda n, width: (
+        _value({4: 1, 3: -c}, width) if n == n_max else 0))
+    s3 = family_poly("vac", "S", n_max).coefficient(3)
+    rep = equality_check("vac", n_max)
+    assert rep["failures"] == [{"n": n_max, "exponent": "3", "S": str(s3),
+                                "T": str(s3 - c)}]
+    one_byte_less(monkeypatch)
+    assert equality_check("vac", n_max)["passed"]
+
+
+def test_residual_width_one_byte_less_misreads(monkeypatch):
+    # the families that residual 0 reads, each moved by +-bound at slots past
+    # every degree, so that all 13 rows put +bound on slot X: residual 0 has
+    # the coefficient 13 bound there, which the check's width reads and one
+    # byte less does not
+    n_max, X = 10, 200
+    width, bound = residual_width(n_max)
+    moves = {}
+    for j, (u, v), sign in pf._RECURRENCE:
+        moves.setdefault(j, {})[X - v] = sign * bound
+    assert all(max(family_poly("vac", "S", j).coeffs) < min(m) for j, m in moves.items())
+    bend_values(monkeypatch, "S", lambda n, width: _value(moves.get(n, {}), width))
+    rep = recurrence_check_S(n_max)
+    assert rep["residuals"]["S"][0].coefficient(X) == 13 * bound
+    assert rep["residuals"]["T"][0] == QSeries()
+    one_byte_less(monkeypatch)
+    rep = recurrence_check_S(n_max)
+    assert rep["residuals"]["S"][0].coefficient(X) != 13 * bound

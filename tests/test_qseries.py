@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qvir.qseries import (QSeries, _qbinom_coeffs, _qbinom_row, inv_pochhammer, pochhammer,
+from qvir.qseries import (QSeries, _slot_bytes, inv_pochhammer, pascal_rows, pochhammer,
                           pochhammer_inf, q_binomial, q_product)
 
 
@@ -137,10 +137,11 @@ def test_q_binomial_examples():
 
 
 def test_q_binomial_pascal_exhaustive():
+    # the rule that pascal_rows does not use: [m, n] = q^(m-n) [m-1, n-1] + [m-1, n]
     for m in range(1, 21):
         for n in range(1, m + 1):
             lhs = q_binomial(m, n)
-            rhs = q_binomial(m - 1, n - 1) + q_binomial(m - 1, n).shift(n)
+            rhs = q_binomial(m - 1, n - 1).shift(m - n) + q_binomial(m - 1, n)
             assert lhs == rhs, (m, n)
 
 
@@ -157,33 +158,35 @@ def _qbinom_by_division(m, n):
         for i in range(len(g)):
             g[i] = f[i] + (g[i - j] if i >= j else 0)
         b = g
-    return tuple(b)
+    return QSeries(dict(enumerate(b)))
 
 
 def test_q_binomial_rows_shared_by_symmetry():
-    _qbinom_row.cache_clear()
     for m in range(31):
         for n in range(m + 1):
-            assert _qbinom_coeffs(m, n) == _qbinom_by_division(m, n), (m, n)
-    # one cached row per pair {n, m - n}
-    assert _qbinom_row.cache_info().currsize == sum(m // 2 + 1 for m in range(31))
-    assert _qbinom_coeffs(5, -1) == _qbinom_coeffs(5, 6) == ()
+            want = _qbinom_by_division(m, n)
+            assert q_binomial(m, n) == want == _qbinom_by_division(m, m - n), (m, n)
+        # both pairs {n, m - n} read one entry of the Pascal list
+        width = _slot_bytes(2 ** m)
+        rows = pascal_rows([(m, n) for n in range(m + 1)], width)
+        assert all(rows[m, n] is rows[m, m - n] for n in range(m + 1))
+    assert not q_binomial(5, -1) and not q_binomial(5, 6)
 
 
 def test_q_binomial_mod_q_t():
-    # a capped row is the prefix of the complete one; a cap past the degree
-    # reads the complete, shared row
-    _qbinom_row.cache_clear()
-    for m in range(21):
+    # mod q^t a q-binomial is the complete one cut below q^t, and a masked
+    # Pascal row is the complete row's value mod 2^(8 width t)
+    for m in range(31):
+        width = _slot_bytes(2 ** m)
+        rows = pascal_rows([(m, n) for n in range(m + 1)], width)
         for n in range(-1, m + 2):
-            exact = q_binomial(m, n)
-            row = _qbinom_coeffs(m, n)
+            exact = _qbinom_by_division(m, n) if 0 <= n <= m else QSeries()
             for t in (0, 1, 2, 3, 7, n * (m - n), n * (m - n) + 1, 40):
-                assert _qbinom_coeffs(m, n, t) == row[:t], (m, n, t)
                 assert q_binomial(m, n, t) == exact.truncate(t), (m, n, t)
+                if 0 <= n <= m:
+                    cut = pascal_rows([(m, n)], width, t)[m, n]
+                    assert cut == rows[m, n] % (1 << (8 * width * t)), (m, n, t)
             assert q_binomial(m, n, F(7, 2)) == exact.truncate(F(7, 2))
-    assert _qbinom_row(9, 4, 10 ** 3) == _qbinom_row(9, 4)
-    assert _qbinom_coeffs(9, 4, 10 ** 3) is _qbinom_coeffs(9, 5)
 
 
 def test_q_binomial_nonneg_and_degree():
@@ -372,9 +375,6 @@ def test_integer_polynomials_never_see_fractions(monkeypatch):
         init(self, coeffs, trunc, denom)
 
     monkeypatch.setattr(QSeries, "__init__", spy)
-    family_poly.cache_clear()
-    q_binomial.cache_clear()
-    _qbinom_row.cache_clear()  # T_n packs these directly
     built = [family_poly(sector, "T", 20) for sector in ("vac", "half", "sixteenth")]
     built += [q_binomial(30, 15), pochhammer_inf(40)]
     P = P_of_t_q(12)
