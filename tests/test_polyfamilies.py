@@ -355,13 +355,15 @@ def test_packed_T_fails_one_byte_too_narrow(monkeypatch):
     assert count_misread(monkeypatch, lambda n: None) > 0
 
 
-def test_truncated_T_fails_one_byte_too_narrow(monkeypatch):
-    # mod q^t the bound of the terms below q^t sets the width; cut at
-    # q^(2n + 1), below the degree from n = 6 on, one byte less still
-    # misreads some S_n or T_n.  (At the limit checks' orders, t = n / 2,
-    # the coefficients below q^t are partition counts, and the bound is
+@pytest.mark.parametrize("t", [10, 20])
+def test_truncated_T_fails_one_byte_too_narrow(monkeypatch, t):
+    # mod q^(n + t) the bound of the terms below q^(n + t) sets the width;
+    # cut there, below the degree of the larger vac families (n >= 9 at
+    # t = 10), one byte less still misreads some S_n or T_n.  (At a fixed
+    # order such as q^10 or q^20, or at the limit checks' orders, t = n / 2,
+    # the coefficients below the cut are partition counts, and the bound is
     # wider than they need.)
-    assert count_misread(monkeypatch, lambda n: 2 * n + 1) > 0
+    assert count_misread(monkeypatch, lambda n: n + t) > 0
 
 
 def bend_values(monkeypatch, side, bend):
