@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from decimal import Context, Decimal, localcontext
 from itertools import repeat
 from pathlib import Path
 from typing import get_type_hints
@@ -352,33 +353,36 @@ def check_lemma_b() -> list:
 
 
 def check_nahm_alpha() -> list:
-    import mpmath as mp
     from qvir import nahm
     from qvir.characters import QUASIPARTICLE_MATRIX, e8_nahm_data
+    def digits(x, n):  # n significant digits, trailing zeros dropped: 0.5
+        return format(x.normalize(Context(prec=n)), "g")
+
     out = []
-    with mp.workdps(nahm.PRECISION_DPS):
-        points = [mp.mpf(z10) / 10 for z10 in range(1, 10)]
+    with localcontext(Context(prec=nahm.PRECISION_DPS)):
+        points = [Decimal(z10) / 10 for z10 in range(1, 10)]
         dilog = [nahm.rogers_dilog(z) for z in points]  # L(1 - z) is dilog[-1 - i]
         for i, z in enumerate(points):
-            err = abs(dilog[i] + dilog[-1 - i] - mp.pi ** 2 / 6)
-            if err >= mp.mpf(10) ** -12:
+            err = abs(dilog[i] + dilog[-1 - i] - nahm.PI ** 2 / 6)
+            if err >= Decimal("1e-12"):
                 out.append(_entry("dilogarithm reflection at z=%s" % float(z), False,
                                   detail=str(err)))
         out.append(_entry("dilogarithm reflection identity, z = 0.1..0.9",
                           not out, detail="tolerance 1e-12"))
         sol = nahm.solve_nahm_system(QUASIPARTICLE_MATRIX)
         q1, q2 = nahm.printed_fixed_point()
-        ok_q = abs(sol.Q[0] - q1) < mp.mpf(10) ** -10 and abs(sol.Q[1] - q2) < mp.mpf(10) ** -10
+        tol = Decimal("1e-10")
+        ok_q = abs(sol.Q[0] - q1) < tol and abs(sol.Q[1] - q2) < tol
         out.append(_entry("fixed point matches closed forms", ok_q,
-                          detail="Q = %s" % [mp.nstr(q, 11) for q in sol.Q]))
-        ok_a = abs(sol.alpha - mp.pi ** 2 / 12) < mp.mpf(10) ** -10
+                          detail="Q = %s" % [digits(q, 11) for q in sol.Q]))
+        ok_a = abs(sol.alpha - nahm.PI ** 2 / 12) < tol
         out.append(_entry("alpha == pi^2/12, g == 1/2", ok_a and
-                          abs(sol.effective_charge - mp.mpf(1) / 2) < mp.mpf(10) ** -10,
+                          abs(sol.effective_charge - Decimal("0.5")) < tol,
                           detail=sol.to_json_dict()))
         e8 = nahm.solve_nahm_system(e8_nahm_data().A)
         out.append(_entry("E8 matrix: g == 1/2", abs(
-            e8.effective_charge - mp.mpf(1) / 2) < mp.mpf(10) ** -8,
-            detail="g = %s" % mp.nstr(e8.effective_charge, 12)))
+            e8.effective_charge - Decimal("0.5")) < Decimal("1e-8"),
+            detail="g = %s" % digits(e8.effective_charge, 12)))
     return out
 
 

@@ -2,14 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import qvir
-from qvir.cli import (COMMANDS, ConfigError, RunConfig, load_config_file, main,
-                      render, run_all, run_check)
+from qvir.cli import (COMMANDS, INT_FIELDS, ConfigError, RunConfig, load_config_file,
+                      main, render, run_all, run_check)
 
 GOLDEN = Path(__file__).parent / "golden"
 # the child interpreter imports the qvir this process imports, also when it
@@ -257,7 +258,6 @@ def test_no_pass_without_a_comparison(monkeypatch, order):
 def test_nahm_alpha_evaluates_each_dilogarithm_once(monkeypatch):
     # L(k/10) for k = 1..9 once each, read twice by the reflection pairs;
     # the two solves add one call per fixed-point entry (2 + 8)
-    import mpmath as mp
     from qvir import nahm
     real = nahm.rogers_dilog
     args = []
@@ -271,8 +271,38 @@ def test_nahm_alpha_evaluates_each_dilogarithm_once(monkeypatch):
     assert rep["passed"]
     assert len(args) == 19
     tenths = [z for z in args if z * 10 == int(z * 10)]
-    with mp.workdps(nahm.PRECISION_DPS):
-        assert tenths == [mp.mpf(k) / 10 for k in range(1, 10)]
+    assert tenths == [Decimal(k) / 10 for k in range(1, 10)]
+
+
+def test_nahm_alpha_reflection_entry_sums_every_tenth_by_the_series(monkeypatch):
+    # L(z) + L(1 - z) == pi^2/6 compares two series evaluations only if no
+    # tenth takes the reflection branch, which would satisfy it by construction
+    from qvir import nahm
+    real = nahm._dilog_series
+    args = []
+
+    def spy(z):
+        args.append(z)
+        return real(z)
+
+    monkeypatch.setattr(nahm, "_dilog_series", spy)
+    rep = run_check("nahm-alpha", RunConfig())
+    assert rep["passed"]
+    assert args[:9] == [Decimal(k) / 10 for k in range(1, 10)]
+    # the E8 entries above 9/10 do reflect: the series sees 1 - z < 1/10
+    assert len(args) == 19 and sum(z < Decimal("0.1") for z in args[9:]) == 7
+
+
+def test_the_battery_never_imports_mpmath(tmp_path):
+    # mpmath is a test-only reference; qvir itself runs on the standard library
+    cfg = tmp_path / "ones.cfg"
+    cfg.write_text("".join("%s = 1\n" % f for f in INT_FIELDS if f != "jobs"))
+    code = ("import sys\nfrom qvir.cli import main\n"
+            "code = main(['all', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(code, 'mpmath' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 def test_config_file_roundtrip(tmp_path):
