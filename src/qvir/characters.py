@@ -5,6 +5,13 @@ functions here produce each side as an exact truncated series so callers
 can compare them coefficientwise mod q^N.  Two-variable refinements (the
 five-class generating functions and the bigraded character) use TQSeries,
 a series in q whose coefficients are polynomials in t.
+
+Every character sum here has the shape sum x q^e / ((q)_k1 ... (q)_kr) and
+is evaluated by ``qseries.divided_sum``: the Nahm sums (``nahm_sum``, the
+quasiparticle double sums, one call per t-degree), the single sums
+(``qseries.single_sum``) and the theta sums over (q)_infinity
+(``feigin_fuchs_character`` and the BGG expression, through
+``_theta_sum``).  The products are ``qseries.q_product``.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from functools import lru_cache
 from math import ceil, gcd, lcm
 
 from qvir.linalg import Echelon
-from qvir.qseries import (QSeries, _min_trunc, _slots_below, frac_str, inv_pochhammer,
+from qvir.qseries import (QSeries, _min_trunc, _slots_below, divided_sum, frac_str,
                           q_product, single_sum)
 
 
@@ -137,15 +144,6 @@ class TQSeries:
                        for n, row in sorted(by_q.items())],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TQSeries":
-        trunc = d["trunc"]
-        parts: dict[int, dict[int, str]] = {}
-        for n, row in d["coeffs"]:
-            for m, c in row:
-                parts.setdefault(m, {})[n] = c  # QSeries parses the exact string
-        return cls({m: QSeries(cs, trunc) for m, cs in parts.items()}, trunc)
-
     def __repr__(self):
         return "TQSeries(t-degrees %s + O(q^%s))" % (self.t_degrees(), self.trunc)
 
@@ -182,29 +180,31 @@ class MinimalModelLabel:
 def feigin_fuchs_character(label: MinimalModelLabel, trunc) -> QSeries:
     """Graded dimension of the (p, p') minimal model vacuum module mod q^trunc.
 
-    The alternating sum over the affine Weyl group divided by (q)_infinity;
-    only finitely many terms land below the truncation order.
+    The alternating sum over the affine Weyl group divided by (q)_infinity,
+    sum over m of q^(pp' m^2 + (p - p') m) - q^(pp' m^2 + (p + p') m + 1).
     """
     p, pp = label.p, label.pp
-    n = Fraction(trunc)
+    return _theta_sum(Fraction(trunc), p * pp, p - pp, p + pp)
+
+
+def _theta_sum(n: Fraction, a: int, b1: int, b2: int) -> QSeries:
+    """sum over m in Z of (q^(a m^2 + b1 m) - q^(a m^2 + b2 m + 1)) / (q)_infinity
+    mod q^n, for a > |b1|, |b2|.
+
+    Every exponent at m is at least a m^2 - max(|b1|, |b2|) |m|, which grows
+    with |m|, so the terms below q^n end at the first m where that bound
+    reaches n.  All terms share the divisor (q)_ceil(n), which is
+    (q)_infinity mod q^n.
+    """
+    b = max(abs(b1), abs(b2))
+    k = (ceil(n),)
     terms = []
     m = 0
-    while True:
-        hit = False
-        for mm in ([0] if m == 0 else [m, -m]):
-            e1 = p * pp * mm * mm + mm * (p - pp)
-            e2 = p * pp * mm * mm + mm * (p + pp) + 1
-            if e1 < n:
-                terms.append((e1, 1))
-                hit = True
-            if e2 < n:
-                terms.append((e2, -1))
-                hit = True
-        if not hit and m > 0:
-            break
+    while a * m * m - b * m < n:
+        for mm in ((0,) if m == 0 else (m, -m)):
+            terms += [(a * mm * mm + b1 * mm, 1, k), (a * mm * mm + b2 * mm + 1, -1, k)]
         m += 1
-    numer = QSeries.from_terms(terms, n)
-    return numer * inv_pochhammer(ceil(n), n)
+    return divided_sum(n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +217,7 @@ ALT_EXPRESSIONS = ("BGG", "FermionHalf", "Euler", "QuintupleProduct")
 def alt_expression(which: str, trunc) -> QSeries:
     n = Fraction(trunc)
     if which == "BGG":
-        terms = []
-        m = 0
-        while 12 * m * m - 7 * abs(m) < n:
-            for mm in ([0] if m == 0 else [m, -m]):
-                e1 = 12 * mm * mm + mm
-                e2 = 12 * mm * mm + 7 * mm + 1
-                if e1 < n:
-                    terms.append((e1, 1))
-                if e2 < n:
-                    terms.append((e2, -1))
-            m += 1
-        return QSeries.from_terms(terms, n) * inv_pochhammer(ceil(n), n)
+        return _theta_sum(n, 12, 1, 7)
     if which == "FermionHalf":
         return ((_half_odd_product(n, 1) + _half_odd_product(n, -1))
                 * Fraction(1, 2)).reduce_denom()
@@ -306,31 +295,20 @@ def _leading_minors_positive(A) -> bool:
     return True
 
 
-def _nahm_terms(data: NahmData, n: Fraction):
-    """The terms of the Nahm sum below q^n, in walk order: each is
-    (e, k, 1/((q)_k1 ... (q)_kr) mod q^(n - e)) for e = k^T A k / 2 + k^T B + C.
+def _nahm_terms(data: NahmData, n: Fraction) -> list:
+    """The terms (e, k) of the Nahm sum below q^n, in walk order, with
+    e = k^T A k / 2 + k^T B + C.
 
     The walk goes through the coordinates left to right keeping the exact
-    partial value of the exponent; with nonnegative entries this partial
-    value only grows, so branches at or above the truncation are pruned.  For
-    matrices with negative off-diagonal entries a Gershgorin eigenvalue bound
-    caps the coordinate box instead.  Each term's divisor is one
-    ``q_product`` over the factors (1 - q^j), j <= k_i, of every k_i.
+    partial value of the exponent.  The entries of A, B and C must be
+    nonnegative (ValueError otherwise), so this partial value only grows,
+    and the first value of a coordinate at or above the truncation ends its
+    branch.
     """
     A, B, C = data.A, data.B, data.C
+    if any(x < 0 for row in A for x in row) or any(x < 0 for x in B) or C < 0:
+        raise ValueError("the Nahm-sum walk needs nonnegative entries in A, B and C")
     d = data.dim
-    monotone = all(x >= 0 for row in A for x in row) and all(x >= 0 for x in B)
-    if not monotone:
-        g = min(A[i][i] - sum(abs(A[i][j]) for j in range(d) if j != i) for i in range(d))
-        if g <= 0:
-            raise NotPositiveDefinite(
-                "Gershgorin lower bound is nonpositive; enumeration bound unavailable")
-        caps = []
-        for i in range(d):
-            k = 0
-            while Fraction(1, 2) * g * k * k - abs(B[i]) * k + C < n:
-                k += 1
-            caps.append(k)
     # the walk runs on the int D e, with D the lcm of the denominators of
     # A/2, B and C, so that it builds no Fraction; for an int x, x < D n
     # exactly when x < ceil(D n) = top
@@ -351,28 +329,20 @@ def _nahm_terms(data: NahmData, n: Fraction):
         ki = 0
         while True:
             add = (half[i] * ki + lin) * ki
-            if monotone:
-                # add grows with ki, so the first overshoot ends the branch
-                if ki > 0 and partial + add >= top:
-                    break
-            elif ki > caps[i]:
+            # add grows with ki, so the first overshoot ends the branch
+            if ki > 0 and partial + add >= top:
                 break
             walk(i + 1, k + [ki], partial + add)
             ki += 1
 
     walk(0, [], int(C * D))
-    for e, k in terms:
-        e = Fraction(e, D)
-        yield e, k, q_product(n - e, ((j, -1, -1) for x in k for j in range(1, x + 1)))
+    return [(Fraction(e, D), k) for e, k in terms]
 
 
 def nahm_sum(data: NahmData, trunc) -> QSeries:
     """Sum of q^(k^T A k / 2 + k^T B + C) / prod (q)_{k_i} over k >= 0, mod q^trunc."""
     n = Fraction(trunc)
-    out = QSeries.zero(n)
-    for e, _, inv in _nahm_terms(data, n):
-        out = out + inv.shift(e)
-    return out
+    return divided_sum(n, [(e, 1, k) for e, k in _nahm_terms(data, n)])
 
 
 def e8_cartan_matrix() -> list[list[int]]:
@@ -424,17 +394,17 @@ def _quasiparticle_sum(trunc, bracket, linear=(0, 0), offset=0, t_base=0) -> TQS
             * q^(4k1^2 + 3k1k2 + k2^2 + l1 k1 + l2 k2 + offset) / ((q)_k1 (q)_k2)
 
     where linear = (l1, l2) and bracket is a list of ((a, b, c), coeff), each
-    meaning coeff * q^(a k1 + b k2 + c).  One QSeries is kept per t-degree and
-    the TQSeries is built once at the end.
+    meaning coeff * q^(a k1 + b k2 + c).  Each bracket entry is a term of its
+    own, at q^(e + a k1 + b k2 + c) over the divisor (q)_k1 (q)_k2 that it
+    shares with the term's other entries; each t-degree is one
+    ``divided_sum``.
     """
     n = Fraction(trunc)
-    parts: dict[int, QSeries] = {}
-    for e, (k1, k2), inv in _nahm_terms(NahmData(QUASIPARTICLE_MATRIX, linear, offset), n):
-        br = QSeries.from_terms([(a * k1 + b * k2 + c, x) for (a, b, c), x in bracket])
-        term = (inv * br.truncate(n - e)).shift(e)
-        m = t_base + 2 * k1 + k2
-        parts[m] = parts[m] + term if m in parts else term
-    return TQSeries(parts, n)
+    by_degree: dict[int, list] = {}
+    for e, (k1, k2) in _nahm_terms(NahmData(QUASIPARTICLE_MATRIX, linear, offset), n):
+        by_degree.setdefault(t_base + 2 * k1 + k2, []).extend(
+            (e + a * k1 + b * k2 + c, x, (k1, k2)) for (a, b, c), x in bracket)
+    return TQSeries({m: divided_sum(n, terms) for m, terms in by_degree.items()}, n)
 
 
 def _half_odd_product(n: Fraction, s: int) -> QSeries:

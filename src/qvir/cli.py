@@ -51,7 +51,7 @@ class RunConfig:
     def validate(self):
         for name in INT_FIELDS:
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:
                 raise ConfigError("%s must be a positive integer" % name)
         # a process pool starts all its workers up front, one task each at most
         if self.jobs > len(COMMANDS):

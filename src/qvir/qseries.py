@@ -5,16 +5,18 @@ and stores coefficients on the grid (1/D)*Z>=0.  A series either carries a
 finite truncation order (coefficients at exponents >= the order are unknown)
 or is an exact polynomial (``trunc is None``).  All arithmetic is exact, and
 the truncation order of every result is the largest order justified by the
-operands: min of the truncs for addition, min(trunc_a + ord_b, trunc_b +
-ord_a) for multiplication.  No series is inverted: the one divisor the
-program needs, a product of factors (1 - q^j), is divided out in place by
-``q_product``.
+operands: the min of the truncs for addition, the trunc plus e for a shift
+by q^e.  A series multiplies by a rational scalar only; no series is
+multiplied by another or inverted.  Products are built from their factors
+instead: ``q_product`` for products of (1 + s q^e)^(+-1), and ``divided_sum``
+for sums of terms x q^e / ((q)_k1 ... (q)_kr), the one routine that divides
+by the (q)_k.  Both update one integer list in place, a factor at a time.
 
 Coefficient rule: a stored coefficient is a Python ``int`` when it is
 integral and a ``Fraction`` only when it is not.  ``QSeries.__init__``
-enforces this for every constructor, so the product and sum loops run on
-ints for the integer polynomials that dominate the work (Pochhammer
-symbols, the quasiparticle and congruence products) and pay for
+enforces this for every constructor, so the sums and the in-place factor
+loops run on ints for the integer series that dominate the work (Pochhammer
+symbols, the character sums and the congruence products) and pay for
 ``Fraction``, which reduces by a gcd after every operation, only where a
 true fraction appears.  The other exact containers follow the same rule:
 ``diffalg.DiffPoly`` and ``virasoro.VirVector`` store their terms through
@@ -108,12 +110,6 @@ class QSeries:
         return cls({0: 1}, trunc)
 
     @classmethod
-    def q_power(cls, e, trunc=None) -> "QSeries":
-        """The monomial q^e; e may be a Fraction."""
-        e = _to_frac(e)
-        return cls({e.numerator: 1}, trunc, e.denominator)
-
-    @classmethod
     def from_terms(cls, pairs, trunc=None) -> "QSeries":
         """Build from (exponent, coefficient) pairs; exponents may be Fractions."""
         d = 1
@@ -129,10 +125,6 @@ class QSeries:
         return cls(coeffs, trunc, d)
 
     # -- basic structure ---------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        return self.trunc is None
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -198,36 +190,15 @@ class QSeries:
     def __sub__(self, other):
         return self + (-other if isinstance(other, QSeries) else QSeries.from_terms([(0, -_to_frac(other))]))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if not isinstance(other, QSeries):
-            c = _exact(other)
-            if c == 0:
-                return QSeries({}, self.trunc, self.denom)
-            return QSeries({k: v * c for k, v in self.coeffs.items()}, self.trunc, self.denom)
-        if (self.trunc is None and not self.coeffs) or \
-                (other.trunc is None and not other.coeffs):
-            return QSeries()  # an exact zero factor forces an exact zero product
-        d = lcm(self.denom, other.denom)
-        t = _mul_trunc(self, other)
-        bound = None if t is None else _slots_below(t, d)
-        a = sorted(self._with_denom(d).items())
-        b = sorted(other._with_denom(d).items())
-        if len(b) < len(a):
-            a, b = b, a
-        out: dict[int, int | Fraction] = {}
-        bmin = b[0][0] if b else 0
-        for ka, ca in a:
-            if bound is not None and ka + bmin >= bound:
-                break
-            for kb, cb in b:
-                k = ka + kb
-                if bound is not None and k >= bound:
-                    break
-                out[k] = out.get(k, 0) + ca * cb
-        return QSeries(out, t, d)
+        """The series times a rational scalar."""
+        if isinstance(other, QSeries):
+            raise TypeError("a QSeries multiplies by scalars only; build products "
+                            "with q_product or divided_sum")
+        c = _exact(other)
+        if c == 0:
+            return QSeries({}, self.trunc, self.denom)
+        return QSeries({k: v * c for k, v in self.coeffs.items()}, self.trunc, self.denom)
 
     __rmul__ = __mul__
 
@@ -251,10 +222,6 @@ class QSeries:
             return NotImplemented
         a, b = self.reduce_denom(), other.reduce_denom()
         return a.trunc == b.trunc and a.denom == b.denom and a.coeffs == b.coeffs
-
-    def __hash__(self):
-        a = self.reduce_denom()
-        return hash((a.trunc, a.denom, tuple(sorted(a.coeffs.items()))))
 
     def agreement(self, other: "QSeries"):
         """Compare up to min(trunc); return (order, first_mismatch_exponent).
@@ -295,16 +262,6 @@ class QSeries:
                        for k, c in sorted(self.coeffs.items())],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QSeries":
-        trunc = None if d["trunc"] is None else Fraction(d["trunc"])
-        s = cls.from_terms(d["coeffs"], trunc)
-        want = int(d["denom"])
-        if want % s.denom == 0 and want != s.denom:
-            f = want // s.denom
-            s = QSeries({k * f: c for k, c in s.coeffs.items()}, s.trunc, want)
-        return s
-
     def __repr__(self):
         parts = []
         for e, c in self.terms()[:12]:
@@ -322,26 +279,6 @@ def _min_trunc(a, b):
     if b is None:
         return a
     return min(a, b)
-
-
-def _mul_trunc(a: QSeries, b: QSeries):
-    oa, ob = a.order(), b.order()
-    ta = None if a.trunc is None else a.trunc + (ob if ob is not None else 0)
-    tb = None if b.trunc is None else b.trunc + (oa if oa is not None else 0)
-    # a zero truncated series is known to vanish below its trunc only
-    if oa is None and a.trunc is not None:
-        tb = None
-    if ob is None and b.trunc is not None:
-        ta = None
-    t = _min_trunc(ta, tb)
-    if t is None and (a.trunc is not None or b.trunc is not None):
-        # zero truncated operand: the product is zero as far as anyone knows
-        t = _min_trunc(a.trunc, b.trunc)
-        if oa is not None:
-            t = t + oa if t is not None else None
-        if ob is not None:
-            t = t + ob if t is not None else None
-    return t
 
 
 def frac_str(f: Fraction) -> str:
@@ -366,32 +303,68 @@ def pochhammer_inf(trunc) -> QSeries:
     return q_product(trunc, ((j, -1, 1) for j in range(1, int(_to_frac(trunc)) + 1)))
 
 
-def inv_pochhammer(n: int, trunc) -> QSeries:
-    """1/(q)_n mod q^trunc."""
-    return q_product(trunc, ((j, -1, -1) for j in range(1, n + 1)))
-
-
 def q_product(trunc, factors) -> QSeries:
     """prod (1 + s q^e)^p mod q^trunc over the triples (e, s, p) in factors,
     with e > 0 and s, p in {1, -1}.
 
     A factor with e >= trunc is 1 mod q^trunc and is skipped, so an infinite
     product may list any finite range of factors that covers e < trunc.  Each
-    factor updates one integer coefficient list in place: a multiplication
-    runs down the list, a division (p = -1) runs up it.
+    factor updates one integer coefficient list in place (``_factor``).
     """
     t = _to_frac(trunc)
     kept = [(_to_frac(e), s, p) for e, s, p in factors if e < t]
     if any(e <= 0 for e, _, _ in kept):
         raise ValueError("q_product needs positive exponents")
     d = lcm(1, *(e.denominator for e, _, _ in kept))
-    n = _slots_below(t, d)
-    c = [1] + [0] * (n - 1)
+    c = [1] + [0] * (_slots_below(t, d) - 1)
     for e, s, p in kept:
-        j = int(e * d)
-        for k in (range(n - 1, j - 1, -1) if p == 1 else range(j, n)):
-            c[k] += s * p * c[k - j]
+        _factor(c, int(e * d), s, p)
     return QSeries(dict(enumerate(c)), t, d)
+
+
+def _factor(c: list, j: int, s: int, p: int) -> None:
+    """Multiply (p = 1) or divide (p = -1) the coefficient list c by
+    (1 + s q^j), j > 0 slots, in place mod q^len(c): a multiplication runs
+    down the list, a division runs up it.  ``q_product`` and ``divided_sum``
+    run every factor through this loop."""
+    sp = s * p
+    for k in (range(len(c) - 1, j - 1, -1) if p == 1 else range(j, len(c))):
+        c[k] += sp * c[k - j]
+
+
+def divided_sum(trunc, terms) -> QSeries:
+    """sum of x q^e / ((q)_k1 ... (q)_kr) mod q^trunc over the terms
+    (e, x, (k1, ..., kr)), with e >= 0 and x rational and each k_i >= 0.
+
+    The grid is the lcm D of the denominators of the exponents, those of
+    terms at or above the order included.  Terms that share a divisor (the
+    same k_i in any order) are placed in one list on that grid, which starts
+    at the group's lowest slot below the order, and each factor (1 - q^j),
+    j <= k_i, is divided out of it once, in place.
+    """
+    n = _to_frac(trunc)
+    terms = [(_to_frac(e), x, ks) for e, x, ks in terms]
+    d = lcm(1, *(e.denominator for e, _, _ in terms))
+    top = _slots_below(n, d)
+    groups: dict[tuple, list] = {}
+    for e, x, ks in terms:
+        if e < 0:
+            raise ValueError("negative exponent %s" % (e,))
+        slot = e.numerator * (d // e.denominator)
+        if slot < top:
+            groups.setdefault(tuple(sorted(ks)), []).append((slot, x))
+    out = [0] * top
+    for ks, placed in groups.items():
+        lo = min(slot for slot, _ in placed)
+        c = [0] * (top - lo)
+        for slot, x in placed:
+            c[slot - lo] += x
+        for k in ks:
+            for j in range(1, k + 1):
+                _factor(c, j * d, -1, -1)
+        for i, x in enumerate(c, lo):
+            out[i] += x
+    return QSeries(dict(enumerate(out)), n, d)
 
 
 def single_sum(trunc, exponent, index) -> QSeries:
@@ -399,13 +372,13 @@ def single_sum(trunc, exponent, index) -> QSeries:
     for exponent = (a, b) and index = (c, d) with a > 0 and b >= 0."""
     n = Fraction(trunc)
     (a, b), (c, d) = exponent, index
-    out = QSeries.zero(n)
+    terms = []
     k = e = 0
     while e < n:
-        out = out + inv_pochhammer(c * k + d, n - e).shift(e)
+        terms.append((e, 1, (c * k + d,)))
         k += 1
         e = a * k * k + b * k
-    return out
+    return divided_sum(n, terms)
 
 
 def _slot_bytes(bound: int) -> int:

@@ -13,11 +13,16 @@ from qvir.characters import (ALT_EXPRESSIONS, CLASS_NAMES, MODULES,
                              quasiparticle_chi, P_of_t_q)
 from qvir.partitions import count_table
 from qvir.polyfamilies import limit_series
-from qvir.qseries import QSeries, inv_pochhammer
+from qvir.qseries import QSeries, q_product
 
 
 def coeffs(s, n):
     return [s.coefficient(i) for i in range(n)]
+
+
+def inv_poch(n, trunc):
+    """1/(q)_n mod q^trunc, independent of divided_sum."""
+    return q_product(trunc, ((j, -1, -1) for j in range(1, n + 1)))
 
 
 # -- Feigin-Fuchs ------------------------------------------------------------
@@ -27,7 +32,7 @@ def euler_sum_oracle(trunc):
     out = QSeries.zero(trunc)
     m = 0
     while 2 * m * m < trunc:
-        out = out + inv_pochhammer(2 * m, trunc - 2 * m * m).shift(2 * m * m)
+        out = out + inv_poch(2 * m, trunc - 2 * m * m).shift(2 * m * m)
         m += 1
     return out
 
@@ -109,19 +114,32 @@ def test_nahm_requires_positive_definite():
         NahmData([[0]])
 
 
-def test_nahm_negative_offdiagonal_gershgorin_route():
-    # A = [[3,-1],[-1,3]] has Gershgorin bound 2 > 0; compare against the
-    # direct definition summed over a safe box
-    data = NahmData([[3, -1], [-1, 3]])
-    s = nahm_sum(data, 8)
-    brute = QSeries.zero(8)
-    for k1 in range(10):
-        for k2 in range(10):
-            e = F(3 * k1 * k1 - 2 * k1 * k2 + 3 * k2 * k2, 2)
-            if e < 8:
-                term = inv_pochhammer(k1, 8 - e) * inv_pochhammer(k2, 8 - e)
-                brute = brute + term.shift(e)
-    assert s.equal_mod(brute, 8)
+def test_nahm_walk_rejects_a_negative_entry():
+    # the walk prunes on a growing exponent, which needs A, B, C >= 0; a
+    # positive definite A with a negative entry is refused before any walk
+    for data in (NahmData([[3, -1], [-1, 3]]), NahmData([[2]], [-1]),
+                 NahmData([[2, 1], [1, 2]], [0, F(-1, 2)]), NahmData([[2]], [0], F(-1, 3))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            characters._nahm_terms(data, F(8))
+        with pytest.raises(ValueError, match="nonnegative"):
+            nahm_sum(data, 8)
+
+
+@pytest.mark.parametrize("n", [1, F(7, 3), 5, F(17, 2), 12], ids=str)
+def test_nahm_sum_matches_a_brute_force_box(n):
+    # the direct definition, each divisor one q_product, summed over a box
+    # that holds every exponent below the order
+    A, B, C = [[3, 1], [1, 2]], [F(1, 2), F(1, 3)], F(1, 6)
+    brute = QSeries.zero(n)
+    for k1 in range(8):
+        for k2 in range(8):
+            e = F(3 * k1 * k1 + 2 * k1 * k2 + 2 * k2 * k2, 2) + B[0] * k1 + B[1] * k2 + C
+            if e < n:
+                inv = q_product(n - e, ((j, -1, -1) for k in (k1, k2) for j in range(1, k + 1)))
+                brute = brute + inv.shift(e)
+    got = nahm_sum(NahmData(A, B, C), n)
+    assert got == brute and got.trunc == n
+    assert got.denom == brute.denom == 6
 
 
 def test_e8_cartan_inverse_is_integral_inverse():
@@ -354,6 +372,28 @@ def test_tq_nonnegative_integer_coefficients():
 def test_tq_json_roundtrip():
     P = P_of_t_q(12)
     d = P.to_json_dict()
-    assert set(d) == {"trunc", "coeffs"}
-    back = TQSeries.from_json_dict(d)
-    assert back.equal_mod(P) and P.equal_mod(back)
+    assert set(d) == {"trunc", "coeffs"} and d["trunc"] == 12
+    read = {(m, F(n)): F(c) for n, row in d["coeffs"] for m, c in row}
+    assert read == tq_terms(P)
+
+
+def test_every_character_sum_goes_through_divided_sum(monkeypatch):
+    import qvir.qseries as qs
+    calls = []
+    real = qs.divided_sum
+
+    def spy(trunc, terms):
+        calls.append(trunc)
+        return real(trunc, terms)
+
+    monkeypatch.setattr(qs, "divided_sum", spy)
+    monkeypatch.setattr(characters, "divided_sum", spy)
+    for build in (lambda: nahm_sum(e8_nahm_data(), 6), lambda: limit_series("vac", 6),
+                  lambda: feigin_fuchs_character(MinimalModelLabel(3, 4), 6),
+                  lambda: alt_expression("BGG", 6)):
+        calls.clear()
+        build()
+        assert calls == [6]
+    calls.clear()
+    P = P_of_t_q(6)
+    assert calls == [6] * len(P.parts) and len(P.parts) > 1

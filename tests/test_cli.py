@@ -177,7 +177,7 @@ def test_functional_eqs_t1_entry_catches_a_wrong_P(monkeypatch):
     real = ch.P_of_t_q
 
     def wrong_P(n):
-        return real(n) + ch.TQSeries({1: QSeries.q_power(5, n)}, n)
+        return real(n) + ch.TQSeries({1: QSeries.from_terms([(5, 1)], n)}, n)
 
     monkeypatch.setattr(ch, "P_of_t_q", wrong_P)
     rep = run_check("functional-eqs", RunConfig(trunc_tq=8))
@@ -195,7 +195,7 @@ def test_families_sample_entry_catches_a_wrong_T8(monkeypatch):
 
     def wrong_T8(sector, side, n, trunc=None):
         poly = real(sector, side, n, trunc)
-        return poly + QSeries.q_power(3) if (sector, side, n) == ("vac", "T", 8) else poly
+        return poly + QSeries.from_terms([(3, 1)]) if (sector, side, n) == ("vac", "T", 8) else poly
 
     monkeypatch.setattr(pf, "family_poly", wrong_T8)
     rep = run_check("families", RunConfig(trunc_tq=8))
@@ -313,9 +313,9 @@ def test_config_file_roundtrip(tmp_path):
 
 
 def test_config_validation():
-    # every int field, jobs included, must be a positive int
+    # every int field, jobs included, must be a positive int, and a bool is not one
     for bad in ({"trunc_qseries": 0}, {"jobs": 0}, {"jobs": "2"}, {"deriv_kmax": 1.5},
-                {"format": "xml"}, {"gens": "c"}):
+                {"format": "xml"}, {"gens": "c"}, {"trunc_qseries": True}):
         with pytest.raises(ConfigError):
             RunConfig(**bad).validate()
     RunConfig().validate()

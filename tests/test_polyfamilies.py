@@ -85,14 +85,14 @@ def test_limit_sixteenth_matches_module_character():
 # -- the recurrence residuals as integers ---------------------------------------
 
 def series_residual(S, n):
-    """The recurrence combination written as QSeries sums and products: the
-    reference for the row table in recurrence_residual."""
-    one_q = QSeries.from_terms([(0, 1), (1, 1)])
-    one_q_q2 = QSeries.from_terms([(0, 1), (1, 1), (2, 1)])
+    """The recurrence combination written as QSeries sums and shifts, with
+    (1 + q) x as x + q x: the reference for the row table in
+    recurrence_residual."""
+    x, y = S(n + 3) - S(n + 4), S(n + 6).shift(1) - S(n + 7)
     return (S(n).shift(4 * n + 15)
-            + (one_q * (S(n + 3) - S(n + 4))).shift(2 * n + 11)
+            + (x + x.shift(1)).shift(2 * n + 11)
             - S(n + 5).shift(3)
-            + one_q_q2 * (S(n + 6).shift(1) - S(n + 7))
+            + y + y.shift(1) + y.shift(2)
             + S(n + 8))
 
 
@@ -127,7 +127,7 @@ def test_recurrence_rows_match_the_series_expression_off_the_identity(j):
 
     def bent(side, n):
         p = family_poly("vac", side, n)
-        return p + QSeries.q_power(j) if n == j else p
+        return p + QSeries.from_terms([(j, 1)]) if n == j else p
 
     nonzero = 0
     for side in SIDES:
@@ -226,6 +226,15 @@ def _qb(m, n):
     return q_binomial(m, n) if 0 <= n <= m else QSeries.zero()
 
 
+def poly_mul(a, b):
+    """The product of two exact polynomials, by the definition."""
+    out = {}
+    for i, x in a.coeffs.items():
+        for j, y in b.coeffs.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return QSeries(out)
+
+
 def series_loop_S(sector, n):
     """S_n summed term by term as shifted QSeries: the reference for the
     packed evaluation in family_poly."""
@@ -243,8 +252,8 @@ def series_loop_T(sector, n):
     out = QSeries.zero()
     for k in range(0, n // 4 + 2):
         for m in range(0, max(0, n - 4 * k) // 2 + 3):
-            first = _qb(n - 3 * k - m - s1, k) * _qb(n - 4 * k - m - s1, m - j1)
-            second = _qb(n - 3 * k - m - s2, k) * _qb(n - 4 * k - m - s2, m - j2)
+            first = poly_mul(_qb(n - 3 * k - m - s1, k), _qb(n - 4 * k - m - s1, m - j1))
+            second = poly_mul(_qb(n - 3 * k - m - s2, k), _qb(n - 4 * k - m - s2, m - j2))
             term = first + (second * sigma).shift(a * k + b * m + c)
             if term:
                 out = out + term.shift(4 * k * k + 3 * k * m + m * m + l1 * k + l2 * m)
