@@ -9,10 +9,12 @@ the differential ideal splits into independent blocks by length, which keeps
 the exact row reductions small.
 
 A block inserts its rows generator by generator, derivative order upwards.
-It skips every monomial multiple of a row that was redundant in a lower
-block, since the multiple is then redundant too, and it stops once its rank
-is the number of its monomials; ``_build_block`` has the proof.  The rank
-and the reduced echelon form are those of inserting every row.
+Three rules skip only redundant rows: it skips every monomial multiple of a
+row that was redundant in a lower block and every row whose predecessor
+under the derivation was redundant one weight down, since such a row is
+then redundant too, and it stops once its rank is the number of its
+monomials, keeping unit rows; ``_build_block`` has the proof.  The rank and
+the reduced echelon form are those of inserting every row.
 
 The grevlex order grades by weight; within a weight the monomial whose
 partition has the larger part at the first disagreement is the smaller one,
@@ -129,10 +131,6 @@ class DiffPoly:
                           sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]),
                                  reverse=True)]}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "DiffPoly":
-        return cls({tuple(m): c for m, c in d["terms"]})
-
     def __repr__(self):
         items = sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
         bits = [f"{c}*{list(m)}" for m, c in items[:6]]
@@ -173,15 +171,19 @@ GEN_B_SCALED = GEN_B.scale(6)
 _DD_CACHE: dict[tuple, list] = {}
 
 
-def cached_divided_derivative(g: DiffPoly, n: int) -> DiffPoly:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    key = g.key()
-    chain = _DD_CACHE.setdefault(key, [g])
+def _divided_derivatives(g: DiffPoly, n: int) -> list:
+    """The cached chain d^[0] g, d^[1] g, ..., extended to order n at least."""
+    chain = _DD_CACHE.setdefault(g.key(), [g])
     while len(chain) <= n:
         i = len(chain)
         chain.append(derive(chain[-1]).divide(i))
-    return chain[n]
+    return chain
+
+
+def cached_divided_derivative(g: DiffPoly, n: int) -> DiffPoly:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return _divided_derivatives(g, n)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +245,23 @@ def _build_block(gens, d: int, l: int, gkey: tuple):
     ``partitions`` docstring has the proof).  The rows of the block are
     mu * d^[k] g for each generator g in turn, each k upwards and each mu in
     partitions_min2_length(d - w_g - k, l - len(g)); mu fixes k.  A row is
-    redundant when it lies in the span of the rows before it.  Two rules
+    redundant when it lies in the span of the rows before it.  Three rules
     skip only redundant rows, so the kept rows span the block:
 
     * once the block is full (its rank is the number of its monomials),
       every later row is redundant;
+    * for k >= 1, the row (g, k - 1, mu) was not kept in the block
+      (d - 1, l): that row is redundant there.  The derivation maps weight
+      d - 1 to weight d and keeps the factor count, and
+          d(mu * d^[k-1] g) = sum_i (mu_i - 1) (mu with mu_i raised by 1) d^[k-1] g
+                              + k mu d^[k] g:
+      rows of this block with a smaller k, and k times (g, k, mu).  A row
+      before (g, k - 1, mu) in the lower block has an earlier generator, an
+      order below k - 1, or order k - 1 and an earlier multiplier mu'; its
+      image is made of rows with an earlier generator or an order below k,
+      and of (g, k, mu'), all before (g, k, mu).  So d applied to the relation
+      that makes (g, k - 1, mu) redundant writes k times (g, k, mu) as a
+      combination of the rows before it;
     * for some part j of mu, the row (g, k, mu minus j) was not kept in the
       block (d - j, l - 1): that row is redundant there.  The multipliers
       of one weight and length come in descending lex order, which is the
@@ -257,11 +271,14 @@ def _build_block(gens, d: int, l: int, gkey: tuple):
       earlier multipliers) to a row before (g, k, mu) in this one, and x_j
       times a relation among the lower rows is a relation among these.
 
-    By induction over the rows of every block in this order, a row that is
-    skipped or that does not raise the rank is in the span of the rows
-    before it, and the kept rows span what all rows span.  So the block's
+    By induction on the weight, and over the rows of each block in this
+    order, a row that is skipped or that does not raise the rank is in the
+    span of the rows before it (a row after a full block's early exit
+    included), and the kept rows span what all rows span.  So the block's
     span, rank and reduced echelon form are those of the all-rows build.
     The lower blocks come from the cache, built only when a row reads them.
+    A full block's reduced echelon form is the identity, so it stores the
+    unit rows in place of the denser rows that filled it.
 
     Returns (echelon, monomials, kept), where kept[i] is the set of
     multipliers of the kept rows of generator gens[i].
@@ -284,16 +301,23 @@ def _build_block(gens, d: int, l: int, gkey: tuple):
                 out = lower[j] = _block_cached(gens, d - j, l - 1, gkey)[2][gi]
             return out
 
+        chain = _divided_derivatives(g, d - wg)
+        kept_before = None  # kept[gi] of the block (d - 1, l), read from k = 1 on
         for k in range(0, d - wg + 1):
-            dg = cached_divided_derivative(g, k)
-            for mu in partitions_min2_length(d - wg - k, extra):
+            mus = partitions_min2_length(d - wg - k, extra)
+            if k and mus and kept_before is None:
+                kept_before = _block_cached(gens, d - 1, l, gkey)[2][gi]
+            for mu in mus:
+                if k and mu not in kept_before:
+                    continue
                 # one lookup per distinct part j of mu
                 if any(mu[:i] + mu[i + 1:] not in kept_below(j)
                        for i, j in enumerate(mu) if i == 0 or j != mu[i - 1]):
                     continue
-                if ech.insert({index[mono_mul(m, mu)]: c for m, c in dg.terms.items()}):
+                if ech.insert({index[mono_mul(m, mu)]: c for m, c in chain[k].terms.items()}):
                     kept[gi].add(mu)
                     if ech.rank == full:
+                        ech.pivots = {c: {c: 1} for c in range(full)}
                         return ech, monos, kept
     return ech, monos, kept
 

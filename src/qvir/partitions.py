@@ -158,8 +158,9 @@ def partitions_min2(n: int) -> tuple:
 
 
 def count_min2(n: int) -> int:
-    """Number of partitions of n with parts >= 2."""
-    return len(partitions_min2(n)) if n >= 0 else 0
+    """Number of partitions of n with parts >= 2, summed over the lengths
+    without merging their listings."""
+    return sum(len(partitions_min2_length(n, m)) for m in range(n // 2 + 1)) if n >= 0 else 0
 
 
 # ---------------------------------------------------------------------------

@@ -316,15 +316,14 @@ def test_scaled_generator_spans_same_ideal():
             ideal_slice((GEN_A, GEN_B_SCALED), d).pivots
 
 
-# -- the skip rule of _build_block ---------------------------------------------
+# -- the skip rules of _build_block --------------------------------------------
 
-def all_rows_block(gens, d, l):
-    # the oracle: every row mu * d^[k] g of the block inserted, none skipped,
+def all_rows(gens, d, l):
+    # every row mu * d^[k] g of the block, as (generator index, k, mu, row),
     # over the monomials sorted grevlex-descending
     monos = sorted(partitions_min2_length(d, l), key=grevlex_key, reverse=True)
     index = {m: i for i, m in enumerate(monos)}
-    ech = Echelon()
-    for g in map(diffalg._primitive, gens):
+    for gi, g in enumerate(map(diffalg._primitive, gens)):
         wg = g.weight()
         extra = l - diffalg._length(g)
         if extra < 0:
@@ -332,7 +331,14 @@ def all_rows_block(gens, d, l):
         for k in range(0, d - wg + 1):
             dg = cached_divided_derivative(g, k)
             for mu in partitions_min2_length(d - wg - k, extra):
-                ech.insert({index[mono_mul(m, mu)]: c for m, c in dg.terms.items()})
+                yield gi, k, mu, {index[mono_mul(m, mu)]: c for m, c in dg.terms.items()}
+
+
+def all_rows_block(gens, d, l):
+    # the oracle: every row of the block inserted, none skipped
+    ech = Echelon()
+    for _, _, _, row in all_rows(gens, d, l):
+        ech.insert(row)
     return ech
 
 
@@ -367,8 +373,8 @@ def test_skipping_blocks_match_the_all_rows_build(monkeypatch, gens, n):
 
 
 def test_skipped_rows_leave_few_zero_reductions(monkeypatch):
-    # a count, not a timing: inserting every row reduces 6,666 rows to zero
-    # on the way to weight 30
+    # a count, not a timing: on the way to weight 30, inserting every row
+    # reduces 6,666 rows to zero, and the skip rules leave 7 of them
     insert, redundant = Echelon.insert, []
 
     def spy(self, row):
@@ -380,7 +386,52 @@ def test_skipped_rows_leave_few_zero_reductions(monkeypatch):
     monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
     monkeypatch.setattr(Echelon, "insert", spy)
     hilbert_quotient(GENS, 30)
-    assert len(redundant) <= 200
+    assert len(redundant) <= 10
+
+
+@pytest.mark.parametrize("gens, n", [
+    (GENS, 24),
+    ((diffalg.arc_generator(2),), 22),
+], ids=["ab", "arc2"])
+def test_a_derived_row_is_inserted_only_after_its_predecessor_was_kept(monkeypatch, gens, n):
+    # every row (g, k >= 1, mu) that reaches the echelon of the block (d, l)
+    # had (g, k - 1, mu) kept in the block (d - 1, l); the rows are told
+    # apart by their entries
+    insert, inserted = Echelon.insert, []
+
+    def spy(self, row):
+        inserted.append((self, frozenset(row.items())))
+        return insert(self, row)
+
+    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
+    monkeypatch.setattr(Echelon, "insert", spy)
+    hilbert_quotient(gens, n)
+    blocks = {id(ech): (d, l) for (_, d, l), (ech, _, _) in diffalg._BLOCK_CACHE.items()}
+    kept = {(d, l): sets for (_, d, l), (_, _, sets) in diffalg._BLOCK_CACHE.items()}
+    names: dict = {}
+    derived = 0
+    for ech, row in inserted:
+        d, l = blocks[id(ech)]
+        if (d, l) not in names:
+            names[d, l] = {}
+            for gi, k, mu, r in all_rows(gens, d, l):
+                names[d, l].setdefault(frozenset(r.items()), []).append((gi, k, mu))
+        [(gi, k, mu)] = names[d, l][row]
+        if k:
+            derived += 1
+            assert mu in kept[d - 1, l][gi], (d, l, gi, k, mu)
+    assert derived
+
+
+def test_a_full_block_keeps_unit_rows(monkeypatch):
+    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
+    hilbert_quotient(GENS, 24)
+    full = [(d, l, ech, monos) for (_, d, l), (ech, monos, _) in diffalg._BLOCK_CACHE.items()
+            if ech.rank == len(monos)]
+    assert full
+    for d, l, ech, monos in full:
+        assert ech.pivots == {c: {c: 1} for c in range(len(monos))}, (d, l)
+        assert all(membership(DiffPoly.monomial(m), GENS) for m in monos), (d, l)
 
 
 def test_a_cold_slice_out_of_order_equals_the_ascending_build(monkeypatch):
@@ -579,4 +630,4 @@ def test_pattern_table_matches_golden():
 def test_json_roundtrip():
     d = GEN_B.to_json_dict()
     assert d["weight"] == 9
-    assert DiffPoly.from_json_dict(d) == GEN_B
+    assert DiffPoly({tuple(m): F(c) for m, c in d["terms"]}) == GEN_B

@@ -197,7 +197,10 @@ def test_partition_generators():
     # the counts against the generating function prod_{j >= 2} 1/(1 - q^j)
     gf = q_product(61, [(j, -1, -1) for j in range(2, 61)])
     try:
+        merged = partitions_min2.cache_info()
         assert [count_min2(n) for n in range(61)] == [gf.coefficient(n) for n in range(61)]
+        # a count reads the listings of each length, never their merge
+        assert partitions_min2.cache_info()[:2] == merged[:2]
     finally:  # the listings up to 60 hold about a million partitions
         partitions_min2.cache_clear()
         partitions_min2_length.cache_clear()
