@@ -4,7 +4,10 @@ Every identity in scope has two independently computable sides; the
 functions here produce each side as an exact truncated series so callers
 can compare them coefficientwise mod q^N.  Two-variable refinements (the
 five-class generating functions and the bigraded character) use TQSeries,
-a series in q whose coefficients are polynomials in t.
+a series in q whose coefficients are polynomials in t; it does no
+arithmetic.  The q-difference equations of the five classes are the rows
+of ``partitions.CLASS_EQUATIONS``, which ``functional_equation_check``
+reads on the coefficients of the closed forms.
 
 Every character sum here has the shape sum x q^e / ((q)_k1 ... (q)_kr) and
 is evaluated by ``qseries.divided_sum``: the Nahm sums (``nahm_sum``, the
@@ -21,8 +24,9 @@ from functools import lru_cache
 from math import ceil, gcd, lcm
 
 from qvir.linalg import Echelon
-from qvir.qseries import (QSeries, _min_trunc, _slots_below, divided_sum, frac_str,
-                          q_product, single_sum)
+from qvir.partitions import CLASS_EQUATIONS, CLASSES, class_equation_failures
+from qvir.qseries import (QSeries, _slots_below, divided_sum, frac_str, q_product,
+                          single_sum)
 
 
 class NotPositiveDefinite(ValueError):
@@ -56,44 +60,8 @@ class TQSeries:
         self.trunc = t
         self.parts = cleaned
 
-    @classmethod
-    def zero(cls, trunc) -> "TQSeries":
-        return cls({}, trunc)
-
     def t_component(self, m: int) -> QSeries:
         return self.parts.get(m, QSeries.zero(self.trunc))
-
-    def coefficient(self, m: int, e) -> int | Fraction:
-        return self.t_component(m).coefficient(e)
-
-    def t_degrees(self):
-        return sorted(self.parts)
-
-    def __bool__(self):
-        return bool(self.parts)
-
-    def __add__(self, other: "TQSeries") -> "TQSeries":
-        t = _min_trunc(self.trunc, other.trunc)
-        out = dict(self.parts)
-        for m, s in other.parts.items():
-            out[m] = out[m] + s if m in out else s
-        return TQSeries(out, t)
-
-    def __neg__(self):
-        return TQSeries({m: -s for m, s in self.parts.items()}, self.trunc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def mul_t(self, j: int = 1) -> "TQSeries":
-        return TQSeries({m + j: s for m, s in self.parts.items()}, self.trunc)
-
-    def mul_q(self, e) -> "TQSeries":
-        return TQSeries({m: s.shift(e) for m, s in self.parts.items()}, self.trunc)
-
-    def t_shear(self, a: int) -> "TQSeries":
-        """Substitute t -> t*q^a: the t^m component picks up q^(a*m)."""
-        return TQSeries({m: s.shift(a * m) for m, s in self.parts.items()}, self.trunc)
 
     def bigrade(self) -> "TQSeries":
         """Substitute t -> t^(-2), q -> t*q: t^m q^n maps to t^(n-2m) q^n."""
@@ -115,21 +83,6 @@ class TQSeries:
             out = out + s
         return out
 
-    def agreement(self, other: "TQSeries"):
-        """Compare mod min trunc; return (order, first mismatch (m, e) or None)."""
-        t = _min_trunc(self.trunc, other.trunc)
-        worst = None
-        for m in set(self.parts) | set(other.parts):
-            _, first = self.t_component(m).truncate(t).agreement(other.t_component(m).truncate(t))
-            if first is not None and (worst is None or first < worst[1]):
-                worst = (m, first)
-        return t, worst
-
-    def equal_mod(self, other: "TQSeries", n=None) -> bool:
-        lhs = self if n is None else TQSeries(self.parts, _min_trunc(self.trunc, Fraction(n)))
-        rhs = other if n is None else TQSeries(other.parts, _min_trunc(other.trunc, Fraction(n)))
-        return lhs.agreement(rhs)[1] is None
-
     def to_json_dict(self) -> dict:
         by_q: dict = {}
         for m, s in self.parts.items():
@@ -145,7 +98,7 @@ class TQSeries:
         }
 
     def __repr__(self):
-        return "TQSeries(t-degrees %s + O(q^%s))" % (self.t_degrees(), self.trunc)
+        return "TQSeries(t-degrees %s + O(q^%s))" % (sorted(self.parts), self.trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +407,6 @@ def module_character(which: str, side: str, trunc) -> QSeries:
 # the five-class generating functions and their functional equations
 # ---------------------------------------------------------------------------
 
-CLASS_NAMES = ("A", "B", "C", "D", "E")
-
 # (t-degree, q-offset, linear term) of each class's quasiparticle double sum
 _CLASS_SUMS = {
     "A": (0, 0, (2, 2)),
@@ -477,8 +428,8 @@ def class_closed_form(which: str, trunc) -> TQSeries:
     quasiparticle sum with (k1, k2) = (k, j), term by term, for the class's
     row of _CLASS_SUMS.
     """
-    if which not in CLASS_NAMES:
-        raise ValueError("class must be one of %s" % (CLASS_NAMES,))
+    if which not in CLASSES:
+        raise ValueError("class must be one of %s" % (CLASSES,))
     t_base, offset, linear = _CLASS_SUMS[which]
     return _quasiparticle_sum(trunc, [((0, 0, 0), 1)], linear, offset, t_base)
 
@@ -489,31 +440,38 @@ def P_of_t_q(trunc) -> TQSeries:
 
 
 def functional_equation_check(trunc) -> dict:
-    """Verify the five coupled q-difference equations satisfied by the
-    class generating functions, plus their t=0 initial conditions.  The
-    report carries the closed forms it checked, by class."""
+    """Verify ``partitions.CLASS_EQUATIONS`` on the closed forms mod q^trunc:
+    the five q-difference equations of the class generating functions, and
+    P_of_t_q as their sum, plus the t=0 initial conditions.
+
+    The cells compared are every (q-exponent, t-degree) below q^trunc at
+    which some closed form, or some closed form moved by a row of the
+    table, has a term.  Each equation reports its first failing cell, the
+    lowest in q and then in t.  The report carries the closed forms it
+    checked, by class and under "P".
+    """
     n = Fraction(trunc)
-    F = {w: class_closed_form(w, n) for w in CLASS_NAMES}
-    sub = lambda w, a: F[w].t_shear(a)
-
-    def eq(lhs: TQSeries, rhs: TQSeries):
-        order, first = lhs.agreement(rhs)
-        return {"passed": first is None, "order": str(order),
-                "first_failure": None if first is None else
-                {"t_degree": first[0], "q_exponent": str(first[1])}}
-
-    report = {
-        "A": eq(F["A"], sub("A", 1) + sub("B", 1) + sub("C", 1) + sub("D", 1)),
-        "B": eq(F["B"], (sub("A", 1) - sub("D", 2)).mul_t().mul_q(2)),
-        "C": eq(F["C"], sub("B", 2).mul_t().mul_q(1) + sub("D", 2).mul_t().mul_q(2)),
-        "D": eq(F["D"], (sub("B", 1) - sub("E", 2)).mul_t().mul_q(1)),
-        "E": eq(F["E"], sub("C", 1).mul_t().mul_q(1)),
-    }
+    F = {w: class_closed_form(w, n) for w in CLASSES}
+    F["P"] = P_of_t_q(n)
+    # the closed forms have integer q-exponents, so coeffs is keyed by them
+    table = {w: {(k, m): c for m, s in f.parts.items() for k, c in s.coeffs.items()}
+             for w, f in F.items()}
+    cells = set()
+    for w, rows in CLASS_EQUATIONS.items():
+        cells.update(table[w])
+        for cls, a, j, e, _ in rows:
+            cells.update((k + e + a * m, m + j) for k, m in table[cls])
+    first = {}
+    for f in class_equation_failures(table, sorted(c for c in cells if c[0] < n)):
+        first.setdefault(f["class"], f)
+    report = {w: {"passed": w not in first, "order": str(n),
+                  "first_failure": None if w not in first else
+                  {"t_degree": first[w]["m"], "q_exponent": str(first[w]["n"])}}
+              for w in CLASS_EQUATIONS}
     inits = {"A": F["A"].t_component(0) == QSeries.one(n)}
     for w in ("B", "C", "D", "E"):
         inits[w] = not F[w].t_component(0)
-    report["initial_conditions"] = {w: bool(v) for w, v in inits.items()}
+    report["initial_conditions"] = inits
     report["closed_forms"] = F
-    report["passed"] = all(r["passed"] for r in
-                           (report[w] for w in CLASS_NAMES)) and all(inits.values())
+    report["passed"] = not first and all(inits.values())
     return report

@@ -191,22 +191,17 @@ def check_recursion(n: int) -> list:
 
 def check_functional_eqs(n: int) -> list:
     from qvir import characters as ch
+    from qvir.partitions import CLASSES
     rep = ch.functional_equation_check(n)
-    out = []
-    for w in ch.CLASS_NAMES:
-        r = rep[w]
-        out.append(_entry("functional equation %s" % w, r["passed"], r["order"],
-                          first_failure=None if r["first_failure"] is None
-                          else json.dumps(r["first_failure"])))
+
+    def equation(name, r):
+        return _entry(name, r["passed"], r["order"], first_failure=None
+                      if r["first_failure"] is None else json.dumps(r["first_failure"]))
+
+    out = [equation("functional equation %s" % w, rep[w]) for w in CLASSES]
     out.append(_entry("initial conditions", all(rep["initial_conditions"].values())))
-    P = ch.P_of_t_q(n)
-    S = None
-    for f in rep["closed_forms"].values():
-        S = f if S is None else S + f
-    order, first = P.agreement(S)
-    out.append(_entry("P == A+B+C+D+E", first is None, order,
-                      first_failure=None if first is None else json.dumps(
-                          {"t_degree": first[0], "q_exponent": str(first[1])})))
+    out.append(equation("P == A+B+C+D+E", rep["P"]))
+    P = rep["closed_forms"]["P"]
     try:
         bg, error = P.bigrade(), None
     except ValueError as exc:

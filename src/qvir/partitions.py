@@ -4,7 +4,10 @@ A partition is a weakly decreasing tuple of integers >= 2.  The avoidance
 set P(n) consists of partitions of n containing none of the forbidden
 sub-multisets: eleven p-indexed families plus four exceptional patterns.
 P(n) splits into five classes A..E according to the shape of its smallest
-parts, and the class counts satisfy coupled recurrences verified here.
+parts.  The five coupled q-difference equations of the class generating
+functions, and P as their sum, are written once, as the row table
+``CLASS_EQUATIONS``; ``class_equation_failures`` reads it on any table of
+coefficients, and ``recursion_check`` on the class counts of the walk.
 
 P(n) is counted and listed by one walk up the part values 2, 3, ... whose
 state is the multiplicities of the last few values (a transfer matrix);
@@ -37,13 +40,6 @@ Partition = tuple
 
 def weight(lam: Partition) -> int:
     return sum(lam)
-
-
-def contains(lam, mu) -> bool:
-    """Multiset containment: every part of mu occurs in lam with multiplicity."""
-    need = Counter(mu)
-    have = Counter(lam)
-    return all(have[v] >= k for v, k in need.items())
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +262,21 @@ def grevlex_key(lam: Partition):
 
 CLASSES = ("A", "B", "C", "D", "E")
 
+# The five coupled q-difference equations of the class generating functions
+# F_w(t) = sum t^m q^n (partitions of n with m parts in class w), and P as
+# their total.  A row (cls, a, j, e, sign) of w adds sign t^j q^e F_cls(t q^a)
+# to F_w(t); on coefficients it adds sign g(cls, n - e - a(m - j), m - j) to
+# g(w, n, m).  ``recursion_check`` reads the rows on the counts of the walk,
+# ``characters.functional_equation_check`` on the closed-form sums.
+CLASS_EQUATIONS = {
+    "A": (("A", 1, 0, 0, 1), ("B", 1, 0, 0, 1), ("C", 1, 0, 0, 1), ("D", 1, 0, 0, 1)),
+    "B": (("A", 1, 1, 2, 1), ("D", 2, 1, 2, -1)),
+    "C": (("B", 2, 1, 1, 1), ("D", 2, 1, 2, 1)),
+    "D": (("B", 1, 1, 1, 1), ("E", 2, 1, 1, -1)),
+    "E": (("C", 1, 1, 1, 1),),
+    "P": tuple((cls, 0, 0, 0, 1) for cls in CLASSES),
+}
+
 
 def classify(lam) -> str:
     """Assign a partition of P(n) to its class by the shape of its smallest parts."""
@@ -344,41 +355,33 @@ def count_table(n_max: int) -> dict:
     return {cls: dict(sorted(cells.items())) for cls, cells in table.items()}
 
 
-def recursion_check(n_max: int) -> dict:
-    """Verify the five coupled recurrences on the class counts for n <= n_max.
+def class_equation_failures(table: dict, cells) -> list:
+    """The equations of CLASS_EQUATIONS that fail on ``table``, a map
+    {class: {(n, m): coefficient of t^m q^n}} over the five classes and P,
+    at each cell (n, m) of ``cells`` in turn.  Absent cells count as zero."""
+    failures = []
+    for n, m in cells:
+        for w, rows in CLASS_EQUATIONS.items():
+            expected = sum(sign * table[cls].get((n - e - a * (m - j), m - j), 0)
+                           for cls, a, j, e, sign in rows)
+            actual = table[w].get((n, m), 0)
+            if actual != expected:
+                failures.append({"class": w, "n": n, "m": m,
+                                 "actual": actual, "expected": expected})
+    return failures
 
-    Out-of-range indices count as zero; the n = 0 row is the base case (only
-    the empty partition, in class A) and is excluded from the recurrences.
-    The report carries the ``count_table(n_max)`` it checked; a negative
-    n_max raises ``ValueError`` there.
+
+def recursion_check(n_max: int) -> dict:
+    """Verify CLASS_EQUATIONS on the class counts of ``count_table(n_max)``
+    at every cell n = 1..n_max, m <= n/2.
+
+    The n = 0 row is the base case (only the empty partition, in class A)
+    and is excluded.  The report carries the count table it checked; a
+    negative n_max raises ``ValueError`` there.
     """
     t = count_table(n_max)
-
-    def g(cls, n, m):
-        return t[cls].get((n, m), 0)
-
-    failures = []
-    comparisons = 0
-    for n in range(1, n_max + 1):
-        for m in range(0, n // 2 + 1):
-            want = {
-                "A": g("A", n - m, m) + g("B", n - m, m) + g("C", n - m, m) + g("D", n - m, m),
-                "B": g("A", n - m - 1, m - 1) - g("D", n - 2 * m, m - 1),
-                "C": g("B", n - 2 * m + 1, m - 1) + g("D", n - 2 * m, m - 1),
-                "D": g("B", n - m, m - 1) - g("E", n - 2 * m + 1, m - 1),
-                "E": g("C", n - m, m - 1),
-            }
-            for cls in CLASSES:
-                comparisons += 1
-                if g(cls, n, m) != want[cls]:
-                    failures.append({"class": cls, "n": n, "m": m,
-                                     "actual": g(cls, n, m), "expected": want[cls]})
-            total = sum(g(c, n, m) for c in CLASSES)
-            comparisons += 1
-            if g("P", n, m) != total:
-                failures.append({"class": "P", "n": n, "m": m,
-                                 "actual": g("P", n, m), "expected": total})
+    cells = [(n, m) for n in range(1, n_max + 1) for m in range(n // 2 + 1)]
+    failures = class_equation_failures(t, cells)
     return {"passed": not failures, "n_max": n_max, "failures": failures[:10],
-            "failure_count": len(failures), "comparisons": comparisons,
-            "count_table": t}
-
+            "failure_count": len(failures),
+            "comparisons": len(cells) * len(CLASS_EQUATIONS), "count_table": t}

@@ -177,7 +177,8 @@ def test_functional_eqs_t1_entry_catches_a_wrong_P(monkeypatch):
     real = ch.P_of_t_q
 
     def wrong_P(n):
-        return real(n) + ch.TQSeries({1: QSeries.from_terms([(5, 1)], n)}, n)
+        P = real(n)
+        return ch.TQSeries({**P.parts, 1: P.t_component(1) + QSeries.from_terms([(5, 1)], n)}, n)
 
     monkeypatch.setattr(ch, "P_of_t_q", wrong_P)
     rep = run_check("functional-eqs", RunConfig(trunc_tq=8))
@@ -185,6 +186,80 @@ def test_functional_eqs_t1_entry_catches_a_wrong_P(monkeypatch):
     assert entries["bigraded substitution: t-exponents nonnegative"]["passed"]
     assert not entries["bigraded character at t=1"]["passed"]
     assert entries["bigraded character at t=1"]["first_failure"] == "5"
+    assert entries["P == A+B+C+D+E"]["first_failure"] == \
+        json.dumps({"t_degree": 1, "q_exponent": "5"})
+
+
+def test_recursion_reports_a_miscounted_cell(monkeypatch):
+    from qvir import partitions as pt
+
+    real = pt.count_table
+    good = real(20)
+    e, p, d = good["E"][(8, 3)], good["P"][(8, 3)], good["D"].get((15, 4), 0)
+
+    def miscounted(n):
+        table = real(n)
+        table["E"][(8, 3)] += 1
+        return table
+
+    monkeypatch.setattr(pt, "count_table", miscounted)
+    rep = pt.recursion_check(20)
+    # the cell fails E's equation and the P total there, and D's equation
+    # where D's E-row reads it: n = 8 + 1 + 2*3, m = 3 + 1
+    assert rep["failures"] == [
+        {"class": "E", "n": 8, "m": 3, "actual": e + 1, "expected": e},
+        {"class": "P", "n": 8, "m": 3, "actual": p, "expected": p + 1},
+        {"class": "D", "n": 15, "m": 4, "actual": d, "expected": d - 1}]
+    assert rep["failure_count"] == 3 and not rep["passed"]
+    entry = run_check("recursion", RunConfig(trunc_tq=20))
+    assert not entry["passed"]
+    assert json.loads(entry["checks"][0]["first_failure"]) == rep["failures"][0]
+    assert run_check("functional-eqs", RunConfig(trunc_tq=20))["passed"]
+
+
+def _equation_entries(rep):
+    """Class (or "P") -> whether its equation passed, from a functional-eqs report."""
+    from qvir.partitions import CLASS_EQUATIONS
+    entries = {c["name"]: c["passed"] for c in rep["checks"]}
+    return {w: entries["P == A+B+C+D+E" if w == "P" else "functional equation %s" % w]
+            for w in CLASS_EQUATIONS}
+
+
+def test_a_wrong_table_row_fails_both_checks(monkeypatch):
+    from qvir import partitions as pt
+
+    # D's E-row with q^2 in place of q^1
+    monkeypatch.setitem(pt.CLASS_EQUATIONS, "D", (("B", 1, 1, 1, 1), ("E", 2, 1, 2, -1)))
+    rep = pt.recursion_check(20)
+    assert not rep["passed"] and {f["class"] for f in rep["failures"]} == {"D"}
+    equations = _equation_entries(run_check("functional-eqs", RunConfig(trunc_tq=20)))
+    assert [w for w, passed in equations.items() if not passed] == ["D"]
+
+
+def test_a_wrong_closed_form_fails_only_the_equations_reading_it(monkeypatch):
+    from qvir import characters as ch
+    from qvir.partitions import CLASS_EQUATIONS
+    from qvir.qseries import QSeries
+
+    real = ch.class_closed_form
+
+    def extra_C(which, trunc):
+        f = real(which, trunc)
+        if which != "C":
+            return f
+        return ch.TQSeries({**f.parts, 2: f.t_component(2) + QSeries.from_terms([(6, 1)], trunc)},
+                           trunc)
+
+    monkeypatch.setattr(ch, "class_closed_form", extra_C)
+    assert run_check("recursion", RunConfig(trunc_tq=20))["passed"]
+    rep = run_check("functional-eqs", RunConfig(trunc_tq=20))
+    readers = {w for w, rows in CLASS_EQUATIONS.items()
+               if w == "C" or any(row[0] == "C" for row in rows)}
+    assert readers == {"A", "C", "E", "P"}
+    equations = _equation_entries(rep)
+    assert {w for w, passed in equations.items() if not passed} == readers
+    # the initial conditions and the two bigrade entries read no class sum
+    assert sum(not c["passed"] for c in rep["checks"]) == len(readers)
 
 
 def test_families_sample_entry_catches_a_wrong_T8(monkeypatch):
@@ -417,6 +492,7 @@ QUASIPARTICLE_SUM_ORDERS = (1, 2, 3, 20)
 
 def quasiparticle_sums():
     from qvir import characters as ch
+    from qvir.partitions import CLASSES
     from qvir.polyfamilies import SECTORS, limit_series
     from qvir.qseries import pochhammer_inf
     half = Fraction(1, 2)
@@ -432,7 +508,7 @@ def quasiparticle_sums():
         for side in ("Classical", "New"):
             sums["module_character/%s/%s" % (w, side)] = \
                 lambda n, w=w, side=side: ch.module_character(w, side, n)
-    for w in ch.CLASS_NAMES:
+    for w in CLASSES:
         # the fixture holds each class sum under two names, which must agree
         sums["class_quasiparticle_form/%s" % w] = \
             sums["class_closed_form/%s" % w] = lambda n, w=w: ch.class_closed_form(w, n)

@@ -4,18 +4,11 @@ import pytest
 
 from qvir.characters import andrews_gordon_product, mod16_product, quasiparticle_chi
 from qvir.partitions import (CLASSES, EXCEPTIONAL_PATTERNS, NotInP, _patterns_by_min,
-                             classify, contains, count_min2, count_table, enumerate_P,
+                             classify, count_min2, count_table, enumerate_P,
                              forbidden_patterns, grevlex_key, is_avoiding,
                              partitions_min2, partitions_min2_length,
                              pattern_width, recursion_check)
 from qvir.qseries import q_product
-
-
-def test_contains_multiset_semantics():
-    assert contains((5, 3, 3, 2), (3, 3))
-    assert not contains((4, 2), (2, 2))
-    assert contains((4, 2), ())
-    assert contains((), ())
 
 
 def test_forbidden_patterns_small():

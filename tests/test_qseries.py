@@ -441,8 +441,8 @@ def test_integer_polynomials_never_see_fractions(monkeypatch):
     # structural guard, not a timing: a Fraction default in a loop or a
     # constructor would bring the slow path back without changing any value,
     # so check what reaches QSeries.__init__ as well as what it stores
-    from qvir.characters import (CLASS_NAMES, MODULES, P_of_t_q, class_closed_form,
-                                 module_character)
+    from qvir.characters import MODULES, P_of_t_q, class_closed_form, module_character
+    from qvir.partitions import CLASSES
     from qvir.polyfamilies import family_poly
     handed = set()
     init = QSeries.__init__
@@ -457,7 +457,7 @@ def test_integer_polynomials_never_see_fractions(monkeypatch):
     P = P_of_t_q(12)
     built += list(P.parts.values()) + list(P.bigrade().parts.values())
     built += [module_character(w, "New", 12) for w in MODULES]
-    for w in CLASS_NAMES:
+    for w in CLASSES:
         built += list(class_closed_form(w, 12).parts.values())
     assert handed == {int}
     assert all(all_int(s) for s in built)
