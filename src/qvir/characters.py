@@ -20,7 +20,6 @@ quasiparticle double sums, one call per t-degree), the single sums
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil, gcd, lcm
 
 from qvir.linalg import Echelon
@@ -307,7 +306,6 @@ def e8_cartan_matrix() -> list[list[int]]:
     return m
 
 
-@lru_cache(maxsize=1)
 def e8_cartan_inverse() -> tuple:
     """Exact inverse of the E8 Cartan matrix (an integer matrix, det = 1):
     the right half of the reduced echelon form of [A | I]."""

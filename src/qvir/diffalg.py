@@ -14,7 +14,10 @@ row that was redundant in a lower block and every row whose predecessor
 under the derivation was redundant one weight down, since such a row is
 then redundant too, and it stops once its rank is the number of its
 monomials, keeping unit rows; ``_build_block`` has the proof.  The rank and
-the reduced echelon form are those of inserting every row.
+the reduced echelon form are those of inserting every row.  The reports read
+the integer blocks only: their ranks (``hilbert_quotient``), their pivot
+columns, which are the leading monomials of the slice (``groebner_check``),
+and reductions against them (``membership``).
 
 The grevlex order grades by weight; within a weight the monomial whose
 partition has the larger part at the first disagreement is the smaller one,
@@ -62,18 +65,11 @@ class DiffPoly:
     def __init__(self, terms=None):
         self.terms = exact_terms(terms) if terms else {}
 
-    @classmethod
-    def monomial(cls, mono, c=1) -> "DiffPoly":
-        return cls({tuple(mono): c})
-
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
         return isinstance(other, DiffPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
         out = dict(self.terms)
@@ -189,25 +185,6 @@ def cached_divided_derivative(g: DiffPoly, n: int) -> DiffPoly:
 # ---------------------------------------------------------------------------
 # weight slices of a differential ideal
 # ---------------------------------------------------------------------------
-
-
-class GradedIdealSlice:
-    """Reduced row-echelon basis of one weight slice of a differential ideal.
-
-    Rows are monic DiffPolys sorted by grevlex-descending leading monomial;
-    the leading monomials are exactly the pivot columns of the slice.
-    """
-
-    __slots__ = ("weight", "rank", "rows", "pivots")
-
-    def __init__(self, weight: int, rows: list):
-        self.weight = weight
-        self.rows = rows
-        self.pivots = tuple(r.leading_monomial() for r in rows)
-        self.rank = len(rows)
-
-    def __repr__(self):
-        return f"GradedIdealSlice(weight={self.weight}, rank={self.rank})"
 
 
 def _gens_key(gens) -> tuple:
@@ -345,22 +322,6 @@ def _block_lengths(gens, d: int):
     return sorted(out)
 
 
-def slice_rank(gens, d: int) -> int:
-    return sum(_block_cached(gens, d, l)[0].rank for l in _block_lengths(gens, d))
-
-
-def ideal_slice(gens, d: int) -> GradedIdealSlice:
-    """Reduced echelon basis of the weight-d component of the differential ideal."""
-    rows = []
-    for l in _block_lengths(gens, d):
-        ech, monos, _ = _block_cached(gens, d, l)
-        for c, row in ech.reduced().items():
-            lead = row[c]
-            rows.append(DiffPoly({monos[i]: Fraction(v, lead) for i, v in row.items()}))
-    rows.sort(key=lambda r: grevlex_key(r.leading_monomial()), reverse=True)
-    return GradedIdealSlice(d, rows)
-
-
 def membership(f: DiffPoly, gens) -> bool:
     """True iff homogeneous f lies in the weight slice spanned by the ideal.
 
@@ -383,7 +344,8 @@ def hilbert_quotient(gens, n_max: int) -> QSeries:
     """Graded dimension of the quotient by the differential ideal, mod q^(n_max+1)."""
     coeffs = {}
     for d in range(0, n_max + 1):
-        dim = count_min2(d) - slice_rank(gens, d)
+        dim = count_min2(d) - sum(_block_cached(gens, d, l)[0].rank
+                                  for l in _block_lengths(gens, d))
         if dim:
             coeffs[d] = dim
     return QSeries(coeffs, n_max + 1)
@@ -636,6 +598,11 @@ def groebner_check(n_max: int) -> dict:
     """Degreewise: pivot monomials of the ideal slice must equal the
     monomials divisible by some claimed leading monomial, a forbidden pattern.
 
+    The columns of a block are in grevlex-descending order and the pivot of
+    an echelon row is its smallest column, so the pivot columns of the
+    cached integer blocks are the leading monomials of the slice (Lazard,
+    EUROCAL 1983); no reduced form is built.
+
     The published basis list omits the w family; the report records whether
     its patterns are covered by the others or genuinely required.
     """
@@ -649,10 +616,16 @@ def groebner_check(n_max: int) -> dict:
     ok = True
     w_only: list = []
     for d in range(0, n_max + 1):
-        slice_pivots.append(ideal_slice(gens, d).pivots)
-        pivots = set(slice_pivots[-1])
+        pivots = set()
+        for l in _block_lengths(gens, d):
+            ech, cols, _ = _block_cached(gens, d, l)
+            pivots.update(cols[c] for c in ech.pivots)
+        # partitions_min2 is grevlex-ascending: backwards, it lists the
+        # pivots grevlex-descending
+        monos = partitions_min2(d)
+        slice_pivots.append(tuple(m for m in reversed(monos) if m in pivots))
         closure, closure_wo = set(), set()
-        for m in partitions_min2(d):
+        for m in monos:
             have = Counter(m)
             if contains_pattern(have, others):
                 closure_wo.add(m)

@@ -43,14 +43,6 @@ class VirVector:
         self.c = Fraction(c)
         self.coeffs = exact_terms(coeffs) if coeffs else {}
 
-    @classmethod
-    def vacuum(cls, c) -> "VirVector":
-        return cls(c, {(): 1})
-
-    @classmethod
-    def monomial(cls, c, mono, coeff=1) -> "VirVector":
-        return cls(c, {tuple(mono): coeff})
-
     def __bool__(self):
         return bool(self.coeffs)
 

@@ -156,12 +156,8 @@ def test_e8_cartan_inverse_raises_unless_integral(monkeypatch):
     # 2 I has determinant 256, so its inverse is not integral
     monkeypatch.setattr(characters, "e8_cartan_matrix",
                         lambda: [[2 if i == j else 0 for j in range(8)] for i in range(8)])
-    e8_cartan_inverse.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError):
-            e8_cartan_inverse()
-    finally:
-        e8_cartan_inverse.cache_clear()
+    with pytest.raises(ArithmeticError):
+        e8_cartan_inverse()
 
 
 def test_e8_nahm_sum_equals_character():

@@ -476,12 +476,17 @@ def test_golden_diffpoly():
     assert build_element("r", 1).to_json_dict() == load_golden("element_r1.json")
 
 
-def test_golden_ideal_slice_rows():
-    from qvir.diffalg import GEN_A, GEN_B, ideal_slice
+def test_golden_ideal_slice_rows(reduced_slice):
+    from qvir.diffalg import GEN_A, GEN_B, groebner_check
     golden = load_golden("ideal_slice_rows.json")
     assert sorted(golden, key=int) == [str(d) for d in range(19)]
+    slice_pivots = groebner_check(18)["slice_pivots"]
     for d, rows in golden.items():
-        assert [r.to_json_dict() for r in ideal_slice((GEN_A, GEN_B), int(d)).rows] == rows, d
+        assert [r.to_json_dict() for r in reduced_slice((GEN_A, GEN_B), int(d))] == rows, d
+        # groebner reads the pivots off the integer blocks: they are the
+        # golden rows' leading monomials, in order
+        assert [list(m) for m in slice_pivots[int(d)]] == \
+            [r["terms"][0][0] for r in rows], d
 
 
 # every quasiparticle sum, single sum and truncated product, pinned with its

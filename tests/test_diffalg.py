@@ -13,7 +13,7 @@ from qvir.characters import (MinimalModelLabel, andrews_gordon_product,
 from qvir.diffalg import (DiffPoly, ELEMENT_NAMES, GEN_A, GEN_B, GEN_B_SCALED,
                           ZeroPolynomial, build_element, cached_divided_derivative,
                           derive, groebner_check,
-                          hilbert_quotient, ideal_slice, membership, mono_mul,
+                          hilbert_quotient, membership, mono_mul,
                           prop51_check, verify_derivative_formulas)
 from qvir.linalg import Echelon
 from qvir.partitions import (EXCEPTIONAL_PATTERNS, count_min2, forbidden_patterns,
@@ -42,7 +42,7 @@ def test_grevlex_total_order():
 
 
 def test_derive_generator_rule():
-    assert derive(DiffPoly.monomial((2,))) == DiffPoly.monomial((3,))
+    assert derive(DiffPoly({(2,): 1})) == DiffPoly({(3,): 1})
     assert derive(GEN_A) == DiffPoly({(3, 2, 2): 3})
     assert not derive(DiffPoly({(): 1}))
 
@@ -111,7 +111,7 @@ def test_homogeneous_weight_raised_by_one():
 def test_leading_monomial_examples():
     assert cached_divided_derivative(GEN_A, 2).leading_monomial() == (3, 3, 2)
     assert GEN_B.leading_monomial() == (4, 3, 2)
-    assert DiffPoly.monomial((2,)).leading_monomial() == (2,)
+    assert DiffPoly({(2,): 1}).leading_monomial() == (2,)
     with pytest.raises(ZeroPolynomial):
         DiffPoly().leading_monomial()
 
@@ -135,33 +135,37 @@ def test_lm_multiplicative_exhaustive_low_weight():
         for w2 in range(2, 15 - w1):
             for a in partitions_min2(w1):
                 for b in partitions_min2(w2):
-                    pa, pb = DiffPoly.monomial(a), DiffPoly.monomial(b)
+                    pa, pb = DiffPoly({a: 1}), DiffPoly({b: 1})
                     assert pa.mul(pb).leading_monomial() == tuple(
                         sorted(a + b, reverse=True))
 
 
 # -- ideal slices ------------------------------------------------------------
 
-def test_slice_at_generator_weight():
-    sl = ideal_slice(GENS, 6)
-    assert sl.rank == 1
-    assert sl.pivots == ((2, 2, 2),)
+def leading_monomials(rows):
+    return [r.leading_monomial() for r in rows]
 
 
-def test_slice_below_generators():
-    assert ideal_slice(GENS, 5).rank == 0
+def test_slice_at_generator_weight(reduced_slice):
+    rows = reduced_slice(GENS, 6)
+    assert len(rows) == 1
+    assert leading_monomials(rows) == [(2, 2, 2)]
 
 
-def test_slice_weight_9():
-    sl = ideal_slice(GENS, 9)
-    assert (4, 3, 2) in sl.pivots
-    assert (3, 3, 3) in sl.pivots
+def test_slice_below_generators(reduced_slice):
+    assert reduced_slice(GENS, 5) == []
 
 
-def test_slice_rows_are_reduced_and_monic():
-    sl = ideal_slice(GENS, 12)
-    pivots = set(sl.pivots)
-    for row in sl.rows:
+def test_slice_weight_9(reduced_slice):
+    pivots = leading_monomials(reduced_slice(GENS, 9))
+    assert (4, 3, 2) in pivots
+    assert (3, 3, 3) in pivots
+
+
+def test_slice_rows_are_reduced_and_monic(reduced_slice):
+    rows = reduced_slice(GENS, 12)
+    pivots = set(leading_monomials(rows))
+    for row in rows:
         assert row.terms[row.leading_monomial()] == 1
         for m in row.terms:
             assert m == row.leading_monomial() or m not in pivots
@@ -170,8 +174,8 @@ def test_slice_rows_are_reduced_and_monic():
 def test_membership_examples():
     assert membership(GEN_A, GENS)
     assert membership(GEN_B, GENS)
-    assert membership(DiffPoly.monomial((5, 4, 2, 2)), GENS)
-    assert not membership(DiffPoly.monomial((3, 2)), GENS)
+    assert membership(DiffPoly({(5, 4, 2, 2): 1}), GENS)
+    assert not membership(DiffPoly({(3, 2): 1}), GENS)
 
 
 def test_membership_printed_monomial_combination():
@@ -184,7 +188,7 @@ def test_membership_printed_monomial_combination():
     combo = (d2b.mul_monomial((2,), 3) + GEN_B_SCALED.mul_monomial((4,), -18)
              + d2a.mul_monomial((5,), -19) + da.mul_monomial((6,), -88)
              + GEN_A.mul_monomial((7,), -60)).scale(F(1, 204))
-    assert combo == DiffPoly.monomial((5, 4, 2, 2))
+    assert combo == DiffPoly({(5, 4, 2, 2): 1})
 
 
 def test_hilbert_free_algebra():
@@ -217,7 +221,7 @@ def test_generator_mixing_lengths_is_rejected():
     with pytest.raises(ValueError, match="one factor count"):
         hilbert_quotient((GEN_A, mixed), 8)
     with pytest.raises(ValueError, match="one factor count"):
-        membership(DiffPoly.monomial((2, 2)), (mixed,))
+        membership(DiffPoly({(2, 2): 1}), (mixed,))
 
 
 def test_slice_rows_are_integer_from_the_start(monkeypatch):
@@ -310,10 +314,10 @@ def test_divide_keeps_the_coefficient_rule():
     assert DiffPoly({(2,): F(3, 2)}).divide(1) == DiffPoly({(2,): F(3, 2)})
 
 
-def test_scaled_generator_spans_same_ideal():
+def test_scaled_generator_spans_same_ideal(reduced_slice):
     for d in range(6, 16):
-        assert ideal_slice(GENS, d).pivots == \
-            ideal_slice((GEN_A, GEN_B_SCALED), d).pivots
+        assert leading_monomials(reduced_slice(GENS, d)) == \
+            leading_monomials(reduced_slice((GEN_A, GEN_B_SCALED), d))
 
 
 # -- the skip rules of _build_block --------------------------------------------
@@ -431,23 +435,23 @@ def test_a_full_block_keeps_unit_rows(monkeypatch):
     assert full
     for d, l, ech, monos in full:
         assert ech.pivots == {c: {c: 1} for c in range(len(monos))}, (d, l)
-        assert all(membership(DiffPoly.monomial(m), GENS) for m in monos), (d, l)
+        assert all(membership(DiffPoly({m: 1}), GENS) for m in monos), (d, l)
 
 
-def test_a_cold_slice_out_of_order_equals_the_ascending_build(monkeypatch):
+def test_a_cold_slice_out_of_order_equals_the_ascending_build(monkeypatch, reduced_slice):
     # the weight-24 blocks built first read the lower blocks they need
-    probes = [DiffPoly.monomial(m) for m in partitions_min2(24)[::-1][::7]]
+    probes = [DiffPoly({m: 1}) for m in partitions_min2(24)[::-1][::7]]
     probes += [build_element("s", 4), build_element("w", 2),
-               build_element("w", 2) + DiffPoly.monomial((8, 6, 5, 3, 2))]
+               build_element("w", 2) + DiffPoly({(8, 6, 5, 3, 2): 1})]
     monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
-    cold = ideal_slice(GENS, 24)
+    cold = reduced_slice(GENS, 24)
     cold_members = [membership(f, GENS) for f in probes]
     monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
     cold_members_first = [membership(f, GENS) for f in probes]
     monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
     for d in range(25):
-        ascending = ideal_slice(GENS, d)
-    assert cold.rows == ascending.rows and cold.pivots == ascending.pivots
+        ascending = reduced_slice(GENS, d)
+    assert cold == ascending
     members = [membership(f, GENS) for f in probes]
     assert cold_members == cold_members_first == members
     assert True in members and False in members
@@ -560,7 +564,7 @@ def test_printed_elements_are_built_from_ideal_bases():
     (1, (), (3, 2)),                              # a bare monomial, not in the ideal
     (1, (), ("q", 0)),                            # no such base
     (1, (), ("a", -1)),                           # no such derivative
-    (1, (), DiffPoly.monomial((3, 2))),           # a polynomial, not a reference
+    (1, (), DiffPoly({(3, 2): 1})),               # a polynomial, not a reference
     (1, (1,), ("a", 4)),                          # L1 is no generator
 ], ids=["bare-monomial", "unknown-kind", "negative-order", "polynomial", "part-1"])
 def test_a_base_outside_the_ideal_fails_the_build(monkeypatch, extra):
@@ -601,6 +605,33 @@ def test_groebner_w_family_is_required():
     assert rep["passed"]
     assert rep["w_family_required"]
     assert [6, 5, 3, 2] in rep["w_only_monomials"]
+
+
+def test_groebner_reports_a_pivot_no_pattern_covers(monkeypatch):
+    # without the pattern (4, 3, 2), the weight-9 pivot it names is outside
+    # the divisibility closure
+    claimed = diffalg.forbidden_patterns
+    monkeypatch.setattr(diffalg, "forbidden_patterns",
+                        lambda n: tuple(p for p in claimed(n) if p != (4, 3, 2)))
+    rep = groebner_check(9)
+    assert not rep["passed"]
+    assert not rep["per_degree"][9]["passed"]
+    assert [4, 3, 2] in rep["per_degree"][9]["pivots_not_covered"]
+    report = cli.run_check("groebner", cli.RunConfig(trunc_groebner=10))
+    assert not report["passed"]
+    assert json.loads(report["checks"][0]["first_failure"])["weight"] == 9
+
+
+def test_groebner_and_hilbert_build_no_reduced_form(monkeypatch):
+    # both reports read the integer blocks only: ranks and pivot columns
+    def reduced(self):
+        raise AssertionError("a report built a reduced echelon form")
+
+    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
+    monkeypatch.setattr(Echelon, "reduced", reduced)
+    h = hilbert_quotient(GENS, 30)
+    assert h.equal_mod(feigin_fuchs_character(MinimalModelLabel(3, 4), 31), 31)
+    assert groebner_check(22)["passed"]
 
 
 def test_a_family_patterns_lead_the_derivatives_of_the_cube():
