@@ -3,17 +3,17 @@
 Every identity in scope has two independently computable sides; the
 functions here produce each side as an exact truncated series so callers
 can compare them coefficientwise mod q^N.  Two-variable refinements (the
-five-class generating functions and the bigraded character) use TQSeries,
-a series in q whose coefficients are polynomials in t; it does no
-arithmetic.  The q-difference equations of the five classes are the rows
-of ``partitions.CLASS_EQUATIONS``, which ``functional_equation_check``
-reads on the coefficients of the closed forms.
+five-class generating functions, P(t, q) and the bigraded character) are
+tables {(q-exponent, t-degree): coefficient} below q^N, the shape
+``partitions.count_table`` gives each class.  The q-difference equations of
+the five classes are the rows of ``partitions.CLASS_EQUATIONS``, which
+``functional_equation_check`` reads on the cells of the closed forms.
 
 Every character sum here has the shape sum x q^e / ((q)_k1 ... (q)_kr) and
 is evaluated by ``qseries.divided_sum``: the Nahm sums (``nahm_sum``, the
-quasiparticle double sums, one call per t-degree), the single sums
-(``qseries.single_sum``) and the theta sums over (q)_infinity
-(``feigin_fuchs_character`` and the BGG expression, through
+quasiparticle double sums, one call at t = 1 and one per t-degree for a
+table), the single sums (``qseries.single_sum``) and the theta sums over
+(q)_infinity (``feigin_fuchs_character`` and the BGG expression, through
 ``_theta_sum``).  The products are ``qseries.q_product``.
 """
 
@@ -24,80 +24,11 @@ from math import ceil, gcd, lcm
 
 from qvir.linalg import Echelon
 from qvir.partitions import CLASS_EQUATIONS, CLASSES, class_equation_failures
-from qvir.qseries import (QSeries, _slots_below, divided_sum, frac_str, q_product,
-                          single_sum)
+from qvir.qseries import QSeries, _slots_below, divided_sum, q_product, single_sum
 
 
 class NotPositiveDefinite(ValueError):
     """Raised when a quadratic form fails the positivity check."""
-
-
-# ---------------------------------------------------------------------------
-# two-variable series
-# ---------------------------------------------------------------------------
-
-
-class TQSeries:
-    """Truncated series in q with polynomial coefficients in t.
-
-    Stored as a map from t-degree to a QSeries in q; every component is
-    truncated at the common order ``trunc``.
-    """
-
-    __slots__ = ("trunc", "parts")
-
-    def __init__(self, parts=None, trunc=None):
-        t = Fraction(trunc) if trunc is not None else None
-        cleaned: dict[int, QSeries] = {}
-        if parts:
-            for m, s in parts.items():
-                if m < 0:
-                    raise ValueError("negative t-degree")
-                s = s.truncate(t) if t is not None else s
-                if s:
-                    cleaned[m] = s
-        self.trunc = t
-        self.parts = cleaned
-
-    def t_component(self, m: int) -> QSeries:
-        return self.parts.get(m, QSeries.zero(self.trunc))
-
-    def bigrade(self) -> "TQSeries":
-        """Substitute t -> t^(-2), q -> t*q: t^m q^n maps to t^(n-2m) q^n."""
-        out: dict[int, dict[int, int | Fraction]] = {}
-        for m, s in self.parts.items():
-            if s.denom != 1:
-                raise ValueError("bigrade substitution needs integer q-exponents")
-            for n, c in s.coeffs.items():
-                tm = n - 2 * m
-                if tm < 0:
-                    raise ValueError("negative t-exponent %d at t^%d q^%d" % (tm, m, n))
-                row = out.setdefault(tm, {})
-                row[n] = row.get(n, 0) + c
-        return TQSeries({m: QSeries(cs, self.trunc) for m, cs in out.items()}, self.trunc)
-
-    def specialize_t1(self) -> QSeries:
-        out = QSeries.zero(self.trunc)
-        for s in self.parts.values():
-            out = out + s
-        return out
-
-    def to_json_dict(self) -> dict:
-        by_q: dict = {}
-        for m, s in self.parts.items():
-            if s.denom != 1:
-                raise ValueError("JSON schema assumes integer q-exponents")
-            for n, c in s.coeffs.items():
-                by_q.setdefault(n, []).append([m, c])
-        return {
-            "trunc": int(self.trunc) if self.trunc is not None and self.trunc.denominator == 1
-                     else (None if self.trunc is None else str(self.trunc)),
-            "coeffs": [[n, [[m, frac_str(c)] for m, c in sorted(row)]]
-                       for n, row in sorted(by_q.items())],
-        }
-
-    def __repr__(self):
-        return "TQSeries(t-degrees %s + O(q^%s))" % (sorted(self.parts), self.trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +268,10 @@ def e8_nahm_data() -> NahmData:
 QUASIPARTICLE_MATRIX = ((8, 3), (3, 2))
 
 
-def _quasiparticle_sum(trunc, bracket, linear=(0, 0), offset=0, t_base=0) -> TQSeries:
-    """The Nahm sum for QUASIPARTICLE_MATRIX with B = linear and C = offset,
-    each term graded by t and multiplied by a bracket, mod q^trunc:
+def _quasiparticle_terms(n: Fraction, bracket, linear=(0, 0), offset=0, t_base=0) -> list:
+    """The terms (t-degree, (e, x, (k1, k2))) of the Nahm sum for
+    QUASIPARTICLE_MATRIX with B = linear and C = offset, each term graded by
+    t and multiplied by a bracket, mod q^n:
 
         sum over k1, k2 >= 0 of t^(t_base + 2k1 + k2) bracket(k1, k2)
             * q^(4k1^2 + 3k1k2 + k2^2 + l1 k1 + l2 k2 + offset) / ((q)_k1 (q)_k2)
@@ -347,15 +279,33 @@ def _quasiparticle_sum(trunc, bracket, linear=(0, 0), offset=0, t_base=0) -> TQS
     where linear = (l1, l2) and bracket is a list of ((a, b, c), coeff), each
     meaning coeff * q^(a k1 + b k2 + c).  Each bracket entry is a term of its
     own, at q^(e + a k1 + b k2 + c) over the divisor (q)_k1 (q)_k2 that it
-    shares with the term's other entries; each t-degree is one
-    ``divided_sum``.
+    shares with the term's other entries.
     """
+    out = []
+    for e, (k1, k2) in _nahm_terms(NahmData(QUASIPARTICLE_MATRIX, linear, offset), n):
+        out += [(t_base + 2 * k1 + k2, (e + a * k1 + b * k2 + c, x, (k1, k2)))
+                for (a, b, c), x in bracket]
+    return out
+
+
+def _quasiparticle_sum(trunc, bracket, linear=(0, 0), offset=0) -> QSeries:
+    """The quasiparticle sum of ``_quasiparticle_terms`` at t = 1: one
+    ``divided_sum`` over all its terms."""
+    n = Fraction(trunc)
+    return divided_sum(n, [term for _, term in _quasiparticle_terms(n, bracket, linear, offset)])
+
+
+def _quasiparticle_table(trunc, bracket, linear=(0, 0), offset=0, t_base=0) -> dict:
+    """The quasiparticle sum of ``_quasiparticle_terms`` as a table
+    {(q-exponent, t-degree): coefficient} below q^trunc, one ``divided_sum``
+    per t-degree.  The table is keyed by integer q-exponents, so linear and
+    offset must be integers."""
     n = Fraction(trunc)
     by_degree: dict[int, list] = {}
-    for e, (k1, k2) in _nahm_terms(NahmData(QUASIPARTICLE_MATRIX, linear, offset), n):
-        by_degree.setdefault(t_base + 2 * k1 + k2, []).extend(
-            (e + a * k1 + b * k2 + c, x, (k1, k2)) for (a, b, c), x in bracket)
-    return TQSeries({m: divided_sum(n, terms) for m, terms in by_degree.items()}, n)
+    for m, term in _quasiparticle_terms(n, bracket, linear, offset, t_base):
+        by_degree.setdefault(m, []).append(term)
+    return {(k, m): c for m, terms in by_degree.items()
+            for k, c in divided_sum(n, terms).coeffs.items()}
 
 
 def _half_odd_product(n: Fraction, s: int) -> QSeries:
@@ -363,10 +313,14 @@ def _half_odd_product(n: Fraction, s: int) -> QSeries:
     return q_product(n, ((Fraction(2 * m - 1, 2), s, 1) for m in range(1, int(n) + 2)))
 
 
+# the bracket 1 - q^k1 + q^(k1+k2) of P(t, q)
+_P_BRACKET = (((0, 0, 0), 1), ((1, 0, 0), -1), ((1, 1, 0), 1))
+
+
 def quasiparticle_chi(trunc) -> QSeries:
     """Double sum over k >= 0 of q^(4k1^2+3k1k2+k2^2) (1 - q^k1 + q^(k1+k2))
     divided by (q)_{k1} (q)_{k2}: P(t, q) at t = 1."""
-    return P_of_t_q(trunc).specialize_t1()
+    return _quasiparticle_sum(trunc, _P_BRACKET)
 
 
 MODULES = ("V0", "V_half", "V_sixteenth")
@@ -393,7 +347,7 @@ def module_character(which: str, side: str, trunc) -> QSeries:
         raise ValueError("unknown module %r" % (which,))
     if side == "New":
         bracket, linear, offset = _MODULE_SUMS[which]
-        return _quasiparticle_sum(n, bracket, linear, offset).specialize_t1()
+        return _quasiparticle_sum(n, bracket, linear, offset)
     if which == "V0":
         return alt_expression("FermionHalf", n)
     if which == "V_half":
@@ -415,8 +369,10 @@ _CLASS_SUMS = {
 }
 
 
-def class_closed_form(which: str, trunc) -> TQSeries:
-    """Generating function sum t^m q^n of one of the five partition classes.
+def class_closed_form(which: str, trunc) -> dict:
+    """Generating function sum t^m q^n of one of the five partition classes,
+    as the table {(n, m): coefficient} below q^trunc that
+    ``partitions.count_table`` gives the class.
 
     The closed form is a double sum over m >= s and 0 <= k <= m - s of
     t^(m+k) q^e(m, k) [m - s, k]_q / (q)_(m - s), with s the class's
@@ -429,12 +385,32 @@ def class_closed_form(which: str, trunc) -> TQSeries:
     if which not in CLASSES:
         raise ValueError("class must be one of %s" % (CLASSES,))
     t_base, offset, linear = _CLASS_SUMS[which]
-    return _quasiparticle_sum(trunc, [((0, 0, 0), 1)], linear, offset, t_base)
+    return _quasiparticle_table(trunc, [((0, 0, 0), 1)], linear, offset, t_base)
 
 
-def P_of_t_q(trunc) -> TQSeries:
-    """Generating function sum p(n, m) t^m q^n as a quasiparticle double sum."""
-    return _quasiparticle_sum(trunc, [((0, 0, 0), 1), ((1, 0, 0), -1), ((1, 1, 0), 1)])
+def P_of_t_q(trunc) -> dict:
+    """Generating function sum p(n, m) t^m q^n as a quasiparticle double sum,
+    as the table {(n, m): p(n, m)} below q^trunc."""
+    return _quasiparticle_table(trunc, _P_BRACKET)
+
+
+def at_t1(table: dict, trunc) -> QSeries:
+    """A table {(n, m): c} at t = 1: the series sum c q^n mod q^trunc."""
+    out: dict[int, int] = {}
+    for (n, _), c in table.items():
+        out[n] = out.get(n, 0) + c
+    return QSeries(out, trunc)
+
+
+def bigrade(table: dict) -> dict:
+    """Substitute t -> t^(-2), q -> t*q in a table {(n, m): c}: t^m q^n maps
+    to t^(n-2m) q^n."""
+    out = {}
+    for (n, m), c in table.items():
+        if n < 2 * m:
+            raise ValueError("negative t-exponent %d at t^%d q^%d" % (n - 2 * m, m, n))
+        out[n, n - 2 * m] = c
+    return out
 
 
 def functional_equation_check(trunc) -> dict:
@@ -445,15 +421,12 @@ def functional_equation_check(trunc) -> dict:
     The cells compared are every (q-exponent, t-degree) below q^trunc at
     which some closed form, or some closed form moved by a row of the
     table, has a term.  Each equation reports its first failing cell, the
-    lowest in q and then in t.  The report carries the closed forms it
-    checked, by class and under "P".
+    lowest in q and then in t.  The report carries the tables it checked,
+    by class and under "P".
     """
     n = Fraction(trunc)
-    F = {w: class_closed_form(w, n) for w in CLASSES}
-    F["P"] = P_of_t_q(n)
-    # the closed forms have integer q-exponents, so coeffs is keyed by them
-    table = {w: {(k, m): c for m, s in f.parts.items() for k, c in s.coeffs.items()}
-             for w, f in F.items()}
+    table = {w: class_closed_form(w, n) for w in CLASSES}
+    table["P"] = P_of_t_q(n)
     cells = set()
     for w, rows in CLASS_EQUATIONS.items():
         cells.update(table[w])
@@ -466,10 +439,10 @@ def functional_equation_check(trunc) -> dict:
                   "first_failure": None if w not in first else
                   {"t_degree": first[w]["m"], "q_exponent": str(first[w]["n"])}}
               for w in CLASS_EQUATIONS}
-    inits = {"A": F["A"].t_component(0) == QSeries.one(n)}
+    inits = {"A": {k: c for (k, m), c in table["A"].items() if m == 0} == {0: 1}}
     for w in ("B", "C", "D", "E"):
-        inits[w] = not F[w].t_component(0)
+        inits[w] = all(m for _, m in table[w])
     report["initial_conditions"] = inits
-    report["closed_forms"] = F
+    report["closed_forms"] = table
     report["passed"] = not first and all(inits.values())
     return report

@@ -201,16 +201,15 @@ def check_functional_eqs(n: int) -> list:
     out = [equation("functional equation %s" % w, rep[w]) for w in CLASSES]
     out.append(_entry("initial conditions", all(rep["initial_conditions"].values())))
     out.append(equation("P == A+B+C+D+E", rep["P"]))
-    P = rep["closed_forms"]["P"]
     try:
-        bg, error = P.bigrade(), None
+        bg, error = ch.bigrade(rep["closed_forms"]["P"]), None
     except ValueError as exc:
         bg, error = None, str(exc)
     ok = error is None
     out.append(_entry("bigraded substitution: t-exponents nonnegative", ok,
                       n if ok else None, first_failure=error,
                       detail="construction raises on a negative exponent"))
-    out.append(_agreement_entry("bigraded character at t=1", bg.specialize_t1(),
+    out.append(_agreement_entry("bigraded character at t=1", ch.at_t1(bg, n),
                                 ch.alt_expression("BGG", n)) if ok
                else _entry("bigraded character at t=1", False, first_failure=error))
     return out

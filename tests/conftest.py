@@ -4,6 +4,7 @@ import pytest
 
 from qvir import diffalg
 from qvir.partitions import grevlex_key
+from qvir.qseries import frac_str
 
 
 def _reduced_slice(gens, d):
@@ -23,3 +24,19 @@ def _reduced_slice(gens, d):
 @pytest.fixture
 def reduced_slice():
     return _reduced_slice
+
+
+def _tq_json(table, trunc):
+    # a table {(n, m): c} below q^trunc in the JSON form of the two-variable
+    # goldens: per q-exponent n, its [m, c] pairs sorted by m
+    by_q = {}
+    for (n, m), c in table.items():
+        by_q.setdefault(n, []).append((m, c))
+    return {"trunc": trunc,
+            "coeffs": [[n, [[m, frac_str(c)] for m, c in sorted(row)]]
+                       for n, row in sorted(by_q.items())]}
+
+
+@pytest.fixture
+def tq_json():
+    return _tq_json

@@ -154,12 +154,15 @@ def test_a_raising_check_becomes_a_failed_entry(monkeypatch, capsys):
 
 
 def test_functional_eqs_reports_a_failed_bigrade(monkeypatch):
-    from qvir.characters import TQSeries
+    from qvir import characters as ch
 
-    def refuse(self):
-        raise ValueError("negative t-exponent -1 at t^1 q^1")
+    real = ch.P_of_t_q
 
-    monkeypatch.setattr(TQSeries, "bigrade", refuse)
+    def P_with_a_short_cell(n):
+        # t q: one part of weight 1, whose bigraded t-exponent 1 - 2 is negative
+        return {**real(n), (1, 1): 1}
+
+    monkeypatch.setattr(ch, "P_of_t_q", P_with_a_short_cell)
     rep = run_check("functional-eqs", RunConfig(trunc_tq=6))
     entries = {c["name"]: c for c in rep["checks"]}
     for name in ("bigraded substitution: t-exponents nonnegative",
@@ -167,18 +170,21 @@ def test_functional_eqs_reports_a_failed_bigrade(monkeypatch):
         assert not entries[name]["passed"]
         assert entries[name]["first_failure"] == "negative t-exponent -1 at t^1 q^1"
     assert not rep["passed"]
-    assert entries["P == A+B+C+D+E"]["passed"]
+    assert entries["P == A+B+C+D+E"]["first_failure"] == \
+        json.dumps({"t_degree": 1, "q_exponent": "1"})
+    assert [c["name"] for c in rep["checks"] if not c["passed"]] == [
+        "P == A+B+C+D+E", "bigraded substitution: t-exponents nonnegative",
+        "bigraded character at t=1"]
 
 
 def test_functional_eqs_t1_entry_catches_a_wrong_P(monkeypatch):
     from qvir import characters as ch
-    from qvir.qseries import QSeries
 
     real = ch.P_of_t_q
 
     def wrong_P(n):
         P = real(n)
-        return ch.TQSeries({**P.parts, 1: P.t_component(1) + QSeries.from_terms([(5, 1)], n)}, n)
+        return {**P, (5, 1): P.get((5, 1), 0) + 1}
 
     monkeypatch.setattr(ch, "P_of_t_q", wrong_P)
     rep = run_check("functional-eqs", RunConfig(trunc_tq=8))
@@ -239,7 +245,6 @@ def test_a_wrong_table_row_fails_both_checks(monkeypatch):
 def test_a_wrong_closed_form_fails_only_the_equations_reading_it(monkeypatch):
     from qvir import characters as ch
     from qvir.partitions import CLASS_EQUATIONS
-    from qvir.qseries import QSeries
 
     real = ch.class_closed_form
 
@@ -247,8 +252,7 @@ def test_a_wrong_closed_form_fails_only_the_equations_reading_it(monkeypatch):
         f = real(which, trunc)
         if which != "C":
             return f
-        return ch.TQSeries({**f.parts, 2: f.t_component(2) + QSeries.from_terms([(6, 1)], trunc)},
-                           trunc)
+        return {**f, (6, 2): f.get((6, 2), 0) + 1}
 
     monkeypatch.setattr(ch, "class_closed_form", extra_C)
     assert run_check("recursion", RunConfig(trunc_tq=20))["passed"]
@@ -260,6 +264,36 @@ def test_a_wrong_closed_form_fails_only_the_equations_reading_it(monkeypatch):
     assert {w for w, passed in equations.items() if not passed} == readers
     # the initial conditions and the two bigrade entries read no class sum
     assert sum(not c["passed"] for c in rep["checks"]) == len(readers)
+
+
+@pytest.mark.parametrize("cls,failing", [
+    # A's t^0 term must be 1 alone; A's own equation holds at t^0 whatever
+    # F_A(0) is, so only B (through its A-row) and the P total see q^3
+    ("A", {"B": (1, "5"), "P": (0, "3")}),
+    # B has no t^0 term; A, C and D read B, and B's rows all raise the t-degree
+    ("B", {"A": (0, "3"), "B": (0, "3"), "C": (1, "4"), "D": (1, "4"), "P": (0, "3")}),
+])
+def test_a_t0_term_fails_the_initial_conditions(monkeypatch, cls, failing):
+    from qvir import characters as ch
+
+    real = ch.class_closed_form
+
+    def extra_t0(which, trunc):
+        f = real(which, trunc)
+        return {**f, (3, 0): f.get((3, 0), 0) + 1} if which == cls else f
+
+    monkeypatch.setattr(ch, "class_closed_form", extra_t0)
+    inits = ch.functional_equation_check(20)["initial_conditions"]
+    assert {w for w, ok in inits.items() if not ok} == {cls}
+    rep = run_check("functional-eqs", RunConfig(trunc_tq=20))
+    entries = {c["name"]: c for c in rep["checks"]}
+    assert not entries["initial conditions"]["passed"]
+    equations = _equation_entries(rep)
+    assert {w for w, passed in equations.items() if not passed} == set(failing)
+    for w, (m, q) in failing.items():
+        name = "P == A+B+C+D+E" if w == "P" else "functional equation %s" % w
+        assert json.loads(entries[name]["first_failure"]) == {"t_degree": m, "q_exponent": q}
+    assert sum(not c["passed"] for c in rep["checks"]) == len(failing) + 1
 
 
 def test_families_sample_entry_catches_a_wrong_T8(monkeypatch):
@@ -448,6 +482,27 @@ def load_golden(name):
     return json.loads((GOLDEN / name).read_text())
 
 
+# run_all rendered as JSON with every elapsed_s removed, at the default orders
+# and with every order at 1, 2 and 3; reports.json holds stored_report(key)
+# per key, captured before the two-variable series became tables
+STORED_REPORTS = ("default", "1", "2", "3")
+
+
+def stored_report(key):
+    orders = {} if key == "default" else {f: int(key) for f in INT_FIELDS if f != "jobs"}
+    cfg = RunConfig(format="json", **orders)
+    doc = json.loads(render(run_all(cfg), cfg))
+    for r in doc["reports"]:
+        del r["elapsed_s"]
+    return doc
+
+
+@pytest.mark.parametrize("key", STORED_REPORTS)
+def test_run_all_reproduces_the_stored_reports(key):
+    want = load_golden("reports.json")[key]
+    assert json.dumps(stored_report(key), sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
 def test_golden_pochhammer():
     from qvir.qseries import pochhammer
     assert pochhammer(3).to_json_dict() == load_golden("poch3.json")
@@ -465,9 +520,9 @@ def test_golden_half_module():
     assert got == load_golden("v_half_new_8.json")
 
 
-def test_golden_two_variable():
+def test_golden_two_variable(tq_json):
     from qvir.characters import P_of_t_q
-    assert P_of_t_q(10).to_json_dict() == load_golden("p_tq_10.json")
+    assert tq_json(P_of_t_q(10), 10) == load_golden("p_tq_10.json")
 
 
 def test_golden_diffpoly():
@@ -491,7 +546,7 @@ def test_golden_ideal_slice_rows(reduced_slice):
 
 # every quasiparticle sum, single sum and truncated product, pinned with its
 # exact truncation and exponent denominator; the fixture holds
-# to_json_dict() per name and order
+# to_json_dict() per name and order, and tq_json for the two-variable tables
 QUASIPARTICLE_SUM_ORDERS = (1, 2, 3, 20)
 
 
@@ -526,11 +581,13 @@ def quasiparticle_sums():
 
 
 @pytest.mark.parametrize("name", sorted(quasiparticle_sums()))
-def test_golden_quasiparticle_sums(name):
+def test_golden_quasiparticle_sums(name, tq_json):
     golden = load_golden("quasiparticle_sums.json")[name]
     build = quasiparticle_sums()[name]
     for n in QUASIPARTICLE_SUM_ORDERS:
-        got = json.dumps(build(n).to_json_dict(), sort_keys=True)
+        got = build(n)
+        got = json.dumps(tq_json(got, n) if isinstance(got, dict) else got.to_json_dict(),
+                         sort_keys=True)
         assert got == json.dumps(golden[str(n)], sort_keys=True), (name, n)
 
 

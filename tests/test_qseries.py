@@ -441,7 +441,8 @@ def test_integer_polynomials_never_see_fractions(monkeypatch):
     # structural guard, not a timing: a Fraction default in a loop or a
     # constructor would bring the slow path back without changing any value,
     # so check what reaches QSeries.__init__ as well as what it stores
-    from qvir.characters import MODULES, P_of_t_q, class_closed_form, module_character
+    from qvir.characters import (MODULES, P_of_t_q, bigrade, class_closed_form,
+                                  module_character)
     from qvir.partitions import CLASSES
     from qvir.polyfamilies import family_poly
     handed = set()
@@ -454,10 +455,9 @@ def test_integer_polynomials_never_see_fractions(monkeypatch):
     monkeypatch.setattr(QSeries, "__init__", spy)
     built = [family_poly(sector, "T", 20) for sector in ("vac", "half", "sixteenth")]
     built += [q_binomial(30, 15), pochhammer_inf(40)]
-    P = P_of_t_q(12)
-    built += list(P.parts.values()) + list(P.bigrade().parts.values())
     built += [module_character(w, "New", 12) for w in MODULES]
-    for w in CLASSES:
-        built += list(class_closed_form(w, 12).parts.values())
+    P = P_of_t_q(12)
+    tables = [P, bigrade(P)] + [class_closed_form(w, 12) for w in CLASSES]
     assert handed == {int}
     assert all(all_int(s) for s in built)
+    assert all(t and all(type(c) is int for c in t.values()) for t in tables)
