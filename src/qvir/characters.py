@@ -102,8 +102,7 @@ def alt_expression(which: str, trunc) -> QSeries:
     if which == "BGG":
         return _theta_sum(n, 12, 1, 7)
     if which == "FermionHalf":
-        return ((_half_odd_product(n, 1) + _half_odd_product(n, -1))
-                * Fraction(1, 2)).reduce_denom()
+        return _fermion_half(n, odd=False)
     if which == "Euler":
         return single_sum(n, (2, 0), (2, 0))
     if which == "QuintupleProduct":
@@ -308,9 +307,19 @@ def _quasiparticle_table(trunc, bracket, linear=(0, 0), offset=0, t_base=0) -> d
             for k, c in divided_sum(n, terms).coeffs.items()}
 
 
-def _half_odd_product(n: Fraction, s: int) -> QSeries:
-    """prod over m >= 1 of (1 + s q^(m-1/2)) mod q^n."""
-    return q_product(n, ((Fraction(2 * m - 1, 2), s, 1) for m in range(1, int(n) + 2)))
+def _fermion_half(n: Fraction, odd: bool) -> QSeries:
+    """The half sum (odd False) or half difference (odd True) of the products
+    over m >= 1 of (1 + q^(m-1/2)) and (1 - q^(m-1/2)), mod q^n.
+
+    The second product is the first, P, at -q^(1/2), so the half sum is P's
+    terms at integer exponents and the half difference its terms at half-odd
+    exponents.  P's grid is 1/2, or 1 below q^(1/2), where no factor is kept.
+    """
+    p = q_product(n, ((Fraction(2 * m - 1, 2), 1, 1) for m in range(1, int(n) + 2)))
+    d = p.denom
+    if odd:
+        return QSeries({k: c for k, c in p.coeffs.items() if k % d}, n, d)
+    return QSeries({k // d: c for k, c in p.coeffs.items() if k % d == 0}, n)
 
 
 # the bracket 1 - q^k1 + q^(k1+k2) of P(t, q)
@@ -351,7 +360,7 @@ def module_character(which: str, side: str, trunc) -> QSeries:
     if which == "V0":
         return alt_expression("FermionHalf", n)
     if which == "V_half":
-        return (_half_odd_product(n, 1) - _half_odd_product(n, -1)) * Fraction(1, 2)
+        return _fermion_half(n, odd=True)
     return q_product(n, ((m, 1, 1) for m in range(1, int(n) + 1)))
 
 

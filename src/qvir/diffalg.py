@@ -77,12 +77,6 @@ class DiffPoly:
             out[m] = out.get(m, 0) + c
         return DiffPoly(out)
 
-    def __neg__(self):
-        return DiffPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c) -> "DiffPoly":
         return DiffPoly({m: v * c for m, v in self.terms.items()})
 

@@ -3,27 +3,25 @@
 Exponents may be fractional: a series fixes a positive integer denominator D
 and stores coefficients on the grid (1/D)*Z>=0.  A series either carries a
 finite truncation order (coefficients at exponents >= the order are unknown)
-or is an exact polynomial (``trunc is None``).  All arithmetic is exact, and
-the truncation order of every result is the largest order justified by the
-operands: the min of the truncs for addition, the trunc plus e for a shift
-by q^e.  A series multiplies by a rational scalar only; no series is
-multiplied by another or inverted.  Products are built from their factors
-instead: ``q_product`` for products of (1 + s q^e)^(+-1), and ``divided_sum``
-for sums of terms x q^e / ((q)_k1 ... (q)_kr), the one routine that divides
-by the (q)_k.  Both update one integer list in place, a factor at a time.
+or is an exact polynomial (``trunc is None``).  A series does no arithmetic:
+kernels build it and checks compare it (``agreement``, ``equal_mod``, ``==``)
+up to the smaller truncation order.  The kernels are ``q_product``, for
+products of (1 + s q^e)^(+-1), and ``divided_sum``, for sums of terms
+x q^e / ((q)_k1 ... (q)_kr) and the one routine that divides by the (q)_k;
+both update one integer list in place, a factor at a time.  Gaussian
+binomials are integers packed slot by slot (``pascal_rows``), read back by
+``_unpack``.
 
 Coefficient rule: a stored coefficient is a Python ``int`` when it is
 integral and a ``Fraction`` only when it is not.  ``QSeries.__init__``
-enforces this for every constructor, so the sums and the in-place factor
-loops run on ints for the integer series that dominate the work (Pochhammer
-symbols, the character sums and the congruence products) and pay for
-``Fraction``, which reduces by a gcd after every operation, only where a
-true fraction appears.  The other exact containers follow the same rule:
-``diffalg.DiffPoly`` and ``virasoro.VirVector`` store their terms through
-``exact_terms``, so each constructor is the one place that normalizes a
-coefficient and drops a zero.  ``3`` and ``Fraction(3)`` compare and hash
-alike, so equality, hashing and JSON do not depend on which of the two a
-caller passes.  Pitfall: ``int / int`` is a float in Python, so no ``/``
+enforces it, but since a series does no arithmetic the rule matters for the
+exact containers that do: ``diffalg.DiffPoly`` and ``virasoro.VirVector``
+store their terms through ``exact_terms``, so each constructor is the one
+place that normalizes a coefficient and drops a zero, and their sums run on
+ints and pay for ``Fraction``, which reduces by a gcd after every operation,
+only where a true fraction appears.  ``3`` and ``Fraction(3)`` compare and
+hash alike, so equality, hashing and JSON do not depend on which of the two
+a caller passes.  Pitfall: ``int / int`` is a float in Python, so no ``/``
 may see a coefficient; divide by multiplying with an exact reciprocal
 ``Fraction(1, c)`` instead.
 """
@@ -31,7 +29,7 @@ may see a coefficient; divide by multiplying with an exact reciprocal
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 
 def _to_frac(x) -> Fraction:
@@ -99,31 +97,6 @@ class QSeries:
         self.trunc = t
         self.coeffs = cleaned
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, trunc=None, denom: int = 1) -> "QSeries":
-        return cls({}, trunc, denom)
-
-    @classmethod
-    def one(cls, trunc=None) -> "QSeries":
-        return cls({0: 1}, trunc)
-
-    @classmethod
-    def from_terms(cls, pairs, trunc=None) -> "QSeries":
-        """Build from (exponent, coefficient) pairs; exponents may be Fractions."""
-        d = 1
-        fpairs = []
-        for e, c in pairs:
-            e = _to_frac(e)
-            fpairs.append((e, _exact(c)))
-            d = lcm(d, e.denominator)
-        coeffs: dict[int, int | Fraction] = {}
-        for e, c in fpairs:
-            k = int(e * d)
-            coeffs[k] = coeffs.get(k, 0) + c
-        return cls(coeffs, trunc, d)
-
     # -- basic structure ---------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -145,8 +118,6 @@ class QSeries:
             return 0
         return self.coeffs.get(int(k), 0)
 
-    __getitem__ = coefficient
-
     def terms(self):
         """Sorted (exponent, coefficient) pairs."""
         d = self.denom
@@ -164,53 +135,11 @@ class QSeries:
         return QSeries({k // g: c for k, c in self.coeffs.items()}, self.trunc,
                        self.denom // g)
 
-    # -- arithmetic --------------------------------------------------------
-
     def _with_denom(self, d: int) -> dict[int, int | Fraction]:
         f = d // self.denom
         if f == 1:
             return self.coeffs
         return {k * f: c for k, c in self.coeffs.items()}
-
-    def __add__(self, other):
-        if not isinstance(other, QSeries):
-            other = QSeries.from_terms([(0, other)])
-        d = lcm(self.denom, other.denom)
-        t = _min_trunc(self.trunc, other.trunc)
-        out = dict(self._with_denom(d))
-        for k, c in other._with_denom(d).items():
-            out[k] = out.get(k, 0) + c
-        return QSeries(out, t, d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QSeries({k: -c for k, c in self.coeffs.items()}, self.trunc, self.denom)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, QSeries) else QSeries.from_terms([(0, -_to_frac(other))]))
-
-    def __mul__(self, other):
-        """The series times a rational scalar."""
-        if isinstance(other, QSeries):
-            raise TypeError("a QSeries multiplies by scalars only; build products "
-                            "with q_product or divided_sum")
-        c = _exact(other)
-        if c == 0:
-            return QSeries({}, self.trunc, self.denom)
-        return QSeries({k: v * c for k, v in self.coeffs.items()}, self.trunc, self.denom)
-
-    __rmul__ = __mul__
-
-    def shift(self, e) -> "QSeries":
-        """Multiply by q^e (e >= 0); the truncation order grows by e."""
-        e = _to_frac(e)
-        if e < 0:
-            raise ValueError("negative shift")
-        d = lcm(self.denom, e.denominator)
-        ke = int(e * d)
-        t = None if self.trunc is None else self.trunc + e
-        return QSeries({k + ke: c for k, c in self._with_denom(d).items()}, t, d)
 
     def truncate(self, n) -> "QSeries":
         return QSeries(self.coeffs, _min_trunc(self.trunc, _to_frac(n)), self.denom)
@@ -287,20 +216,6 @@ def frac_str(f: Fraction) -> str:
 
 
 # -- q-combinatorial primitives -------------------------------------------
-
-
-def pochhammer(n: int, trunc=None) -> QSeries:
-    """The exact polynomial (q)_n = (1-q)(1-q^2)...(1-q^n), of degree
-    n(n+1)/2, mod q^trunc (exact for trunc None)."""
-    if n < 0:
-        raise ValueError("pochhammer needs n >= 0")
-    return QSeries(q_product(n * (n + 1) // 2 + 1, ((j, -1, 1) for j in range(1, n + 1))).coeffs,
-                   trunc)
-
-
-def pochhammer_inf(trunc) -> QSeries:
-    """(q)_infinity mod q^trunc."""
-    return q_product(trunc, ((j, -1, 1) for j in range(1, int(_to_frac(trunc)) + 1)))
 
 
 def q_product(trunc, factors) -> QSeries:
@@ -440,15 +355,3 @@ def pascal_rows(pairs, width: int, slots=None) -> dict:
         for pair, j in wanted.get(i, ()):
             out[pair] = row[j]
     return out
-
-
-def q_binomial(m: int, n: int, trunc=None) -> QSeries:
-    """Gaussian binomial coefficient mod q^trunc (an exact polynomial for
-    trunc None); zero out of range.  Its coefficients are nonnegative and sum
-    to comb(m, n), so one slot of ``_slot_bytes(comb(m, n))`` bytes holds
-    each of them."""
-    if not 0 <= n <= m:
-        return QSeries.zero(trunc)
-    slots = None if trunc is None else _slots_below(_to_frac(trunc), 1)
-    width = _slot_bytes(comb(m, n))
-    return QSeries(_unpack(pascal_rows([(m, n)], width, slots)[m, n], width, slots), trunc)

@@ -20,7 +20,7 @@ from qvir.characters import MinimalModelLabel
 from qvir.linalg import Echelon, int_row, primitive
 from qvir.partitions import partitions_min2, count_min2
 from qvir.partitions import grevlex_key as _grevlex_key
-from qvir.qseries import exact_terms, frac_str
+from qvir.qseries import exact_terms
 
 
 class NoSolution(ArithmeticError):
@@ -75,11 +75,6 @@ class VirVector:
 
     def max_length(self) -> int:
         return max((len(m) for m in self.coeffs), default=0)
-
-    def to_json_dict(self) -> dict:
-        return {"c": frac_str(self.c),
-                "terms": [[list(m), frac_str(v)] for m, v in
-                          sorted(self.coeffs.items(), key=lambda t: _grevlex_key(t[0]))]}
 
     def __repr__(self):
         items = sorted(self.coeffs.items(), key=lambda t: _grevlex_key(t[0]))

@@ -1,7 +1,9 @@
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
 
+from conftest import term_sum
 from qvir import characters
 from qvir.characters import (ALT_EXPRESSIONS, MODULES,
                              MinimalModelLabel, NahmData, NotPositiveDefinite,
@@ -13,7 +15,7 @@ from qvir.characters import (ALT_EXPRESSIONS, MODULES,
                              quasiparticle_chi, P_of_t_q)
 from qvir.partitions import CLASSES, count_table
 from qvir.polyfamilies import limit_series
-from qvir.qseries import QSeries, q_product
+from qvir.qseries import q_product
 
 
 def coeffs(s, n):
@@ -29,18 +31,14 @@ def inv_poch(n, trunc):
 
 def euler_sum_oracle(trunc):
     # independent route for the vacuum character
-    out = QSeries.zero(trunc)
-    m = 0
-    while 2 * m * m < trunc:
-        out = out + inv_poch(2 * m, trunc - 2 * m * m).shift(2 * m * m)
-        m += 1
-    return out
+    return term_sum([(1, 2 * m * m, inv_poch(2 * m, trunc - 2 * m * m))
+                     for m in range(trunc) if 2 * m * m < trunc], trunc)
 
 
 def test_feigin_fuchs_34_low_coefficients():
     ff = feigin_fuchs_character(MinimalModelLabel(3, 4), 8)
     assert coeffs(ff, 8) == [1, 0, 1, 1, 2, 2, 3, 3]
-    assert ff.equal_mod(euler_sum_oracle(8))
+    assert dict(ff.terms()) == euler_sum_oracle(8)
 
 
 def test_feigin_fuchs_25_rogers_ramanujan():
@@ -130,16 +128,16 @@ def test_nahm_sum_matches_a_brute_force_box(n):
     # the direct definition, each divisor one q_product, summed over a box
     # that holds every exponent below the order
     A, B, C = [[3, 1], [1, 2]], [F(1, 2), F(1, 3)], F(1, 6)
-    brute = QSeries.zero(n)
+    brute = []
     for k1 in range(8):
         for k2 in range(8):
             e = F(3 * k1 * k1 + 2 * k1 * k2 + 2 * k2 * k2, 2) + B[0] * k1 + B[1] * k2 + C
             if e < n:
-                inv = q_product(n - e, ((j, -1, -1) for k in (k1, k2) for j in range(1, k + 1)))
-                brute = brute + inv.shift(e)
+                brute.append((1, e, q_product(n - e, ((j, -1, -1) for k in (k1, k2)
+                                                      for j in range(1, k + 1)))))
     got = nahm_sum(NahmData(A, B, C), n)
-    assert got == brute and got.trunc == n
-    assert got.denom == brute.denom == 6
+    assert dict(got.terms()) == term_sum(brute, n) and got.trunc == n
+    assert got.denom == 6
 
 
 def test_e8_cartan_inverse_is_integral_inverse():
@@ -210,8 +208,8 @@ def test_classical_sum_forms():
     # q^(1/2) sum_k q^(2k^2+2k)/(q)_(2k+1), the half sector's S limit, and
     # sum_k q^(k(k+1)/2)/(q)_k, a 1x1 Nahm sum, against the product sides
     n = 25
-    assert limit_series("half", n - F(1, 2)).shift(F(1, 2)).equal_mod(
-        module_character("V_half", "Classical", n))
+    assert term_sum([(1, F(1, 2), limit_series("half", n - F(1, 2)))]) == dict(
+        module_character("V_half", "Classical", n).terms())
     assert nahm_sum(NahmData([[1]], [F(1, 2)]), n).equal_mod(
         module_character("V_sixteenth", "Classical", n))
 
@@ -409,3 +407,47 @@ def test_every_character_sum_goes_through_divided_sum(monkeypatch):
     calls.clear()
     degrees = {m for _, m in P_of_t_q(6)}
     assert calls == [6] * len(degrees) and len(degrees) > 1
+
+
+def test_every_classical_product_side_is_one_q_product(monkeypatch):
+    # the fermionic half sum and half difference read the parity of one
+    # product's slots, with no series arithmetic
+    calls = []
+    real = characters.q_product
+
+    def spy(trunc, factors):
+        calls.append(trunc)
+        return real(trunc, factors)
+
+    monkeypatch.setattr(characters, "q_product", spy)
+    for build in [lambda: alt_expression("FermionHalf", 6),
+                  lambda: alt_expression("QuintupleProduct", 6)] + [
+            lambda w=w: module_character(w, "Classical", 6) for w in MODULES]:
+        calls.clear()
+        build()
+        assert calls == [6]
+
+
+@pytest.mark.parametrize("n", [F(1, 2), 1, F(7, 2), 20, 50], ids=str)
+def test_fermion_halves_are_the_parity_classes_of_one_product(n):
+    # prod (1 - q^(m-1/2)) is prod (1 + q^(m-1/2)) at -q^(1/2): on their
+    # common grid, slot k of the one is (-1)^k times slot k of the other
+    # (the grid is 1 below q^(1/2), where no factor is kept)
+    def product(s):
+        return q_product(n, ((F(2 * m - 1, 2), s, 1) for m in range(1, int(n) + 2)))
+
+    plus, minus = product(1), product(-1)
+    assert plus.denom == minus.denom == (2 if n > F(1, 2) else 1)
+    slots = range(ceil(n * plus.denom))
+    assert [minus.coeffs.get(k, 0) for k in slots] == \
+        [(-1) ** k * plus.coeffs.get(k, 0) for k in slots]
+    # so the half sum is the integer-exponent terms, the half difference the
+    # half-odd ones, and both are the halves of the sum and difference
+    half_sum = alt_expression("FermionHalf", n)
+    half_diff = module_character("V_half", "Classical", n)
+    assert dict(half_sum.terms()) == {e: c for e, c in plus.terms() if e.denominator == 1}
+    assert dict(half_diff.terms()) == {e: c for e, c in plus.terms() if e.denominator == 2}
+    assert dict(half_sum.terms()) == term_sum([(F(1, 2), 0, plus), (F(1, 2), 0, minus)])
+    assert dict(half_diff.terms()) == term_sum([(F(1, 2), 0, plus), (F(-1, 2), 0, minus)])
+    assert half_sum.trunc == half_diff.trunc == n
+    assert module_character("V0", "Classical", n) == half_sum

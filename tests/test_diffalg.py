@@ -474,7 +474,7 @@ def test_scaled_generator_expansion_values():
 def test_element_r0():
     r0 = build_element("r", 0)
     assert r0 == cached_divided_derivative(GEN_B_SCALED, 1) \
-        - cached_divided_derivative(GEN_A, 4).scale(2)
+        + cached_divided_derivative(GEN_A, 4).scale(-2)
     assert r0.leading_monomial() == (4, 4, 2)
 
 

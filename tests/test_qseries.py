@@ -5,13 +5,27 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import gaussian, term_sum
 import qvir.qseries as qs
-from qvir.qseries import (QSeries, _slot_bytes, divided_sum, pascal_rows, pochhammer,
-                          pochhammer_inf, q_binomial, q_product)
+from qvir.qseries import QSeries, _slot_bytes, divided_sum, pascal_rows, q_product
 
 
 def series(pairs, trunc=None):
-    return QSeries.from_terms(pairs, trunc)
+    """The series with the given (exponent, coefficient) pairs, on the grid of
+    their exponents."""
+    pairs = [(F(e), c) for e, c in dict(pairs).items()]
+    d = math.lcm(1, *(e.denominator for e, _ in pairs))
+    return QSeries({int(e * d): c for e, c in pairs}, trunc, d)
+
+
+def poch(n):
+    """The exact polynomial (q)_n, of degree n(n+1)/2, as one q_product."""
+    return QSeries(q_product(n * (n + 1) // 2 + 1, ((j, -1, 1) for j in range(1, n + 1))).coeffs)
+
+
+def poch_inf(trunc):
+    """(q)_infinity mod q^trunc, as one q_product."""
+    return q_product(trunc, ((j, -1, 1) for j in range(1, trunc + 1)))
 
 
 def inv_poch(n, trunc):
@@ -19,58 +33,26 @@ def inv_poch(n, trunc):
     return q_product(trunc, ((j, -1, -1) for j in range(1, n + 1)))
 
 
-def times(a, b):
-    """The product of two series by the definition, mod the order that the
-    operands justify when both have a nonzero constant term or are exact."""
-    t = None if a.trunc is None and b.trunc is None else \
-        min(x.trunc for x in (a, b) if x.trunc is not None)
-    out = {}
-    for ea, ca in a.terms():
-        for eb, cb in b.terms():
-            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
-    return QSeries.from_terms([(e, c) for e, c in out.items() if t is None or e < t], t)
-
-
-def test_add_cancellation():
-    one_q = series([(0, 1), (1, 1)])
-    assert one_q + series([(0, -1)]) == series([(1, 1)])
-
-
-def test_add_identity():
-    a = series([(0, 1), (2, -3)], trunc=7)
-    assert a + QSeries.zero() == a
-
-
-def test_add_unifies_denominators():
-    s = series([(F(1, 2), 1)]) + series([(1, 1)])
-    assert s.denom == 2
-    assert s.coefficient(F(1, 2)) == 1
-    assert s.coefficient(1) == 1
+def times(a, b, order=None):
+    """{e: c} of the product of a map {e: c} and a series or map, below
+    q^order, by the definition."""
+    return term_sum([(c, e, b) for e, c in a.items()], order)
 
 
 def test_mul_geometric_inverse():
     # (1 - q) times the geometric series 1/(1 - q), as two terms over (q)_1
-    assert divided_sum(10, [(0, 1, (1,)), (1, -1, (1,))]) == QSeries.one(10)
+    assert divided_sum(10, [(0, 1, (1,)), (1, -1, (1,))]) == series([(0, 1)], 10)
 
 
 def test_poch2_hand_expansion():
-    assert pochhammer(2) == series([(0, 1), (1, -1), (2, -1), (3, 1)])
-
-
-def test_mul_identity():
-    a = series([(0, 2), (3, F(1, 6))], trunc=9)
-    assert a * 1 == a and 1 * a == a and a * F(1) == a
-
-
-def test_mul_trunc_rule_with_orders():
-    # q^2 * (unknown beyond q^5) is known up to q^7
-    a = series([(0, 1)], trunc=5)
-    assert a.shift(2).trunc == 7 and (a * 3).trunc == 5
+    assert poch(2) == series([(0, 1), (1, -1), (2, -1), (3, 1)])
 
 
 def test_a_product_of_two_series_raises():
+    # a series does no arithmetic at all: products are built by q_product
+    # and divided_sum
     a = series([(0, 1), (1, -1)], trunc=5)
-    for b in (QSeries.one(), a, QSeries.zero()):
+    for b in (series([(0, 1)]), a, QSeries()):
         with pytest.raises(TypeError):
             a * b
         with pytest.raises(TypeError):
@@ -85,39 +67,41 @@ def test_inverse_geometric():
 
 def test_inverse_of_one():
     # 1/(q)_0 = 1
-    assert divided_sum(5, [(0, 1, ())]) == divided_sum(5, [(0, 1, (0, 0))]) == QSeries.one(5)
+    assert divided_sum(5, [(0, 1, ())]) == divided_sum(5, [(0, 1, (0, 0))]) == series([(0, 1)], 5)
 
 
 def test_inverse_poch2_counts_parts_le_2():
     inv = divided_sum(5, [(0, 1, (2,))])
     assert [inv.coefficient(i) for i in range(5)] == [1, 1, 2, 2, 3]
-    assert times(inv, pochhammer(2)).equal_mod(QSeries.one(), 5)
+    assert times(dict(inv.terms()), poch(2), 5) == {0: 1}
 
 
 def test_pochhammer_small():
-    assert pochhammer(0) == QSeries.one()
-    assert pochhammer(1) == series([(0, 1), (1, -1)])
-    assert pochhammer(3) == series([(0, 1), (1, -1), (2, -1), (4, 1), (5, 1), (6, -1)])
+    assert poch(0) == series([(0, 1)])
+    assert poch(1) == series([(0, 1), (1, -1)])
+    assert poch(3) == series([(0, 1), (1, -1), (2, -1), (4, 1), (5, 1), (6, -1)])
 
 
 def test_pochhammer_is_the_product_of_its_factors():
     # exact products of the binomials (1 - q^j), truncated afterwards
     for n in range(13):
-        exact = QSeries.one()
+        exact = {0: 1}
         for j in range(1, n + 1):
-            exact = times(exact, series([(0, 1), (j, -1)]))
-        assert pochhammer(n) == exact and pochhammer(n).trunc is None, n
+            exact = times(exact, {0: 1, j: -1})
+        assert dict(poch(n).terms()) == exact and poch(n).trunc is None, n
         for t in (1, 5, F(7, 2), 400):
-            assert pochhammer(n, t) == exact.truncate(t), (n, t)
+            got = q_product(t, ((j, -1, 1) for j in range(1, n + 1)))
+            assert dict(got.terms()) == {e: c for e, c in exact.items() if e < t}, (n, t)
+            assert got.trunc == t
 
 
 def test_pochhammer_inf_pentagonal():
-    p = pochhammer_inf(6)
+    p = poch_inf(6)
     assert [p.coefficient(i) for i in range(6)] == [1, -1, -1, 0, 0, 1]
 
 
 def test_pochhammer_inf_trivial_order():
-    assert pochhammer_inf(1).equal_mod(QSeries.one(), 1)
+    assert poch_inf(1) == series([(0, 1)], 1)
 
 
 def pentagonal_sign(n):
@@ -134,7 +118,7 @@ def pentagonal_sign(n):
 
 
 def test_pochhammer_inf_vs_pentagonal_oracle():
-    p = pochhammer_inf(30)
+    p = poch_inf(30)
     for n in range(30):
         assert p.coefficient(n) == pentagonal_sign(n)
 
@@ -145,28 +129,23 @@ def test_q_product_matches_factor_by_factor_products():
     t = F(13, 2)
     factors = [(F(1, 2), 1, 1), (2, -1, 1), (3, -1, -1), (F(5, 2), 1, -1),
                (F(13, 2), 1, 1), (7, -1, -1)]
-    want = QSeries.one(t)
+    want = {0: 1}
     for e, s, p in factors[:4]:
         f = series([(0, 1), (e, s)], t)
-        want = times(want, f if p == 1 else QSeries.from_terms(oracle_inverse(f).items(), t))
+        want = times(want, f if p == 1 else oracle_inverse(f), t)
     got = q_product(t, factors)
-    assert got == want and got.denom == 2 and got.trunc == t
-    assert q_product(5, []) == QSeries.one(5)
-    assert q_product(5, [(5, 1, 1)]) == QSeries.one(5)
+    assert dict(got.terms()) == want and got.denom == 2 and got.trunc == t
+    assert q_product(5, []) == q_product(5, [(5, 1, 1)]) == series([(0, 1)], 5)
     with pytest.raises(ValueError):
         q_product(5, [(0, 1, 1)])
 
 
 def per_term_oracle(trunc, terms):
-    """sum of x q^e / ((q)_k1 ... (q)_kr) mod q^trunc, one term at a time:
-    each divisor one q_product, each term shifted into place."""
+    """{e: c} of the sum of x q^e / ((q)_k1 ... (q)_kr) mod q^trunc, one term
+    at a time: each divisor one q_product, each term shifted into place."""
     t = F(trunc)
-    out = QSeries.zero(t)
-    for e, x, ks in terms:
-        if e < t:
-            inv = q_product(t - e, ((j, -1, -1) for k in ks for j in range(1, k + 1)))
-            out = out + (inv * x).shift(e)
-    return out
+    return term_sum([(x, e, q_product(t - e, ((j, -1, -1) for k in ks for j in range(1, k + 1))))
+                     for e, x, ks in terms if e < t], t)
 
 
 def random_terms(rng, grid, trunc):
@@ -191,10 +170,10 @@ def test_divided_sum_matches_a_per_term_oracle(grid):
         trunc = rng.choice([1, 5, 9, F(17, 2), F(29, 3)])
         terms = random_terms(rng, grid, trunc)
         got = divided_sum(trunc, terms)
-        assert got == per_term_oracle(trunc, terms), terms
+        assert dict(got.terms()) == per_term_oracle(trunc, terms), terms
         assert got.trunc == trunc and holds_rule(got)
         assert got.denom == math.lcm(*(F(e).denominator for e, _, _ in terms))
-    assert divided_sum(7, []) == QSeries.zero(7) and divided_sum(F(7, 2), []).trunc == F(7, 2)
+    assert divided_sum(7, []) == QSeries({}, 7) and divided_sum(F(7, 2), []).trunc == F(7, 2)
     # cancelling terms leave nothing, on the grid their exponents set
     cancel = divided_sum(6, [(F(1, grid), 3, (2, 1)), (F(1, grid), -3, (1, 2))])
     assert not cancel and cancel.denom == grid
@@ -214,22 +193,20 @@ def test_divided_sum_divides_a_shared_divisor_once(monkeypatch):
     # one pass over (1 - q)(1 - q^2) and (1 - q)(1 - q^2)(1 - q^3) for the
     # three terms over (q)_2 (q)_3, on the grid 1/2, and one over (q)_4
     assert sorted(calls) == sorted([2, 4, 2, 4, 6] + [2, 4, 6, 8])
-    assert got == per_term_oracle(12, terms)
+    assert dict(got.terms()) == per_term_oracle(12, terms)
 
 
 def test_q_binomial_examples():
-    assert q_binomial(4, 2) == series([(0, 1), (1, 1), (2, 2), (3, 1), (4, 1)])
-    assert q_binomial(5, 0) == QSeries.one()
-    assert not q_binomial(2, 3)
+    assert gaussian(4, 2) == {0: 1, 1: 1, 2: 2, 3: 1, 4: 1}
+    assert gaussian(5, 0) == gaussian(5, 5) == {0: 1}
 
 
 def test_q_binomial_pascal_exhaustive():
     # the rule that pascal_rows does not use: [m, n] = q^(m-n) [m-1, n-1] + [m-1, n]
     for m in range(1, 21):
         for n in range(1, m + 1):
-            lhs = q_binomial(m, n)
-            rhs = q_binomial(m - 1, n - 1).shift(m - n) + q_binomial(m - 1, n)
-            assert lhs == rhs, (m, n)
+            rhs = term_sum([(1, m - n, gaussian(m - 1, n - 1)), (1, 0, gaussian(m - 1, n))])
+            assert gaussian(m, n) == rhs, (m, n)
 
 
 def _qbinom_by_division(m, n):
@@ -245,19 +222,18 @@ def _qbinom_by_division(m, n):
         for i in range(len(g)):
             g[i] = f[i] + (g[i - j] if i >= j else 0)
         b = g
-    return QSeries(dict(enumerate(b)))
+    return {e: c for e, c in enumerate(b) if c}
 
 
 def test_q_binomial_rows_shared_by_symmetry():
     for m in range(31):
         for n in range(m + 1):
             want = _qbinom_by_division(m, n)
-            assert q_binomial(m, n) == want == _qbinom_by_division(m, m - n), (m, n)
+            assert gaussian(m, n) == want == _qbinom_by_division(m, m - n), (m, n)
         # both pairs {n, m - n} read one entry of the Pascal list
         width = _slot_bytes(2 ** m)
         rows = pascal_rows([(m, n) for n in range(m + 1)], width)
         assert all(rows[m, n] is rows[m, m - n] for n in range(m + 1))
-    assert not q_binomial(5, -1) and not q_binomial(5, 6)
 
 
 def test_q_binomial_mod_q_t():
@@ -266,52 +242,25 @@ def test_q_binomial_mod_q_t():
     for m in range(31):
         width = _slot_bytes(2 ** m)
         rows = pascal_rows([(m, n) for n in range(m + 1)], width)
-        for n in range(-1, m + 2):
-            exact = _qbinom_by_division(m, n) if 0 <= n <= m else QSeries()
+        for n in range(m + 1):
+            exact = _qbinom_by_division(m, n)
             for t in (0, 1, 2, 3, 7, n * (m - n), n * (m - n) + 1, 40):
-                assert q_binomial(m, n, t) == exact.truncate(t), (m, n, t)
-                if 0 <= n <= m:
-                    cut = pascal_rows([(m, n)], width, t)[m, n]
-                    assert cut == rows[m, n] % (1 << (8 * width * t)), (m, n, t)
-            assert q_binomial(m, n, F(7, 2)) == exact.truncate(F(7, 2))
+                assert gaussian(m, n, t) == {e: c for e, c in exact.items() if e < t}, (m, n, t)
+                cut = pascal_rows([(m, n)], width, t)[m, n]
+                assert cut == rows[m, n] % (1 << (8 * width * t)), (m, n, t)
 
 
 def test_q_binomial_nonneg_and_degree():
     for m in range(21):
         for n in range(m + 1):
-            b = q_binomial(m, n)
-            terms = b.terms()
-            assert all(c > 0 and c.denominator == 1 for _, c in terms)
-            assert max(e for e, _ in terms) == n * (m - n)
+            b = gaussian(m, n)
+            assert all(type(c) is int and c > 0 for c in b.values())
+            assert max(b) == n * (m - n) and sum(b.values()) == math.comb(m, n)
 
 
 def test_q_binomial_limit_is_inverse_pochhammer():
     for n, k in ((8, 3), (12, 4), (15, 2), (20, 7)):
-        assert q_binomial(n, k).equal_mod(inv_poch(k, n - k + 1))
-
-
-def random_series(rng, trunc, denom=1):
-    coeffs = {}
-    for k in range(trunc * denom):
-        if rng.random() < 0.5:
-            coeffs[k] = F(rng.randint(-5, 5), rng.randint(1, 4))
-    return QSeries(coeffs, trunc, denom)
-
-
-def test_ring_laws_random():
-    # the module laws that are left: addition, scalars and shifts
-    rng = random.Random(20240811)
-    for _ in range(25):
-        n = rng.randint(3, 9)
-        a, b, c = (random_series(rng, n) for _ in range(3))
-        x, y = F(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-3, 3)
-        assert (a + b).equal_mod(b + a)
-        assert ((a + b) + c).equal_mod(a + (b + c))
-        assert (a - a).equal_mod(QSeries.zero(n))
-        assert ((a + b) * x).equal_mod(a * x + b * x)
-        assert (a * (x + y)).equal_mod(a * x + a * y)
-        assert ((a * x) * y).equal_mod(a * (x * y))
-        assert (a + b).shift(y * y).equal_mod(a.shift(y * y) + b.shift(y * y))
+        assert gaussian(n, k, n - k + 1) == dict(inv_poch(k, n - k + 1).terms())
 
 
 def test_agreement_reports_first_mismatch():
@@ -328,7 +277,7 @@ def test_coefficient_beyond_trunc_raises():
 
 
 def test_json_roundtrip_and_schema():
-    s = QSeries.from_terms([(F(1, 2), F(3, 4)), (2, -1)], trunc=F(7, 2))
+    s = series([(F(1, 2), F(3, 4)), (2, -1)], trunc=F(7, 2))
     d = s.to_json_dict()
     assert set(d) == {"denom", "trunc", "coeffs"}
     assert d["denom"] == 2 and d["trunc"] == "7/2"
@@ -337,21 +286,13 @@ def test_json_roundtrip_and_schema():
 
 
 def test_exact_flag_semantics():
-    p = pochhammer(3)
+    p = poch(3)
     assert p.trunc is None
     t = p.truncate(4)
     assert t.trunc == 4
-    # mixing exact with truncated yields truncated
-    assert (p + t).trunc == 4 and (p - t).trunc == 4
-
-
-def test_exact_zero_annihilates():
-    # a zero scalar leaves the zero series, known as far as the series was
-    z = QSeries.zero()
-    t = series([(0, 1)], trunc=5)
-    assert (t * 0).trunc == 5 and not (t * 0)
-    assert (pochhammer(3) * F(0)).trunc is None and not (pochhammer(3) * F(0))
-    assert (z * 7).trunc is None and not (z * 7)
+    # comparing exact with truncated compares below the truncation
+    assert p.agreement(t) == t.agreement(p) == (4, None) and p.agreement(p) == (None, None)
+    assert p.equal_mod(t) and p != t
 
 
 # -- the coefficient rule: int when integral, Fraction otherwise -------------
@@ -369,14 +310,10 @@ def all_int(s):
 def test_integral_results_hold_ints():
     a = series([(0, 1), (2, F(-3))], trunc=7)
     half = series([(0, F(1, 2)), (F(1, 2), F(3, 2))], trunc=6)
-    assert all_int(a) and all_int(QSeries({0: F(4, 2), 3: 5}))
-    assert all_int(a + a) and all_int(half + half) and all_int(half + series([(0, F(1, 2)), (F(1, 2), F(-1, 2))]))
-    assert all_int(a * F(4, 2)) and all_int(half * 2) and all_int(half * F(-4))
+    assert all_int(a) and all_int(QSeries({0: F(4, 2), 3: 5})) and holds_rule(half)
     assert all_int(divided_sum(10, [(0, 1, (3,))])) and all_int(divided_sum(F(7, 2), [(0, 1, (3,))]))
     assert all_int(divided_sum(10, [(F(1, 2), F(1, 2), (2,)), (F(1, 2), F(3, 2), (2,))]))
-    assert all_int(a.shift(F(1, 2))) and all_int(a.shift(3))
-    assert all_int(QSeries.from_terms([(0, F(3)), (F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))]))
-    assert QSeries.one().coefficient(0) == 1 and type(pochhammer(2).coefficient(5)) is int
+    assert series([(0, 1)]).coefficient(0) == 1 and type(poch(2).coefficient(5)) is int
 
 
 def random_mixed(rng, trunc, denom):
@@ -394,11 +331,6 @@ def random_mixed(rng, trunc, denom):
     return QSeries(coeffs, trunc, denom)
 
 
-def fraction_terms(s):
-    """{exponent: coefficient} with both as Fractions."""
-    return {F(k, s.denom): F(c) for k, c in s.coeffs.items()}
-
-
 def oracle_inverse(a):
     """Fraction-only power-series inverse on a's grid, below its trunc."""
     c = {k: F(x) for k, x in a.coeffs.items()}
@@ -413,20 +345,16 @@ def oracle_inverse(a):
 def test_mixed_products_and_inverses_match_fraction_oracle():
     rng = random.Random(3116)
     for _ in range(30):
-        da, db = rng.choice([1, 2, 16]), rng.choice([1, 2, 16])
+        da = rng.choice([1, 2, 16])
         a = random_mixed(rng, rng.randint(1, 4), da)
-        b = random_mixed(rng, rng.randint(1, 4), db)
-        x = rng.choice([2, -1, F(1, 2), F(6, 3), F(-2, 3)])
-        scaled = a * x
-        assert dict(scaled.terms()) == {e: c * x for e, c in fraction_terms(a).items()}
-        assert holds_rule(scaled)
-        # a division by (1 + s q^e) on a's grid, against the general inverse
+        assert holds_rule(a)
+        # a product and a division by (1 + s q^e) on a's grid, against the
+        # factor itself and the general inverse
         e, s = F(rng.randint(1, 4 * da), da), rng.choice([1, -1])
-        inv = q_product(a.trunc, [(e, s, -1)])
-        assert dict(inv.terms()) == oracle_inverse(series([(0, 1), (e, s)], a.trunc))
-        assert holds_rule(inv)
-        total = a + b
-        assert holds_rule(total) and holds_rule(a * rng.choice([2, F(1, 2), F(6, 3)]))
+        f = series([(0, 1), (e, s)], a.trunc)
+        for p, want in ((1, dict(f.terms())), (-1, oracle_inverse(f))):
+            got = q_product(a.trunc, [(e, s, p)])
+            assert dict(got.terms()) == want and holds_rule(got)
 
 
 def test_int_and_fraction_coefficients_are_interchangeable():
@@ -454,8 +382,8 @@ def test_integer_polynomials_never_see_fractions(monkeypatch):
 
     monkeypatch.setattr(QSeries, "__init__", spy)
     built = [family_poly(sector, "T", 20) for sector in ("vac", "half", "sixteenth")]
-    built += [q_binomial(30, 15), pochhammer_inf(40)]
-    built += [module_character(w, "New", 12) for w in MODULES]
+    built += [poch(30), poch_inf(40)]
+    built += [module_character(w, side, 12) for w in MODULES for side in ("Classical", "New")]
     P = P_of_t_q(12)
     tables = [P, bigrade(P)] + [class_closed_form(w, 12) for w in CLASSES]
     assert handed == {int}

@@ -208,11 +208,3 @@ def test_kernel_symbol_values():
     assert kernel_generator_symbol(4) == DiffPoly({(5, 2, 2): F(1, 6), (4, 3, 2): 1})
     assert kernel_generator_symbol(5) == DiffPoly({(5, 2, 2, 2): F(-1, 9),
                                                    (4, 3, 2, 2): 1})
-
-
-def test_vector_json():
-    v = solve_singular_vector(MinimalModelLabel(3, 4))
-    d = v.to_json_dict()
-    assert d["c"] == "1/2"
-    assert [list(m) for m, _ in sorted(v.coeffs.items())] \
-        == sorted([m for m, _ in d["terms"]])
