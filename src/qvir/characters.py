@@ -20,11 +20,11 @@ table), the single sums (``qseries.single_sum``) and the theta sums over
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import floor, gcd
 
 from qvir.linalg import Echelon
 from qvir.partitions import CLASS_EQUATIONS, CLASSES, class_equation_failures
-from qvir.qseries import QSeries, _slots_below, divided_sum, q_product, single_sum
+from qvir.qseries import QSeries, divided_sum, q_product, single_sum
 
 
 class NotPositiveDefinite(ValueError):
@@ -67,20 +67,20 @@ def feigin_fuchs_character(label: MinimalModelLabel, trunc) -> QSeries:
     sum over m of q^(pp' m^2 + (p - p') m) - q^(pp' m^2 + (p + p') m + 1).
     """
     p, pp = label.p, label.pp
-    return _theta_sum(Fraction(trunc), p * pp, p - pp, p + pp)
+    return _theta_sum(trunc, p * pp, p - pp, p + pp)
 
 
-def _theta_sum(n: Fraction, a: int, b1: int, b2: int) -> QSeries:
+def _theta_sum(n: int, a: int, b1: int, b2: int) -> QSeries:
     """sum over m in Z of (q^(a m^2 + b1 m) - q^(a m^2 + b2 m + 1)) / (q)_infinity
     mod q^n, for a > |b1|, |b2|.
 
     Every exponent at m is at least a m^2 - max(|b1|, |b2|) |m|, which grows
     with |m|, so the terms below q^n end at the first m where that bound
-    reaches n.  All terms share the divisor (q)_ceil(n), which is
-    (q)_infinity mod q^n.
+    reaches n.  All terms share the divisor (q)_n, which is (q)_infinity
+    mod q^n.
     """
     b = max(abs(b1), abs(b2))
-    k = (ceil(n),)
+    k = (n,)
     terms = []
     m = 0
     while a * m * m - b * m < n:
@@ -97,8 +97,7 @@ def _theta_sum(n: Fraction, a: int, b1: int, b2: int) -> QSeries:
 ALT_EXPRESSIONS = ("BGG", "FermionHalf", "Euler", "QuintupleProduct")
 
 
-def alt_expression(which: str, trunc) -> QSeries:
-    n = Fraction(trunc)
+def alt_expression(which: str, n: int) -> QSeries:
     if which == "BGG":
         return _theta_sum(n, 12, 1, 7)
     if which == "FermionHalf":
@@ -106,16 +105,15 @@ def alt_expression(which: str, trunc) -> QSeries:
     if which == "Euler":
         return single_sum(n, (2, 0), (2, 0))
     if which == "QuintupleProduct":
-        return q_product(n, (f for k in range(1, int(n) + 1) for f in (
+        return q_product(n, (f for k in range(1, n + 1) for f in (
             (8 * k - 5, 1, 1), (8 * k - 3, 1, 1), (8 * k, -1, 1), (2 * k, -1, -1))))
     raise ValueError("unknown expression %r" % (which,))
 
 
-def congruence_product(residues, modulus: int, trunc) -> QSeries:
+def congruence_product(residues, modulus: int, trunc: int) -> QSeries:
     """prod 1/(1-q^n) over n >= 1 with n mod modulus in residues, mod q^trunc."""
-    n = Fraction(trunc)
     res = {r % modulus for r in residues}
-    return q_product(n, ((j, -1, -1) for j in range(1, int(n) + 1) if j % modulus in res))
+    return q_product(trunc, ((j, -1, -1) for j in range(1, trunc + 1) if j % modulus in res))
 
 
 def mod16_product(trunc) -> QSeries:
@@ -177,54 +175,56 @@ def _leading_minors_positive(A) -> bool:
     return True
 
 
-def _nahm_terms(data: NahmData, n: Fraction) -> list:
-    """The terms (e, k) of the Nahm sum below q^n, in walk order, with
-    e = k^T A k / 2 + k^T B + C.
+def _nahm_terms(data: NahmData, n: int) -> list:
+    """The terms (e, k) of the Nahm sum below q^n, in walk order: the term
+    at k has the exponent k^T A k / 2 + k^T B + C, which is e + (C mod 1)
+    with e an int.
 
-    The walk goes through the coordinates left to right keeping the exact
-    partial value of the exponent.  The entries of A, B and C must be
-    nonnegative (ValueError otherwise), so this partial value only grows,
-    and the first value of a coordinate at or above the truncation ends its
-    branch.
+    Every exponent lies in C + Z exactly when every A_ij and every
+    A_ii / 2 + B_i is an integer (ValueError otherwise), since
+    k^T A k / 2 + k^T B is the sum over i of A_ii k_i (k_i - 1) / 2 +
+    (A_ii / 2 + B_i + sum over j < i of A_ij k_j) k_i.  As 0 <= C mod 1 < 1,
+    the exponent is below n exactly when e is.  The walk goes through the
+    coordinates left to right keeping the partial value of e.
+    The entries of A, B and C must be nonnegative (ValueError otherwise), so
+    this partial value only grows, and the first value of a coordinate at or
+    above the truncation ends its branch.
     """
     A, B, C = data.A, data.B, data.C
     if any(x < 0 for row in A for x in row) or any(x < 0 for x in B) or C < 0:
         raise ValueError("the Nahm-sum walk needs nonnegative entries in A, B and C")
     d = data.dim
-    # the walk runs on the int D e, with D the lcm of the denominators of
-    # A/2, B and C, so that it builds no Fraction; for an int x, x < D n
-    # exactly when x < ceil(D n) = top
-    D = lcm(C.denominator, *(x.denominator for x in B),
-            *((x / 2).denominator for row in A for x in row))
-    half = [int(A[i][i] * D / 2) for i in range(d)]
-    AD = [[int(x * D) for x in row] for row in A]
-    BD = [int(x * D) for x in B]
-    top = _slots_below(n, D)
+    first = [A[i][i] / 2 + B[i] for i in range(d)]
+    if any(x.denominator != 1 for row in A + [first] for x in row):
+        raise ValueError("the Nahm-sum exponents must lie in C + Z: every A_ij "
+                         "and every A_ii/2 + B_i must be an integer")
+    A = [[int(x) for x in row] for row in A]
+    first = [int(x) for x in first]
     terms: list[tuple[int, tuple[int, ...]]] = []
 
     def walk(i, k, partial):
         if i == d:
-            if partial < top:
+            if partial < n:
                 terms.append((partial, tuple(k)))
             return
-        lin = BD[i] + sum(AD[i][j] * k[j] for j in range(i))
+        lin = first[i] + sum(A[i][j] * k[j] for j in range(i))
         ki = 0
         while True:
-            add = (half[i] * ki + lin) * ki
+            add = A[i][i] * (ki * (ki - 1) // 2) + lin * ki
             # add grows with ki, so the first overshoot ends the branch
-            if ki > 0 and partial + add >= top:
+            if ki > 0 and partial + add >= n:
                 break
             walk(i + 1, k + [ki], partial + add)
             ki += 1
 
-    walk(0, [], int(C * D))
-    return [(Fraction(e, D), k) for e, k in terms]
+    walk(0, [], floor(C))
+    return terms
 
 
-def nahm_sum(data: NahmData, trunc) -> QSeries:
-    """Sum of q^(k^T A k / 2 + k^T B + C) / prod (q)_{k_i} over k >= 0, mod q^trunc."""
-    n = Fraction(trunc)
-    return divided_sum(n, [(e, 1, k) for e, k in _nahm_terms(data, n)])
+def nahm_sum(data: NahmData, trunc: int) -> QSeries:
+    """Sum of q^(k^T A k / 2 + k^T B + C) / prod (q)_{k_i} over k >= 0, mod
+    q^trunc, for data whose exponents lie in C + Z."""
+    return divided_sum(trunc, [(e, 1, k) for e, k in _nahm_terms(data, trunc)], data.C % 1)
 
 
 def e8_cartan_matrix() -> list[list[int]]:
@@ -267,10 +267,11 @@ def e8_nahm_data() -> NahmData:
 QUASIPARTICLE_MATRIX = ((8, 3), (3, 2))
 
 
-def _quasiparticle_terms(n: Fraction, bracket, linear=(0, 0), offset=0, t_base=0) -> list:
+def _quasiparticle_terms(n: int, bracket, linear=(0, 0), offset=0, t_base=0) -> list:
     """The terms (t-degree, (e, x, (k1, k2))) of the Nahm sum for
     QUASIPARTICLE_MATRIX with B = linear and C = offset, each term graded by
-    t and multiplied by a bracket, mod q^n:
+    t and multiplied by a bracket, mod q^n, with e integer and the offset's
+    fractional part left to the caller:
 
         sum over k1, k2 >= 0 of t^(t_base + 2k1 + k2) bracket(k1, k2)
             * q^(4k1^2 + 3k1k2 + k2^2 + l1 k1 + l2 k2 + offset) / ((q)_k1 (q)_k2)
@@ -287,19 +288,18 @@ def _quasiparticle_terms(n: Fraction, bracket, linear=(0, 0), offset=0, t_base=0
     return out
 
 
-def _quasiparticle_sum(trunc, bracket, linear=(0, 0), offset=0) -> QSeries:
+def _quasiparticle_sum(n: int, bracket, linear=(0, 0), offset=0) -> QSeries:
     """The quasiparticle sum of ``_quasiparticle_terms`` at t = 1: one
     ``divided_sum`` over all its terms."""
-    n = Fraction(trunc)
-    return divided_sum(n, [term for _, term in _quasiparticle_terms(n, bracket, linear, offset)])
+    terms = [term for _, term in _quasiparticle_terms(n, bracket, linear, offset)]
+    return divided_sum(n, terms, offset % 1)
 
 
-def _quasiparticle_table(trunc, bracket, linear=(0, 0), offset=0, t_base=0) -> dict:
+def _quasiparticle_table(n: int, bracket, linear=(0, 0), offset=0, t_base=0) -> dict:
     """The quasiparticle sum of ``_quasiparticle_terms`` as a table
-    {(q-exponent, t-degree): coefficient} below q^trunc, one ``divided_sum``
+    {(q-exponent, t-degree): coefficient} below q^n, one ``divided_sum``
     per t-degree.  The table is keyed by integer q-exponents, so linear and
     offset must be integers."""
-    n = Fraction(trunc)
     by_degree: dict[int, list] = {}
     for m, term in _quasiparticle_terms(n, bracket, linear, offset, t_base):
         by_degree.setdefault(m, []).append(term)
@@ -307,26 +307,26 @@ def _quasiparticle_table(trunc, bracket, linear=(0, 0), offset=0, t_base=0) -> d
             for k, c in divided_sum(n, terms).coeffs.items()}
 
 
-def _fermion_half(n: Fraction, odd: bool) -> QSeries:
+def _fermion_half(n: int, odd: bool) -> QSeries:
     """The half sum (odd False) or half difference (odd True) of the products
     over m >= 1 of (1 + q^(m-1/2)) and (1 - q^(m-1/2)), mod q^n.
 
     The second product is the first, P, at -q^(1/2), so the half sum is P's
     terms at integer exponents and the half difference its terms at half-odd
-    exponents.  P's grid is 1/2, or 1 below q^(1/2), where no factor is kept.
+    exponents.  P is built in x = q^(1/2), as the product of (1 + x^(2m-1))
+    mod x^(2n), so these are its even and its odd slots.
     """
-    p = q_product(n, ((Fraction(2 * m - 1, 2), 1, 1) for m in range(1, int(n) + 2)))
-    d = p.denom
+    p = q_product(2 * n, ((2 * m - 1, 1, 1) for m in range(1, n + 1))).coeffs
     if odd:
-        return QSeries({k: c for k, c in p.coeffs.items() if k % d}, n, d)
-    return QSeries({k // d: c for k, c in p.coeffs.items() if k % d == 0}, n)
+        return QSeries({k // 2: c for k, c in p.items() if k % 2}, n, Fraction(1, 2))
+    return QSeries({k // 2: c for k, c in p.items() if k % 2 == 0}, n)
 
 
 # the bracket 1 - q^k1 + q^(k1+k2) of P(t, q)
 _P_BRACKET = (((0, 0, 0), 1), ((1, 0, 0), -1), ((1, 1, 0), 1))
 
 
-def quasiparticle_chi(trunc) -> QSeries:
+def quasiparticle_chi(trunc: int) -> QSeries:
     """Double sum over k >= 0 of q^(4k1^2+3k1k2+k2^2) (1 - q^k1 + q^(k1+k2))
     divided by (q)_{k1} (q)_{k2}: P(t, q) at t = 1."""
     return _quasiparticle_sum(trunc, _P_BRACKET)
@@ -342,14 +342,14 @@ _MODULE_SUMS = {
 }
 
 
-def module_character(which: str, side: str, trunc) -> QSeries:
+def module_character(which: str, side: str, n: int) -> QSeries:
     """Unnormalized characters of the three irreducible modules.
 
     Classical sides: the fermionic half-sum / half-difference products for
     V0 and V_half, and prod (1+q^m) for V_sixteenth.  New sides: the
-    corresponding two-variable quasiparticle double sums at t = 1.
+    corresponding two-variable quasiparticle double sums at t = 1.  The
+    V_half sides are q^(1/2) times a series with integer exponents.
     """
-    n = Fraction(trunc)
     if side not in ("Classical", "New"):
         raise ValueError("side must be Classical or New")
     if which not in MODULES:
@@ -361,7 +361,7 @@ def module_character(which: str, side: str, trunc) -> QSeries:
         return alt_expression("FermionHalf", n)
     if which == "V_half":
         return _fermion_half(n, odd=True)
-    return q_product(n, ((m, 1, 1) for m in range(1, int(n) + 1)))
+    return q_product(n, ((m, 1, 1) for m in range(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +422,17 @@ def bigrade(table: dict) -> dict:
     return out
 
 
-def functional_equation_check(trunc) -> dict:
-    """Verify ``partitions.CLASS_EQUATIONS`` on the closed forms mod q^trunc:
+def functional_equation_check(n: int) -> dict:
+    """Verify ``partitions.CLASS_EQUATIONS`` on the closed forms mod q^n:
     the five q-difference equations of the class generating functions, and
     P_of_t_q as their sum, plus the t=0 initial conditions.
 
-    The cells compared are every (q-exponent, t-degree) below q^trunc at
+    The cells compared are every (q-exponent, t-degree) below q^n at
     which some closed form, or some closed form moved by a row of the
     table, has a term.  Each equation reports its first failing cell, the
     lowest in q and then in t.  The report carries the tables it checked,
     by class and under "P".
     """
-    n = Fraction(trunc)
     table = {w: class_closed_form(w, n) for w in CLASSES}
     table["P"] = P_of_t_q(n)
     cells = set()

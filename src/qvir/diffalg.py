@@ -30,11 +30,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from qvir.linalg import Echelon, int_row, primitive
+from qvir.linalg import Echelon, exact_quotient, exact_terms, int_row, primitive
 from qvir.partitions import (EXCEPTIONAL_PATTERNS, PATTERN_FAMILIES, contains_pattern,
                              count_min2, forbidden_patterns, grevlex_key, index_by_min,
                              partitions_min2, partitions_min2_length, pattern)
-from qvir.qseries import QSeries, exact_quotient, exact_terms, frac_str
+from qvir.qseries import QSeries, frac_str
 
 
 class ZeroPolynomial(ArithmeticError):
@@ -57,7 +57,7 @@ def mono_mul(a: tuple, b: tuple) -> tuple:
 
 class DiffPoly:
     """Sparse polynomial: map from monomial (partition tuple) to a nonzero
-    rational, an int while it is integral (the ``qseries`` coefficient rule).
+    rational, an int while it is integral (the ``linalg`` coefficient rule).
     The constructor is the one place that drops a zero coefficient."""
 
     __slots__ = ("terms",)
@@ -84,18 +84,8 @@ class DiffPoly:
         """self / d for a nonzero int d, under the coefficient rule."""
         return DiffPoly({m: exact_quotient(v, d) for m, v in self.terms.items()})
 
-    __mul__ = None  # use mul() / mul_monomial(); avoids silent scalar confusion
-
     def mul_monomial(self, mono: tuple, c=1) -> "DiffPoly":
         return DiffPoly({mono_mul(m, tuple(mono)): v * c for m, v in self.terms.items()})
-
-    def mul(self, other: "DiffPoly") -> "DiffPoly":
-        out: dict[tuple, int | Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                out[m] = out.get(m, 0) + c1 * c2
-        return DiffPoly(out)
 
     def weight(self) -> int:
         """Common weight of a homogeneous polynomial."""

@@ -21,12 +21,54 @@ its place.  Neither choice changes the span or the set of pivot columns, so
 neither can change ``rank``, ``reduced`` or ``nullspace``: the reduced
 echelon form of a span is unique, and ``reduced`` makes each of its rows
 primitive with a positive pivot entry.
+
+Coefficient rule for the exact containers that hold rationals,
+``diffalg.DiffPoly`` and ``virasoro.VirVector``: a stored coefficient is a
+Python ``int`` when it is integral and a ``Fraction`` only when it is not.
+Both store their terms through ``exact_terms``, so each constructor is the
+one place that normalizes a coefficient and drops a zero, and their sums run
+on ints and pay for ``Fraction``, which reduces by a gcd after every
+operation, only where a true fraction appears.  ``3`` and ``Fraction(3)``
+compare and hash alike, so equality, hashing and JSON do not depend on which
+of the two a caller passes.  Pitfall: ``int / int`` is a float in Python,
+so no ``/`` may see a coefficient; divide with ``exact_quotient``, or by
+multiplying with an exact reciprocal ``Fraction(1, c)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction; x may be anything
+    ``Fraction`` accepts."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def exact_quotient(a, d: int):
+    """a / d under the coefficient rule, for a rational a and a nonzero int d;
+    an int that d divides is divided as an int, with no Fraction built."""
+    if type(a) is int and a % d == 0:
+        return a // d
+    return _exact(Fraction(a, d))
+
+
+def exact_terms(terms) -> dict:
+    """The nonzero entries of a map key -> rational, keyed by ``tuple(key)``
+    and stored under the coefficient rule."""
+    out = {}
+    for key, c in terms.items():
+        if type(c) is not int:
+            c = _exact(c)
+        if c:
+            out[tuple(key)] = c
+    return out
 
 
 def int_row(coeffs: dict, index: dict) -> dict:

@@ -9,10 +9,11 @@ functions, and P as their sum, are written once, as the row table
 ``CLASS_EQUATIONS``; ``class_equation_failures`` reads it on any table of
 coefficients, and ``recursion_check`` on the class counts of the walk.
 
-P(n) is counted and listed by one walk up the part values 2, 3, ... whose
-state is the multiplicities of the last few values (a transfer matrix);
-``is_avoiding`` and ``classify`` test a partition against the pattern table
-directly and are the independent oracle for it.
+P(n) is counted, listed and split into classes by one walk up the part
+values 2, 3, ... whose state is the multiplicities of the last few values
+(a transfer matrix), so no partition is tested against the pattern table
+one at a time here; ``contains_pattern`` does that for ``diffalg``'s
+monomials.
 
 Partitions with parts >= 2 are also the monomial basis of the arc algebra
 (``diffalg``) and the PBW basis of the vacuum module (``virasoro``), listed
@@ -29,10 +30,6 @@ from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from heapq import merge
-
-
-class NotInP(ValueError):
-    """Raised when classifying a partition that violates an avoidance pattern."""
 
 
 Partition = tuple
@@ -107,18 +104,6 @@ def contains_pattern(have: Counter, by_min: dict) -> bool:
     # a pattern inside the partition has its smallest part among its parts
     return any(all(have[u] >= k for u, k in pat.items())
                for v in have for pat in by_min.get(v, ()))
-
-
-# The one cached view of the pattern table: clear it after editing the table.
-# Callers go one weight at a time; one entry keeps memory flat.
-@lru_cache(maxsize=1)
-def _patterns_by_min(max_weight: int) -> dict:
-    """index_by_min of the forbidden patterns (read-only)."""
-    return index_by_min(forbidden_patterns(max_weight))
-
-
-def is_avoiding(lam) -> bool:
-    return not contains_pattern(Counter(lam), _patterns_by_min(weight(lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,38 +263,11 @@ CLASS_EQUATIONS = {
 }
 
 
-def classify(lam) -> str:
-    """Assign a partition of P(n) to its class by the shape of its smallest parts."""
-    lam = tuple(lam)
-    if not is_avoiding(lam):
-        raise NotInP("partition %r contains a forbidden pattern" % (lam,))
-    return _class_of(lam)
-
-
-def _class_of(lam: Partition) -> str:
-    """The class of a partition already known to lie in P(n)."""
-    m = len(lam)
-    if m == 0:
-        return "A"
-    if lam[-1] > 2:
-        return "A"
-    if m == 1:
-        return "B"  # the special singleton [2]
-    if lam[-2] == 3:
-        return "C"
-    if lam[-2] > 3:
-        return "B"
-    # lam ends ... 2, 2
-    if m == 2:
-        return "D"  # the special pair [2, 2]
-    if lam[-3] == 4:
-        return "E"
-    return "D"
-
-
 def _class_tag(window: tuple) -> str:
-    """The class fixed by the multiplicities (of 4, 3, 2) at the head of the
-    window once the walk has placed 4; ``_class_of`` on the partition."""
+    """The class of a partition in P(n), fixed by the multiplicities (of 4,
+    3, 2) at the head of the window once the walk has placed 4: A has no
+    part 2; B one 2 and no 3; C one 2 and a 3; E two 2s, no 3 and a 4; D
+    two 2s otherwise (a third 2 is the pattern (2, 2, 2))."""
     m4, m3, m2 = window[:3]
     if m2 == 0:
         return "A"

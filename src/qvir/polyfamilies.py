@@ -47,10 +47,9 @@ decoded only for what a report prints or a failure names.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, inf, prod
 
-from qvir.qseries import QSeries, _slot_bytes, _slots_below, _unpack, pascal_rows, single_sum
+from qvir.qseries import QSeries, _slot_bytes, _unpack, pascal_rows, single_sum
 
 
 class StabilizationNotReached(ArithmeticError):
@@ -137,12 +136,10 @@ def _evaluate(term_lists, width: int, slots=None) -> list:
 
 def family_poly(sector: str, side: str, n: int, trunc=None) -> QSeries:
     """S_n or T_n of the given sector mod q^trunc; exact for trunc None."""
-    t = None if trunc is None else Fraction(trunc)
-    slots = None if t is None else _slots_below(t, 1)
-    terms = _terms(sector, side, n, slots)
+    terms = _terms(sector, side, n, trunc)
     width = _slot_bytes(_bound(terms))
-    [value] = _evaluate([terms], width, slots)
-    return QSeries(_unpack(value, width, slots), t)
+    [value] = _evaluate([terms], width, trunc)
+    return QSeries(_unpack(value, width, trunc), trunc)
 
 
 def equality_check(sector: str, n_max: int) -> dict:
@@ -210,12 +207,12 @@ def limit_check(sector: str, n: int, trunc) -> dict:
     the order; n = 2*trunc is a safe default.  Every family is built mod
     q^trunc, which leaves each compared coefficient exact.
     """
-    t = Fraction(trunc)
-    cur = family_poly(sector, "S", n, t)
-    if not cur.equal_mod(family_poly(sector, "S", n + 1, t)):
+    cur = family_poly(sector, "S", n, trunc)
+    if not cur.equal_mod(family_poly(sector, "S", n + 1, trunc)):
         raise StabilizationNotReached(
-            "sector %r not stable below q^%s at n=%d" % (sector, t, n))
-    lim = limit_series(sector, t)
-    side_checks = {"S": cur.equal_mod(lim), "T": family_poly(sector, "T", n, t).equal_mod(lim)}
+            "sector %r not stable below q^%s at n=%d" % (sector, trunc, n))
+    lim = limit_series(sector, trunc)
+    side_checks = {"S": cur.equal_mod(lim),
+                   "T": family_poly(sector, "T", n, trunc).equal_mod(lim)}
     return {"passed": all(side_checks.values()), "sector": sector, "n": n,
-            "order": str(t), "sides": side_checks}
+            "order": str(trunc), "sides": side_checks}

@@ -1,199 +1,99 @@
-"""Exact truncated power series in q with rational coefficients.
+"""Exact truncated power series in q with integer coefficients.
 
-Exponents may be fractional: a series fixes a positive integer denominator D
-and stores coefficients on the grid (1/D)*Z>=0.  A series either carries a
-finite truncation order (coefficients at exponents >= the order are unknown)
-or is an exact polynomial (``trunc is None``).  A series does no arithmetic:
-kernels build it and checks compare it (``agreement``, ``equal_mod``, ``==``)
-up to the smaller truncation order.  The kernels are ``q_product``, for
-products of (1 + s q^e)^(+-1), and ``divided_sum``, for sums of terms
-x q^e / ((q)_k1 ... (q)_kr) and the one routine that divides by the (q)_k;
-both update one integer list in place, a factor at a time.  Gaussian
+A series is q^offset times a series with integer exponents, with
+0 <= offset < 1: its coefficients sit on the integer grid from q^offset.
+The characters of the module of highest weight 1/2 have the offset 1/2,
+and every other series has the offset 0.  A series either carries a finite
+truncation order, an integer (coefficients at exponents >= the order are
+unknown), or is an exact polynomial (``trunc is None``).  A series does no
+arithmetic: kernels build it and checks compare it (``agreement``,
+``equal_mod``, ``==``) up to the smaller truncation order.  Exponents are
+read and reported in q-units, the offset added back to the slot.
+
+The kernels are ``q_product``, for products of (1 + s q^e)^(+-1), and
+``divided_sum``, for sums of terms x q^(offset + e) / ((q)_k1 ... (q)_kr)
+and the one routine that divides by the (q)_k.  Both take integer
+exponents, so ``divided_sum`` refuses terms in more than one class mod 1,
+and both update one integer list in place, a factor at a time.  Gaussian
 binomials are integers packed slot by slot (``pascal_rows``), read back by
 ``_unpack``.
-
-Coefficient rule: a stored coefficient is a Python ``int`` when it is
-integral and a ``Fraction`` only when it is not.  ``QSeries.__init__``
-enforces it, but since a series does no arithmetic the rule matters for the
-exact containers that do: ``diffalg.DiffPoly`` and ``virasoro.VirVector``
-store their terms through ``exact_terms``, so each constructor is the one
-place that normalizes a coefficient and drops a zero, and their sums run on
-ints and pay for ``Fraction``, which reduces by a gcd after every operation,
-only where a true fraction appears.  ``3`` and ``Fraction(3)`` compare and
-hash alike, so equality, hashing and JSON do not depend on which of the two
-a caller passes.  Pitfall: ``int / int`` is a float in Python, so no ``/``
-may see a coefficient; divide by multiplying with an exact reciprocal
-``Fraction(1, c)`` instead.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-
-
-def _to_frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
-def _exact(x):
-    """x as an int when it is integral, else as a Fraction; x may be anything
-    ``Fraction`` accepts."""
-    if type(x) is int:
-        return x
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-def exact_quotient(a, d: int):
-    """a / d under the coefficient rule, for a rational a and a nonzero int d;
-    an int that d divides is divided as an int, with no Fraction built."""
-    if type(a) is int and a % d == 0:
-        return a // d
-    return _exact(Fraction(a, d))
-
-
-def exact_terms(terms) -> dict:
-    """The nonzero entries of a map key -> rational, keyed by ``tuple(key)``
-    and stored under the coefficient rule."""
-    out = {}
-    for key, c in terms.items():
-        if type(c) is not int:
-            c = _exact(c)
-        if c:
-            out[tuple(key)] = c
-    return out
-
-
-def _slots_below(t: Fraction, d: int) -> int:
-    """Number of grid slots k/d below t, i.e. ceil(t * d)."""
-    return -(-t.numerator * d // t.denominator)
-
 
 class QSeries:
-    __slots__ = ("denom", "trunc", "coeffs")
+    """The coefficients ``coeffs[k]`` of q^(offset + k), k >= 0, nonzero ints
+    below the truncation order ``trunc`` (an int, or None for an exact
+    polynomial)."""
 
-    def __init__(self, coeffs=None, trunc=None, denom: int = 1):
-        if denom < 1:
-            raise ValueError("denom must be a positive integer")
-        t = None if trunc is None else _to_frac(trunc)
-        kmax = None if t is None else _slots_below(t, denom)
-        cleaned: dict[int, int | Fraction] = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if type(c) is not int:
-                    c = _exact(c)
-                if not c:
-                    continue
-                if k < 0:
-                    raise ValueError("negative exponent %r" % (Fraction(k, denom),))
-                if kmax is not None and k >= kmax:
-                    continue
-                cleaned[k] = c
-        self.denom = denom
-        self.trunc = t
-        self.coeffs = cleaned
+    __slots__ = ("offset", "trunc", "coeffs")
 
-    # -- basic structure ---------------------------------------------------
+    def __init__(self, coeffs=None, trunc=None, offset=0):
+        if not 0 <= offset < 1:
+            raise ValueError("offset %s is not in [0, 1)" % (offset,))
+        # for an int trunc, offset + k < trunc exactly when k < trunc
+        coeffs = {k: c for k, c in (coeffs or {}).items() if c and (trunc is None or k < trunc)}
+        if coeffs and min(coeffs) < 0:
+            raise ValueError("negative exponent %s" % (offset + min(coeffs),))
+        self.offset = offset
+        self.trunc = trunc
+        self.coeffs = coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def order(self):
         """Lowest exponent with nonzero coefficient, or None for the zero series."""
-        if not self.coeffs:
-            return None
-        return Fraction(min(self.coeffs), self.denom)
+        return min(self.coeffs) + self.offset if self.coeffs else None
 
-    def coefficient(self, e) -> int | Fraction:
+    def coefficient(self, e):
         """Coefficient of q^e.  Raises for exponents at or above the truncation."""
-        e = _to_frac(e)
         if self.trunc is not None and e >= self.trunc:
             raise ValueError("coefficient of q^%s is unknown (trunc %s)" % (e, self.trunc))
-        k = e * self.denom
-        if k.denominator != 1:
-            return 0
-        return self.coeffs.get(int(k), 0)
-
-    def terms(self):
-        """Sorted (exponent, coefficient) pairs."""
-        d = self.denom
-        return [(Fraction(k, d), c) for k, c in sorted(self.coeffs.items())]
-
-    def reduce_denom(self) -> "QSeries":
-        """Shrink the exponent denominator to the minimal grid."""
-        if self.denom == 1:
-            return self
-        g = self.denom
-        for k in self.coeffs:
-            g = gcd(g, k)
-            if g == 1:
-                return self
-        return QSeries({k // g: c for k, c in self.coeffs.items()}, self.trunc,
-                       self.denom // g)
-
-    def _with_denom(self, d: int) -> dict[int, int | Fraction]:
-        f = d // self.denom
-        if f == 1:
-            return self.coeffs
-        return {k * f: c for k, c in self.coeffs.items()}
-
-    def truncate(self, n) -> "QSeries":
-        return QSeries(self.coeffs, _min_trunc(self.trunc, _to_frac(n)), self.denom)
-
-    # -- comparison --------------------------------------------------------
+        return self.coeffs.get(e - self.offset, 0)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b = self.reduce_denom(), other.reduce_denom()
-        return a.trunc == b.trunc and a.denom == b.denom and a.coeffs == b.coeffs
+        return (self.offset == other.offset and self.trunc == other.trunc
+                and self.coeffs == other.coeffs)
 
     def agreement(self, other: "QSeries"):
         """Compare up to min(trunc); return (order, first_mismatch_exponent).
 
         order is the truncation up to which the comparison was performed
         (None if both series are exact polynomials).  first_mismatch_exponent
-        is None when the series agree on the whole compared range.
+        is None when the series agree on the whole compared range.  Series
+        with different offsets have no exponent in common and raise
+        ``ValueError``.
         """
-        t = _min_trunc(self.trunc, other.trunc)
-        d = lcm(self.denom, other.denom)
-        a = self._with_denom(d)
-        b = other._with_denom(d)
-        bound = None if t is None else _slots_below(t, d)
-        diffs = []
-        for k in set(a) | set(b):
-            if bound is not None and k >= bound:
-                continue
-            if a.get(k, 0) != b.get(k, 0):
-                diffs.append(k)
-        first = Fraction(min(diffs), d) if diffs else None
-        return t, first
+        if self.offset != other.offset:
+            raise ValueError("series at offsets %s and %s" % (self.offset, other.offset))
+        t = min((x for x in (self.trunc, other.trunc) if x is not None), default=None)
+        a, b = self.coeffs, other.coeffs
+        diffs = [k for k in a.keys() | b.keys()
+                 if (t is None or k < t) and a.get(k, 0) != b.get(k, 0)]
+        return t, min(diffs) + self.offset if diffs else None
 
-    def equal_mod(self, other: "QSeries", n=None) -> bool:
-        """True iff the series agree coefficientwise below q^n (or below min trunc)."""
-        lhs, rhs = self, other
-        if n is not None:
-            lhs, rhs = lhs.truncate(n), rhs.truncate(n)
-        t, first = lhs.agreement(rhs)
-        return first is None
-
-    # -- serialization -----------------------------------------------------
+    def equal_mod(self, other: "QSeries") -> bool:
+        """True iff the series agree coefficientwise below min trunc."""
+        return self.agreement(other)[1] is None
 
     def to_json_dict(self) -> dict:
+        """The series as JSON: its exponents lie on the grid 1/denom, with
+        denom the denominator of the offset."""
         return {
-            "denom": self.denom,
-            "trunc": None if self.trunc is None else frac_str(self.trunc),
-            "coeffs": [[frac_str(Fraction(k, self.denom)), frac_str(c)]
+            "denom": self.offset.denominator,
+            "trunc": None if self.trunc is None else str(self.trunc),
+            "coeffs": [[frac_str(self.offset + k), str(c)]
                        for k, c in sorted(self.coeffs.items())],
         }
 
     def __repr__(self):
         parts = []
-        for e, c in self.terms()[:12]:
+        for k, c in sorted(self.coeffs.items())[:12]:
+            e = self.offset + k
             parts.append(f"{c}*q^{e}" if e else f"{c}")
         if len(self.coeffs) > 12:
             parts.append("...")
@@ -202,15 +102,7 @@ class QSeries:
         return f"QSeries({body}{tail})"
 
 
-def _min_trunc(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def frac_str(f: Fraction) -> str:
+def frac_str(f) -> str:
     """The exact string of a rational, as every JSON report writes it: '3', '-7/2'."""
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
@@ -218,82 +110,78 @@ def frac_str(f: Fraction) -> str:
 # -- q-combinatorial primitives -------------------------------------------
 
 
-def q_product(trunc, factors) -> QSeries:
+def q_product(trunc: int, factors) -> QSeries:
     """prod (1 + s q^e)^p mod q^trunc over the triples (e, s, p) in factors,
-    with e > 0 and s, p in {1, -1}.
+    with integer e > 0 and s, p in {1, -1}.
 
     A factor with e >= trunc is 1 mod q^trunc and is skipped, so an infinite
     product may list any finite range of factors that covers e < trunc.  Each
     factor updates one integer coefficient list in place (``_factor``).
     """
-    t = _to_frac(trunc)
-    kept = [(_to_frac(e), s, p) for e, s, p in factors if e < t]
-    if any(e <= 0 for e, _, _ in kept):
-        raise ValueError("q_product needs positive exponents")
-    d = lcm(1, *(e.denominator for e, _, _ in kept))
-    c = [1] + [0] * (_slots_below(t, d) - 1)
-    for e, s, p in kept:
-        _factor(c, int(e * d), s, p)
-    return QSeries(dict(enumerate(c)), t, d)
+    c = [1] + [0] * (trunc - 1)
+    for e, s, p in factors:
+        if e < trunc:
+            if e <= 0:
+                raise ValueError("q_product needs positive exponents")
+            _factor(c, e, s, p)
+    return QSeries(dict(enumerate(c)), trunc)
 
 
 def _factor(c: list, j: int, s: int, p: int) -> None:
     """Multiply (p = 1) or divide (p = -1) the coefficient list c by
-    (1 + s q^j), j > 0 slots, in place mod q^len(c): a multiplication runs
-    down the list, a division runs up it.  ``q_product`` and ``divided_sum``
-    run every factor through this loop."""
+    (1 + s q^j), j > 0, in place mod q^len(c): a multiplication runs down the
+    list, a division runs up it.  ``q_product`` and ``divided_sum`` run every
+    factor through this loop."""
     sp = s * p
     for k in (range(len(c) - 1, j - 1, -1) if p == 1 else range(j, len(c))):
         c[k] += sp * c[k - j]
 
 
-def divided_sum(trunc, terms) -> QSeries:
-    """sum of x q^e / ((q)_k1 ... (q)_kr) mod q^trunc over the terms
-    (e, x, (k1, ..., kr)), with e >= 0 and x rational and each k_i >= 0.
+def divided_sum(trunc: int, terms, offset=0) -> QSeries:
+    """q^offset times the sum of x q^e / ((q)_k1 ... (q)_kr) mod q^trunc over
+    the terms (e, x, (k1, ..., kr)), with integers e >= 0, x and k_i >= 0.
 
-    The grid is the lcm D of the denominators of the exponents, those of
-    terms at or above the order included.  Terms that share a divisor (the
-    same k_i in any order) are placed in one list on that grid, which starts
-    at the group's lowest slot below the order, and each factor (1 - q^j),
-    j <= k_i, is divided out of it once, in place.
+    Every term lies in the class of offset mod 1, so an exponent e that is
+    not an integer puts the terms in more than one class and raises
+    ``ValueError``.  Terms that share a divisor (the same k_i in any order)
+    are placed in one list, which starts at the group's lowest exponent
+    below the order, and each factor (1 - q^j), j <= k_i, is divided out of
+    it once, in place.
     """
-    n = _to_frac(trunc)
-    terms = [(_to_frac(e), x, ks) for e, x, ks in terms]
-    d = lcm(1, *(e.denominator for e, _, _ in terms))
-    top = _slots_below(n, d)
     groups: dict[tuple, list] = {}
     for e, x, ks in terms:
+        if e % 1:
+            raise ValueError("exponent %s is not an integer: the terms lie in more "
+                             "than one class mod 1" % (e,))
         if e < 0:
-            raise ValueError("negative exponent %s" % (e,))
-        slot = e.numerator * (d // e.denominator)
-        if slot < top:
-            groups.setdefault(tuple(sorted(ks)), []).append((slot, x))
-    out = [0] * top
+            raise ValueError("negative exponent %s" % (offset + e,))
+        if e < trunc:
+            groups.setdefault(tuple(sorted(ks)), []).append((int(e), x))
+    out = [0] * trunc
     for ks, placed in groups.items():
-        lo = min(slot for slot, _ in placed)
-        c = [0] * (top - lo)
-        for slot, x in placed:
-            c[slot - lo] += x
+        lo = min(e for e, _ in placed)
+        c = [0] * (trunc - lo)
+        for e, x in placed:
+            c[e - lo] += x
         for k in ks:
             for j in range(1, k + 1):
-                _factor(c, j * d, -1, -1)
+                _factor(c, j, -1, -1)
         for i, x in enumerate(c, lo):
             out[i] += x
-    return QSeries(dict(enumerate(out)), n, d)
+    return QSeries(dict(enumerate(out)), trunc, offset)
 
 
-def single_sum(trunc, exponent, index) -> QSeries:
+def single_sum(trunc: int, exponent, index) -> QSeries:
     """sum over k >= 0 of q^(a k^2 + b k) / (q)_(c k + d) mod q^trunc,
     for exponent = (a, b) and index = (c, d) with a > 0 and b >= 0."""
-    n = Fraction(trunc)
     (a, b), (c, d) = exponent, index
     terms = []
     k = e = 0
-    while e < n:
+    while e < trunc:
         terms.append((e, 1, (c * k + d,)))
         k += 1
         e = a * k * k + b * k
-    return divided_sum(n, terms)
+    return divided_sum(trunc, terms)
 
 
 def _slot_bytes(bound: int) -> int:

@@ -17,10 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from qvir.characters import MinimalModelLabel
-from qvir.linalg import Echelon, int_row, primitive
+from qvir.linalg import Echelon, exact_terms, int_row, primitive
 from qvir.partitions import partitions_min2, count_min2
 from qvir.partitions import grevlex_key as _grevlex_key
-from qvir.qseries import exact_terms
 
 
 class NoSolution(ArithmeticError):
@@ -34,7 +33,7 @@ class NonUniqueSolution(ArithmeticError):
 class VirVector:
     """Element of the degree-truncated vacuum module at central charge c.
 
-    Coefficients follow the ``qseries`` rule (an int while integral), and
+    Coefficients follow the ``linalg`` rule (an int while integral), and
     the constructor is the one place that drops a zero coefficient."""
 
     __slots__ = ("c", "coeffs")
@@ -286,7 +285,7 @@ def lemma_bp_check(pp: int) -> dict:
     spaces = submodule_spaces(lab, w)
     # read the ranks before the symbol test below extends the degree-w echelon
     vir = quotient_graded_dims(lab, w, spaces)
-    kernel_dims = [int(arc.coefficient(d)) - vir[d] for d in range(w + 1)]
+    kernel_dims = [arc.coefficient(d) - vir[d] for d in range(w + 1)]
     sym = kernel_generator_symbol(pp)
     not_in_arc_ideal = not diffalg.membership(sym, arc_ideal)
     # the lift: same coefficients read as PBW monomials; its class modulo the

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from conftest import term_sum
 import qvir
 from qvir.cli import (COMMANDS, INT_FIELDS, ConfigError, RunConfig, load_config_file,
                       main, render, run_all, run_check)
@@ -353,6 +352,43 @@ def test_recurrence_s_builds_each_residual_once(monkeypatch):
         assert rep["checks"][0]["data"] == {"residuals": want}
 
 
+def test_recurrence_s_renders_a_failing_residual(monkeypatch):
+    # an extra term q^2 in S_5 (a term with no q-binomial is q^e alone)
+    # enters the residuals at n = 0, 1 and 2 through the rows j = 5, 4 and 3
+    from qvir import polyfamilies as pf
+    real = pf._terms
+
+    def bent(sector, side, n, slots=None):
+        out = real(sector, side, n, slots)
+        return out + [(2, 1, ())] if (sector, side, n) == ("vac", "S", 5) else out
+
+    monkeypatch.setattr(pf, "_terms", bent)
+    rep = run_check("recurrence-s", RunConfig(trunc_tq=3))
+    check = rep["checks"][0]
+    assert not rep["passed"] and not check["passed"]
+    assert check["data"]["residuals"][1:5] == [
+        ["S", 0, "QSeries(-1*q^5)"], ["S", 1, "QSeries(-1*q^15 + -1*q^16)"],
+        ["S", 2, "QSeries(1*q^17 + 1*q^18)"], ["S", 3, "0"]]
+    assert all(row[2] == "0" for row in check["data"]["residuals"][5:])
+    assert json.loads(check["first_failure"]) == [
+        {"side": "S", "n": 0, "exponent": "5", "coefficient": "-1"}]
+
+
+def test_v_half_failure_is_reported_in_q_units(monkeypatch):
+    # doubling the bracket's second entry first changes the sum at its
+    # lowest term, q^(1/2) q^6 at k = (0, 0)
+    from qvir import characters as ch
+    bracket, linear, offset = ch._MODULE_SUMS["V_half"]
+    monkeypatch.setitem(ch._MODULE_SUMS, "V_half",
+                        ([bracket[0], (bracket[1][0], -2)], linear, offset))
+    entries = {c["name"]: c for c in run_check(
+        "modules-identities", RunConfig(trunc_modules=10))["checks"]}
+    half = entries["V_half: classical == quasiparticle"]
+    assert not half["passed"]
+    assert (half["verified_order"], half["first_failure"]) == ("10", "13/2")
+    assert entries["V0: classical == quasiparticle"]["passed"]
+
+
 @pytest.mark.parametrize("order", [-1, 0])
 def test_no_pass_without_a_comparison(monkeypatch, order):
     # run_check refuses an order below 1, and past that refusal an identity
@@ -563,9 +599,9 @@ def quasiparticle_sums():
     half = Fraction(1, 2)
 
     def v_half_sum_form(n):
-        # q^(1/2) sum_k q^(2k^2+2k)/(q)_(2k+1), on the grid 1/2
-        shifted = term_sum([(1, half, limit_series("half", n - half))])
-        return QSeries({int(2 * e): c for e, c in shifted.items()}, n, 2)
+        # q^(1/2) sum_k q^(2k^2+2k)/(q)_(2k+1): the half sector's S limit at
+        # the offset 1/2
+        return QSeries(limit_series("half", n).coeffs, n, half)
 
     sums = {"quasiparticle_chi": ch.quasiparticle_chi, "P_of_t_q": ch.P_of_t_q,
             "v_half_sum_form": v_half_sum_form,

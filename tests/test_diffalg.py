@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import diffpoly_mul
 from qvir import cli, diffalg, virasoro
 from qvir.characters import (MinimalModelLabel, andrews_gordon_product,
                              feigin_fuchs_character)
@@ -84,7 +85,8 @@ def test_leibniz_on_random_pairs():
                       for _ in range(2)})
         g = DiffPoly({rng.choice(monos): F(rng.randint(-4, 4), rng.randint(1, 3))
                       for _ in range(2)})
-        assert derive(f.mul(g)) == derive(f).mul(g) + f.mul(derive(g))
+        assert derive(diffpoly_mul(f, g)) == \
+            diffpoly_mul(derive(f), g) + diffpoly_mul(f, derive(g))
 
 
 def test_divided_derivatives_of_integer_polynomials_are_integral():
@@ -124,7 +126,7 @@ def test_lm_multiplicative():
         g = DiffPoly({rng.choice(monos): -2, rng.choice(monos): 3})
         if not f or not g:
             continue
-        prod = f.mul(g)
+        prod = diffpoly_mul(f, g)
         if prod:
             lf, lg = f.leading_monomial(), g.leading_monomial()
             assert prod.leading_monomial() == tuple(sorted(lf + lg, reverse=True))
@@ -136,7 +138,7 @@ def test_lm_multiplicative_exhaustive_low_weight():
             for a in partitions_min2(w1):
                 for b in partitions_min2(w2):
                     pa, pb = DiffPoly({a: 1}), DiffPoly({b: 1})
-                    assert pa.mul(pb).leading_monomial() == tuple(
+                    assert diffpoly_mul(pa, pb).leading_monomial() == tuple(
                         sorted(a + b, reverse=True))
 
 
@@ -200,13 +202,13 @@ def test_hilbert_free_algebra():
 def test_hilbert_main_quotient():
     h = hilbert_quotient(GENS, 30)
     ff = feigin_fuchs_character(MinimalModelLabel(3, 4), 31)
-    assert h.equal_mod(ff, 31)
+    assert h.equal_mod(ff)
 
 
 @pytest.mark.parametrize("s", [2, 3])
 def test_hilbert_power_ideal_vs_andrews_gordon(s):
     h = hilbert_quotient((DiffPoly({(2,) * s: 1}),), 25)
-    assert h.equal_mod(andrews_gordon_product(s, 26), 26)
+    assert h.equal_mod(andrews_gordon_product(s, 26))
 
 
 def test_hilbert_missing_generator_deviates_at_9():
@@ -238,7 +240,7 @@ def test_slice_rows_are_integer_from_the_start(monkeypatch):
     monkeypatch.setattr(diffalg, "_DD_CACHE", {})
     monkeypatch.setattr(Echelon, "insert", spy)
     h = hilbert_quotient(GENS, 20)
-    assert h.equal_mod(feigin_fuchs_character(MinimalModelLabel(3, 4), 21), 21)
+    assert h.equal_mod(feigin_fuchs_character(MinimalModelLabel(3, 4), 21))
     chains = diffalg._DD_CACHE.values()
     assert chains and all(type(c) is int for chain in chains for f in chain
                           for c in f.terms.values())
@@ -630,7 +632,7 @@ def test_groebner_and_hilbert_build_no_reduced_form(monkeypatch):
     monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
     monkeypatch.setattr(Echelon, "reduced", reduced)
     h = hilbert_quotient(GENS, 30)
-    assert h.equal_mod(feigin_fuchs_character(MinimalModelLabel(3, 4), 31), 31)
+    assert h.equal_mod(feigin_fuchs_character(MinimalModelLabel(3, 4), 31))
     assert groebner_check(22)["passed"]
 
 

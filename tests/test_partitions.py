@@ -2,10 +2,10 @@ from itertools import pairwise
 
 import pytest
 
+from conftest import NotInP, _patterns_by_min, classify, is_avoiding
 from qvir.characters import andrews_gordon_product, mod16_product, quasiparticle_chi
-from qvir.partitions import (CLASSES, EXCEPTIONAL_PATTERNS, NotInP, _patterns_by_min,
-                             classify, count_min2, count_table, enumerate_P,
-                             forbidden_patterns, grevlex_key, is_avoiding,
+from qvir.partitions import (CLASSES, EXCEPTIONAL_PATTERNS, count_min2, count_table,
+                             enumerate_P, forbidden_patterns, grevlex_key,
                              partitions_min2, partitions_min2_length,
                              pattern_width, recursion_check)
 from qvir.qseries import q_product

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import gaussian, term_sum
+from conftest import gaussian, series_map, term_sum
 import qvir.polyfamilies as pf
 import qvir.qseries as qs
 from qvir.characters import alt_expression, module_character
@@ -75,7 +75,7 @@ def test_limit_vac_is_euler_expression():
 
 def test_limit_half_matches_module_character():
     lim = term_sum([(1, F(1, 2), limit_series("half", 25))], 25)
-    assert lim == dict(module_character("V_half", "Classical", 25).terms())
+    assert lim == series_map(module_character("V_half", "Classical", 25))
 
 
 def test_limit_sixteenth_matches_module_character():
@@ -148,9 +148,9 @@ def test_S_is_summed_without_series_additions(monkeypatch):
     built = []
     init = QSeries.__init__
 
-    def init_spy(self, coeffs=None, trunc=None, denom=1):
+    def init_spy(self, coeffs=None, trunc=None, offset=0):
         built.append(1)
-        init(self, coeffs, trunc, denom)
+        init(self, coeffs, trunc, offset)
 
     monkeypatch.setattr(QSeries, "__init__", init_spy)
     for n in (0, 9, 30):
@@ -164,14 +164,14 @@ def test_S_is_summed_without_series_additions(monkeypatch):
 
 @pytest.mark.parametrize("sector", SECTORS)
 def test_truncated_family_is_the_exact_one_cut(sector):
-    # every n <= 45, the 1/2 sector from its boundary n = 1 on, orders below,
-    # inside and beyond the degree, and a fractional order
+    # every n <= 45, the 1/2 sector from its boundary n = 1 on, and orders
+    # below, inside and beyond the degree
     for n in range(0 if sector == "vac" else 1, 46):
         for side in SIDES:
             exact = family_poly(sector, side, n)
-            for t in (0, 1, 2, 7, 20, 31, F(51, 2), 2 * n + 1, 10 ** 4):
+            for t in (0, 1, 2, 7, 20, 31, 2 * n + 1, 10 ** 4):
                 got = family_poly(sector, side, n, t)
-                assert got == exact.truncate(t), (sector, side, n, t)
+                assert got == QSeries(exact.coeffs, t), (sector, side, n, t)
                 assert got.trunc == t
 
 
@@ -215,14 +215,14 @@ def test_trivial_order():
 
 def test_S_nonnegative_coefficients():
     for n in range(0, 41):
-        for e, c in family_poly("vac", "S", n).terms():
-            assert c.denominator == 1 and c >= 0
+        for c in family_poly("vac", "S", n).coeffs.values():
+            assert type(c) is int and c >= 0
 
 
 def test_monotone_stabilization():
     # low-order coefficients freeze as n grows
-    prev = family_poly("vac", "S", 58).truncate(30)
-    assert family_poly("vac", "S", 59).truncate(30).equal_mod(prev)
+    prev = QSeries(family_poly("vac", "S", 58).coeffs, 30)
+    assert QSeries(family_poly("vac", "S", 59).coeffs, 30).equal_mod(prev)
 
 
 # -- S_n and T_n by evaluation at q = 2^(8w) -----------------------------------
@@ -327,14 +327,14 @@ def test_slot_bytes_is_the_fewest_that_hold_the_bound():
 def test_packed_S_matches_series_loop(sector):
     for sec, n in T_ORDERS:
         if sec == sector:
-            assert dict(family_poly(sector, "S", n).terms()) == series_loop_S(sector, n), n
+            assert series_map(family_poly(sector, "S", n)) == series_loop_S(sector, n), n
 
 
 @pytest.mark.parametrize("sector", SECTORS)
 def test_packed_T_matches_series_loop(sector):
     for sec, n in T_ORDERS:
         if sec == sector:
-            assert dict(family_poly(sector, "T", n).terms()) == series_loop_T(sector, n), n
+            assert series_map(family_poly(sector, "T", n)) == series_loop_T(sector, n), n
 
 
 def one_byte_less(monkeypatch):

@@ -1,21 +1,20 @@
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import gaussian, term_sum
+from conftest import gaussian, series_map, term_sum
 import qvir.qseries as qs
 from qvir.qseries import QSeries, _slot_bytes, divided_sum, pascal_rows, q_product
 
 
-def series(pairs, trunc=None):
-    """The series with the given (exponent, coefficient) pairs, on the grid of
-    their exponents."""
-    pairs = [(F(e), c) for e, c in dict(pairs).items()]
-    d = math.lcm(1, *(e.denominator for e, _ in pairs))
-    return QSeries({int(e * d): c for e, c in pairs}, trunc, d)
+def series(pairs, trunc=None, offset=0):
+    """The series with the coefficient c at q^(offset + k) for each of the
+    (k, c) pairs."""
+    return QSeries(dict(pairs), trunc, offset)
 
 
 def poch(n):
@@ -73,7 +72,7 @@ def test_inverse_of_one():
 def test_inverse_poch2_counts_parts_le_2():
     inv = divided_sum(5, [(0, 1, (2,))])
     assert [inv.coefficient(i) for i in range(5)] == [1, 1, 2, 2, 3]
-    assert times(dict(inv.terms()), poch(2), 5) == {0: 1}
+    assert times(inv.coeffs, poch(2), 5) == {0: 1}
 
 
 def test_pochhammer_small():
@@ -88,10 +87,10 @@ def test_pochhammer_is_the_product_of_its_factors():
         exact = {0: 1}
         for j in range(1, n + 1):
             exact = times(exact, {0: 1, j: -1})
-        assert dict(poch(n).terms()) == exact and poch(n).trunc is None, n
-        for t in (1, 5, F(7, 2), 400):
+        assert poch(n).coeffs == exact and poch(n).trunc is None, n
+        for t in (0, 1, 5, 400):
             got = q_product(t, ((j, -1, 1) for j in range(1, n + 1)))
-            assert dict(got.terms()) == {e: c for e, c in exact.items() if e < t}, (n, t)
+            assert got.coeffs == {e: c for e, c in exact.items() if e < t}, (n, t)
             assert got.trunc == t
 
 
@@ -124,38 +123,42 @@ def test_pochhammer_inf_vs_pentagonal_oracle():
 
 
 def test_q_product_matches_factor_by_factor_products():
-    # (1 + q^(1/2)) (1 - q^2) / (1 - q^3) / (1 + q^(5/2)) mod q^(13/2), with
-    # factors at or above the order listed too
-    t = F(13, 2)
-    factors = [(F(1, 2), 1, 1), (2, -1, 1), (3, -1, -1), (F(5, 2), 1, -1),
-               (F(13, 2), 1, 1), (7, -1, -1)]
+    # (1 + q) (1 - q^2) / (1 - q^3) / (1 + q^5) mod q^13, with factors at or
+    # above the order listed too
+    t = 13
+    factors = [(1, 1, 1), (2, -1, 1), (3, -1, -1), (5, 1, -1), (13, 1, 1), (14, -1, -1)]
     want = {0: 1}
     for e, s, p in factors[:4]:
         f = series([(0, 1), (e, s)], t)
         want = times(want, f if p == 1 else oracle_inverse(f), t)
     got = q_product(t, factors)
-    assert dict(got.terms()) == want and got.denom == 2 and got.trunc == t
+    assert got.coeffs == want and got.offset == 0 and got.trunc == t
     assert q_product(5, []) == q_product(5, [(5, 1, 1)]) == series([(0, 1)], 5)
     with pytest.raises(ValueError):
         q_product(5, [(0, 1, 1)])
+    # the exponents are integers: a product starts at q^0 on the integer grid
+    for p in (1, -1):
+        with pytest.raises(TypeError):
+            q_product(5, [(F(1, 2), 1, p)])
 
 
-def per_term_oracle(trunc, terms):
-    """{e: c} of the sum of x q^e / ((q)_k1 ... (q)_kr) mod q^trunc, one term
-    at a time: each divisor one q_product, each term shifted into place."""
-    t = F(trunc)
-    return term_sum([(x, e, q_product(t - e, ((j, -1, -1) for k in ks for j in range(1, k + 1))))
-                     for e, x, ks in terms if e < t], t)
+def per_term_oracle(trunc, terms, offset=0):
+    """{e: c} of q^offset times the sum of x q^e / ((q)_k1 ... (q)_kr) mod
+    q^trunc, one term at a time: each divisor one q_product, each term
+    shifted into place, in q-units."""
+    return term_sum([(x, offset + e, q_product(trunc, ((j, -1, -1) for k in ks
+                                                       for j in range(1, k + 1))))
+                     for e, x, ks in terms], trunc)
 
 
-def random_terms(rng, grid, trunc):
-    """Terms on the grid 1/grid, some sharing a divisor, some at or above the
-    order, some whose coefficients cancel."""
+def random_terms(rng, trunc):
+    """Terms with integer exponents, some sharing a divisor, some at or above
+    the order, some whose coefficients cancel."""
     pool = [(), (1,), (2,), (3, 1), (1, 3), (2, 2, 1), (5,)]
     terms = []
     for _ in range(rng.randint(1, 8)):
-        e = F(rng.randint(0, int(trunc * grid) + 3), grid)
-        x = rng.choice([1, -1, 2, F(1, 2), F(-3, 4)])
+        e = rng.randint(0, trunc + 3)
+        x = rng.choice([1, -1, 2, -3])
         ks = rng.choice(pool)
         terms.append((e, x, ks))
         if rng.random() < 0.3:
@@ -163,37 +166,43 @@ def random_terms(rng, grid, trunc):
     return terms
 
 
-@pytest.mark.parametrize("grid", [1, 2, 3])
-def test_divided_sum_matches_a_per_term_oracle(grid):
-    rng = random.Random(2400 + grid)
+@pytest.mark.parametrize("denom", [1, 2, 3])
+def test_divided_sum_matches_a_per_term_oracle(denom):
+    # at the offset 1/denom mod 1: 0, 1/2 and 1/3
+    offset = F(1, denom) % 1
+    rng = random.Random(2400 + denom)
     for _ in range(40):
-        trunc = rng.choice([1, 5, 9, F(17, 2), F(29, 3)])
-        terms = random_terms(rng, grid, trunc)
-        got = divided_sum(trunc, terms)
-        assert dict(got.terms()) == per_term_oracle(trunc, terms), terms
-        assert got.trunc == trunc and holds_rule(got)
-        assert got.denom == math.lcm(*(F(e).denominator for e, _, _ in terms))
-    assert divided_sum(7, []) == QSeries({}, 7) and divided_sum(F(7, 2), []).trunc == F(7, 2)
-    # cancelling terms leave nothing, on the grid their exponents set
-    cancel = divided_sum(6, [(F(1, grid), 3, (2, 1)), (F(1, grid), -3, (1, 2))])
-    assert not cancel and cancel.denom == grid
-    # a term at or above the order adds nothing, but sets the grid
-    above = divided_sum(3, [(0, 1, (1,)), (F(3 * grid + 1, grid), 1, (1,))])
-    assert above == divided_sum(3, [(0, 1, (1,))]) and above.denom == grid
-    with pytest.raises(ValueError):
-        divided_sum(3, [(F(-1, grid), 1, ())])
+        trunc = rng.choice([0, 1, 5, 9, 17])
+        terms = random_terms(rng, trunc)
+        got = divided_sum(trunc, terms, offset)
+        assert series_map(got) == per_term_oracle(trunc, terms, offset), terms
+        assert got.trunc == trunc and got.offset == offset
+        assert all(type(c) is int for c in got.coeffs.values())
+    assert divided_sum(7, [], offset) == QSeries({}, 7, offset)
+    # cancelling terms leave nothing
+    cancel = divided_sum(6, [(1, 3, (2, 1)), (1, -3, (1, 2))], offset)
+    assert not cancel and cancel.offset == offset
+    # a term at or above the order adds nothing
+    above = divided_sum(3, [(0, 1, (1,)), (3, 1, (1,))], offset)
+    assert above == divided_sum(3, [(0, 1, (1,))], offset)
+    with pytest.raises(ValueError, match="negative"):
+        divided_sum(3, [(-1, 1, ())], offset)
+    # an exponent off the integer grid puts the terms in two classes mod 1
+    for e in (F(1, 2), F(7, denom + 1)):
+        with pytest.raises(ValueError, match="more than one class mod 1"):
+            divided_sum(9, [(0, 1, ()), (e, 1, (1,))], offset)
 
 
 def test_divided_sum_divides_a_shared_divisor_once(monkeypatch):
     calls = []
     factor = qs._factor
     monkeypatch.setattr(qs, "_factor", lambda c, j, s, p: calls.append(j) or factor(c, j, s, p))
-    terms = [(0, 1, (2, 3)), (1, 5, (3, 2)), (F(5, 2), -1, (2, 3)), (2, 1, (4,))]
+    terms = [(0, 1, (2, 3)), (1, 5, (3, 2)), (3, -1, (2, 3)), (2, 1, (4,))]
     got = divided_sum(12, terms)
     # one pass over (1 - q)(1 - q^2) and (1 - q)(1 - q^2)(1 - q^3) for the
-    # three terms over (q)_2 (q)_3, on the grid 1/2, and one over (q)_4
-    assert sorted(calls) == sorted([2, 4, 2, 4, 6] + [2, 4, 6, 8])
-    assert dict(got.terms()) == per_term_oracle(12, terms)
+    # three terms over (q)_2 (q)_3, and one over (q)_4
+    assert sorted(calls) == sorted([1, 2, 1, 2, 3] + [1, 2, 3, 4])
+    assert series_map(got) == per_term_oracle(12, terms)
 
 
 def test_q_binomial_examples():
@@ -260,7 +269,7 @@ def test_q_binomial_nonneg_and_degree():
 
 def test_q_binomial_limit_is_inverse_pochhammer():
     for n, k in ((8, 3), (12, 4), (15, 2), (20, 7)):
-        assert gaussian(n, k, n - k + 1) == dict(inv_poch(k, n - k + 1).terms())
+        assert gaussian(n, k, n - k + 1) == inv_poch(k, n - k + 1).coeffs
 
 
 def test_agreement_reports_first_mismatch():
@@ -270,6 +279,21 @@ def test_agreement_reports_first_mismatch():
     assert order == 6 and first == 4
 
 
+def test_series_at_an_offset_read_in_q_units():
+    # q^(1/2) (1 + 2 q^3) mod q^6 against q^(1/2) (1 + 2 q^3 + q^4) mod q^8
+    a = series([(0, 1), (3, 2)], trunc=6, offset=F(1, 2))
+    b = series([(0, 1), (3, 2), (4, 1)], trunc=8, offset=F(1, 2))
+    assert a.agreement(b) == (6, F(9, 2)) and a.order() == F(1, 2)
+    assert a.coefficient(F(7, 2)) == 2 and a.coefficient(3) == 0 == a.coefficient(-1)
+    assert repr(a) == "QSeries(1*q^1/2 + 2*q^7/2 + O(q^6))"
+    # series at two offsets share no exponent
+    with pytest.raises(ValueError):
+        a.agreement(series([(0, 1)], trunc=6))
+    for bad in (-F(1, 2), 1, F(3, 2)):
+        with pytest.raises(ValueError):
+            series([(0, 1)], offset=bad)
+
+
 def test_coefficient_beyond_trunc_raises():
     a = series([(0, 1)], trunc=5)
     with pytest.raises(ValueError):
@@ -277,30 +301,27 @@ def test_coefficient_beyond_trunc_raises():
 
 
 def test_json_roundtrip_and_schema():
-    s = series([(F(1, 2), F(3, 4)), (2, -1)], trunc=F(7, 2))
+    s = series([(0, 3), (2, -1), (4, 5)], trunc=4, offset=F(1, 2))
     d = s.to_json_dict()
     assert set(d) == {"denom", "trunc", "coeffs"}
-    assert d["denom"] == 2 and d["trunc"] == "7/2"
-    assert d["coeffs"] == [["1/2", "3/4"], ["2", "-1"]]
+    assert d["denom"] == 2 and d["trunc"] == "4"
+    assert d["coeffs"] == [["1/2", "3"], ["5/2", "-1"]]
     assert json.loads(json.dumps(d)) == d
+    assert series([(1, 1)]).to_json_dict() == {"denom": 1, "trunc": None,
+                                               "coeffs": [["1", "1"]]}
 
 
 def test_exact_flag_semantics():
     p = poch(3)
     assert p.trunc is None
-    t = p.truncate(4)
+    t = QSeries(p.coeffs, 4)
     assert t.trunc == 4
     # comparing exact with truncated compares below the truncation
     assert p.agreement(t) == t.agreement(p) == (4, None) and p.agreement(p) == (None, None)
     assert p.equal_mod(t) and p != t
 
 
-# -- the coefficient rule: int when integral, Fraction otherwise -------------
-
-
-def holds_rule(s):
-    """Every stored coefficient is an int exactly when it is integral."""
-    return all((type(c) is int) == (c.denominator == 1) for c in s.coeffs.values())
+# -- integer coefficients by construction ------------------------------------
 
 
 def all_int(s):
@@ -308,59 +329,41 @@ def all_int(s):
 
 
 def test_integral_results_hold_ints():
-    a = series([(0, 1), (2, F(-3))], trunc=7)
-    half = series([(0, F(1, 2)), (F(1, 2), F(3, 2))], trunc=6)
-    assert all_int(a) and all_int(QSeries({0: F(4, 2), 3: 5})) and holds_rule(half)
-    assert all_int(divided_sum(10, [(0, 1, (3,))])) and all_int(divided_sum(F(7, 2), [(0, 1, (3,))]))
-    assert all_int(divided_sum(10, [(F(1, 2), F(1, 2), (2,)), (F(1, 2), F(3, 2), (2,))]))
+    assert all_int(divided_sum(10, [(0, 1, (3,))]))
+    assert all_int(divided_sum(7, [(0, 1, (3,)), (2, -3, (1,))], F(1, 2)))
+    assert all_int(q_product(10, [(1, 1, 1), (2, -1, -1)]))
     assert series([(0, 1)]).coefficient(0) == 1 and type(poch(2).coefficient(5)) is int
 
 
-def random_mixed(rng, trunc, denom):
-    """Coefficients drawn as ints, integral Fractions and true Fractions."""
-    coeffs = {}
-    for k in range(trunc * denom):
-        r = rng.random()
-        if r < 0.2:
-            coeffs[k] = rng.randint(-5, 5)
-        elif r < 0.35:
-            coeffs[k] = F(rng.randint(-5, 5))
-        elif r < 0.5:
-            coeffs[k] = F(rng.randint(-5, 5), rng.randint(2, 4))
-    coeffs[0] = rng.choice([1, -1, 2, F(3), F(-2, 3)])
-    return QSeries(coeffs, trunc, denom)
-
-
 def oracle_inverse(a):
-    """Fraction-only power-series inverse on a's grid, below its trunc."""
+    """Fraction-only power-series inverse of a series at the offset 0, below
+    its trunc."""
     c = {k: F(x) for k, x in a.coeffs.items()}
-    n = -(-a.trunc.numerator * a.denom // a.trunc.denominator)
     inv = {}
-    for k in range(n):
+    for k in range(a.trunc):
         s = F(1 if k == 0 else 0) - sum((c.get(j, F(0)) * inv[k - j] for j in range(1, k + 1)), F(0))
         inv[k] = s / c[0]
-    return {F(k, a.denom): x for k, x in inv.items() if x}
+    return {k: x for k, x in inv.items() if x}
 
 
 def test_mixed_products_and_inverses_match_fraction_oracle():
+    # a product and a division by (1 + s q^e), against the factor itself and
+    # the general inverse in Fractions
     rng = random.Random(3116)
     for _ in range(30):
-        da = rng.choice([1, 2, 16])
-        a = random_mixed(rng, rng.randint(1, 4), da)
-        assert holds_rule(a)
-        # a product and a division by (1 + s q^e) on a's grid, against the
-        # factor itself and the general inverse
-        e, s = F(rng.randint(1, 4 * da), da), rng.choice([1, -1])
-        f = series([(0, 1), (e, s)], a.trunc)
-        for p, want in ((1, dict(f.terms())), (-1, oracle_inverse(f))):
-            got = q_product(a.trunc, [(e, s, p)])
-            assert dict(got.terms()) == want and holds_rule(got)
+        t, e, s = rng.randint(1, 40), rng.randint(1, 12), rng.choice([1, -1])
+        f = series([(0, 1), (e, s)], t)
+        for p, want in ((1, f.coeffs), (-1, oracle_inverse(f))):
+            got = q_product(t, [(e, s, p)])
+            assert got.coeffs == want and all(type(c) is int for c in got.coeffs.values())
 
 
 def test_int_and_fraction_coefficients_are_interchangeable():
-    for denom in (1, 2, 16):
-        a = QSeries({0: 3, 5: -2, 7: F(1, 2)}, trunc=4, denom=denom)
-        b = QSeries({0: F(3), 5: F(-4, 2), 7: F(1, 2)}, trunc=4, denom=denom)
+    # a series holds ints, but its equality and JSON do not depend on
+    # whether a caller hands 3 or Fraction(3)
+    for offset in (0, F(1, 2)):
+        a = QSeries({0: 3, 1: -2, 7: 1}, trunc=4, offset=offset)
+        b = QSeries({0: F(3), 1: F(-4, 2), 7: F(1, 2)}, trunc=4, offset=offset)
         assert a == b
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
@@ -368,24 +371,23 @@ def test_int_and_fraction_coefficients_are_interchangeable():
 def test_integer_polynomials_never_see_fractions(monkeypatch):
     # structural guard, not a timing: a Fraction default in a loop or a
     # constructor would bring the slow path back without changing any value,
-    # so check what reaches QSeries.__init__ as well as what it stores
-    from qvir.characters import (MODULES, P_of_t_q, bigrade, class_closed_form,
-                                  module_character)
+    # so check what reaches QSeries.__init__ in the whole default battery:
+    # ints only, at the offset 0 or, for the two V_half sides, 1/2
+    from qvir.characters import P_of_t_q, bigrade, class_closed_form
+    from qvir.cli import RunConfig, run_all
     from qvir.partitions import CLASSES
-    from qvir.polyfamilies import family_poly
-    handed = set()
+    handed, offsets = set(), Counter()
     init = QSeries.__init__
 
-    def spy(self, coeffs=None, trunc=None, denom=1):
+    def spy(self, coeffs=None, trunc=None, offset=0):
         handed.update(type(c) for c in (coeffs or {}).values())
-        init(self, coeffs, trunc, denom)
+        offsets[offset] += 1
+        init(self, coeffs, trunc, offset)
 
     monkeypatch.setattr(QSeries, "__init__", spy)
-    built = [family_poly(sector, "T", 20) for sector in ("vac", "half", "sixteenth")]
-    built += [poch(30), poch_inf(40)]
-    built += [module_character(w, side, 12) for w in MODULES for side in ("Classical", "New")]
+    assert run_all(RunConfig())[-1]["passed"]
+    assert handed == {int}
+    assert set(offsets) == {0, F(1, 2)} and offsets[F(1, 2)] == 2
     P = P_of_t_q(12)
     tables = [P, bigrade(P)] + [class_closed_form(w, 12) for w in CLASSES]
-    assert handed == {int}
-    assert all(all_int(s) for s in built)
     assert all(t and all(type(c) is int for c in t.values()) for t in tables)
