@@ -400,6 +400,21 @@ COMMANDS = {
 }
 
 
+# module -> its caches, dicts and lru_cache functions; run_check empties the
+# caches of imported modules before and after each check, so none is shared
+CACHES = {
+    "qvir.diffalg": ("_BLOCK_CACHE", "_DD_CACHE", "_ELEMENT_CACHE"),
+    "qvir.partitions": ("partitions_min2", "partitions_min2_length"),
+    "qvir.virasoro": ("_apply_one",),
+}
+
+
+def empty_caches() -> None:
+    for module in CACHES.keys() & sys.modules.keys():
+        for c in (getattr(sys.modules[module], name) for name in CACHES[module]):
+            (getattr(c, "cache_clear", None) or c.clear)()
+
+
 def _reads(command: str) -> tuple:
     """The RunConfig fields a subcommand reads; `all` reads every field that
     some subcommand reads, plus jobs."""
@@ -409,12 +424,13 @@ def _reads(command: str) -> tuple:
 
 
 def run_check(name: str, cfg: RunConfig) -> dict:
-    """Run one subcommand's checks; a check that raises becomes one FAIL
-    entry naming the exception and where it was raised, so the rest of a
-    battery still runs.  An invalid config raises ConfigError before any
-    check runs."""
+    """Run one subcommand's checks, from empty caches and leaving them empty;
+    a check that raises becomes one FAIL entry naming the exception and
+    where it was raised, so the rest of a battery still runs.  An invalid
+    config raises ConfigError before any check runs."""
     fields_read, check = COMMANDS[name]
     cfg.validate()
+    empty_caches()
     t0 = time.perf_counter()
     try:
         checks = check(*(getattr(cfg, f) for f in fields_read))
@@ -425,8 +441,11 @@ def run_check(name: str, cfg: RunConfig) -> dict:
                          detail="raised in %s (%s:%d)" % (
                              where.name, Path(where.filename).name, where.lineno),
                          first_failure="%s: %s" % (type(exc).__name__, exc))]
+    finally:  # an interrupted check leaves no cache filled either
+        elapsed_s = round(time.perf_counter() - t0, 3)
+        empty_caches()
     return {"command": name, "passed": all(c["passed"] for c in checks),
-            "elapsed_s": round(time.perf_counter() - t0, 3), "checks": checks}
+            "elapsed_s": elapsed_s, "checks": checks}
 
 
 def run_all(cfg: RunConfig) -> list:

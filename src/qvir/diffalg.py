@@ -34,7 +34,7 @@ from qvir.linalg import Echelon, exact_quotient, exact_terms, int_row, primitive
 from qvir.partitions import (EXCEPTIONAL_PATTERNS, PATTERN_FAMILIES, contains_pattern,
                              count_min2, forbidden_patterns, grevlex_key, index_by_min,
                              partitions_min2, partitions_min2_length, pattern)
-from qvir.qseries import QSeries, frac_str
+from qvir.qseries import QSeries
 
 
 class ZeroPolynomial(ArithmeticError):
@@ -107,7 +107,7 @@ class DiffPoly:
 
     def to_json_dict(self) -> dict:
         return {"weight": self.weight() if self.terms else 0,
-                "terms": [[list(m), frac_str(c)] for m, c in
+                "terms": [[list(m), str(c)] for m, c in
                           sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]),
                                  reverse=True)]}
 
@@ -400,7 +400,7 @@ def verify_derivative_formulas(k_max: int) -> dict:
                     got = f.terms.get(mono, 0)
                     if got != want:
                         entry["mismatches"].append(
-                            {"monomial": list(mono), "expected": frac_str(want), "actual": frac_str(got)})
+                            {"monomial": list(mono), "expected": str(want), "actual": str(got)})
                 floor_key = min(grevlex_key(m) for m in listed)
                 stray = [m for m in f.terms
                          if m not in listed and grevlex_key(m) >= floor_key]
@@ -531,16 +531,14 @@ def build_element(name: str, k: int = 0) -> DiffPoly:
     """
     if name.startswith("e") and k != 0:
         raise ValueError("exceptional elements take no index")
-    key = (name, k)
-    out = _ELEMENT_CACHE.get(key)
-    if out is None:
-        out = DiffPoly()
-        for c, mono, ref in _element_ingredients(name, k):
-            if not all(type(p) is int and p >= 2 for p in mono):
-                raise ValueError("multiplier %r of %s_%d is not a monomial"
-                                 % (mono, name, k))
-            out = out + _base(ref).mul_monomial(tuple(mono), c)
-        _ELEMENT_CACHE[key] = out
+    if (name, k) in _ELEMENT_CACHE:
+        return _ELEMENT_CACHE[name, k]
+    out = DiffPoly()
+    for c, mono, ref in _element_ingredients(name, k):
+        if not all(type(p) is int and p >= 2 for p in mono):
+            raise ValueError("multiplier %r of %s_%d is not a monomial" % (mono, name, k))
+        out = out + _base(ref).mul_monomial(tuple(mono), c)
+    _ELEMENT_CACHE[name, k] = out
     return out
 
 

@@ -27,8 +27,6 @@ import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
-from qvir.qseries import frac_str
-
 
 class NoConvergence(ArithmeticError):
     pass
@@ -95,7 +93,7 @@ class NahmSolution:
             self.effective_charge = 6 * alpha / (PI * PI)
 
     def to_json_dict(self) -> dict:
-        return {"matrix": [[frac_str(Fraction(x)) for x in row] for row in self.A],
+        return {"matrix": [[str(Fraction(x)) for x in row] for row in self.A],
                 "Q": [float(q) for q in self.Q],
                 "residual": float(self.residual),
                 "alpha": float(self.alpha),

@@ -86,7 +86,7 @@ class QSeries:
         return {
             "denom": self.offset.denominator,
             "trunc": None if self.trunc is None else str(self.trunc),
-            "coeffs": [[frac_str(self.offset + k), str(c)]
+            "coeffs": [[str(self.offset + k), str(c)]
                        for k, c in sorted(self.coeffs.items())],
         }
 
@@ -100,11 +100,6 @@ class QSeries:
         body = " + ".join(parts) if parts else "0"
         tail = "" if self.trunc is None else f" + O(q^{self.trunc})"
         return f"QSeries({body}{tail})"
-
-
-def frac_str(f) -> str:
-    """The exact string of a rational, as every JSON report writes it: '3', '-7/2'."""
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 # -- q-combinatorial primitives -------------------------------------------

@@ -15,6 +15,7 @@ on ints.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from qvir.characters import MinimalModelLabel
 from qvir.linalg import Echelon, exact_terms, int_row, primitive
@@ -83,38 +84,27 @@ class VirVector:
         return "VirVector(c=%s: %s)" % (self.c, " + ".join(bits or ["0"]))
 
 
-_APPLY_CACHE: dict[tuple, dict] = {}
-
-
+@lru_cache(maxsize=None)
 def _apply_one(c: Fraction, m: int, mono: tuple) -> dict:
     """L_m applied to one PBW monomial, normal-ordered; returns a coeff map
     that holds no zero and follows the coefficient rule."""
-    key = (c, m, mono)
-    out = _APPLY_CACHE.get(key)
-    if out is not None:
-        return out
     if not mono:
-        out = {} if m >= -1 else {(-m,): 1}
-    elif -m >= mono[0]:
-        out = {(-m,) + mono: 1}
-    else:
-        n1 = mono[0]
-        tail = mono[1:]
-        acc: dict[tuple, int | Fraction] = {}
+        return {} if m >= -1 else {(-m,): 1}
+    if -m >= mono[0]:
+        return {(-m,) + mono: 1}
+    n1, tail = mono[0], mono[1:]
+    acc: dict[tuple, int | Fraction] = {}
 
-        def add(res: dict, f):
-            for mu, v in res.items():
-                acc[mu] = acc.get(mu, 0) + f * v
+    def add(res: dict, f):
+        for mu, v in res.items():
+            acc[mu] = acc.get(mu, 0) + f * v
 
-        inner = _apply_one(c, m, tail)
-        for mu, v in inner.items():
-            add(_apply_one(c, -n1, mu), v)
-        add(_apply_one(c, m - n1, tail), m + n1)
-        if m == n1:
-            add({tail: 1}, Fraction(m ** 3 - m, 12) * c)
-        out = exact_terms(acc)
-    _APPLY_CACHE[key] = out
-    return out
+    for mu, v in _apply_one(c, m, tail).items():
+        add(_apply_one(c, -n1, mu), v)
+    add(_apply_one(c, m - n1, tail), m + n1)
+    if m == n1:
+        add({tail: 1}, Fraction(m ** 3 - m, 12) * c)
+    return exact_terms(acc)
 
 
 def apply_mode(m: int, v: VirVector) -> VirVector:

@@ -5,9 +5,9 @@ from math import comb
 
 import pytest
 
-from qvir import diffalg
+from qvir import cli, diffalg
 from qvir.partitions import contains_pattern, forbidden_patterns, grevlex_key, index_by_min
-from qvir.qseries import QSeries, _slot_bytes, _unpack, frac_str, pascal_rows
+from qvir.qseries import QSeries, _slot_bytes, _unpack, pascal_rows
 
 
 def _reduced_slice(gens, d):
@@ -114,6 +114,12 @@ def _class_of(lam):
     return "D"
 
 
+@pytest.fixture(autouse=True)
+def _empty_caches():
+    # every test starts with empty caches, as every run_check does
+    cli.empty_caches()
+
+
 @pytest.fixture
 def reduced_slice():
     return _reduced_slice
@@ -126,7 +132,7 @@ def _tq_json(table, trunc):
     for (n, m), c in table.items():
         by_q.setdefault(n, []).append((m, c))
     return {"trunc": trunc,
-            "coeffs": [[n, [[m, frac_str(c)] for m, c in sorted(row)]]
+            "coeffs": [[n, [[m, str(c)] for m, c in sorted(row)]]
                        for n, row in sorted(by_q.items())]}
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import importlib
 import json
 import os
 import subprocess
@@ -9,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import qvir
-from qvir.cli import (COMMANDS, INT_FIELDS, ConfigError, RunConfig, load_config_file,
-                      main, render, run_all, run_check)
+from qvir.cli import (CACHES, COMMANDS, INT_FIELDS, ConfigError, RunConfig,
+                      load_config_file, main, render, run_all, run_check)
 
 GOLDEN = Path(__file__).parent / "golden"
 # the child interpreter imports the qvir this process imports, also when it
@@ -495,13 +497,66 @@ def test_reports_deterministic():
     assert a == b
 
 
+TINY = RunConfig(trunc_qseries=10, trunc_modules=8, trunc_tq=8,
+                 trunc_hilbert=10, trunc_groebner=9, trunc_virasoro=7,
+                 trunc_e8=6, prop51_kmax=1, deriv_kmax=1)
+
+
 def test_every_registered_check_runs_quickly_at_tiny_orders():
-    cfg = RunConfig(trunc_qseries=10, trunc_modules=8, trunc_tq=8,
-                    trunc_hilbert=10, trunc_groebner=9, trunc_virasoro=7,
-                    trunc_e8=6, prop51_kmax=1, deriv_kmax=1)
     for name in COMMANDS:
-        rep = run_check(name, cfg)
-        assert rep["passed"], (name, render([rep], cfg))
+        rep = run_check(name, TINY)
+        assert rep["passed"], (name, render([rep], TINY))
+
+
+def filled_caches():
+    """(module, name) of every cache in cli.CACHES that holds an entry."""
+    out = []
+    for module, names in CACHES.items():
+        for name in names:
+            c = getattr(importlib.import_module(module), name)
+            if c.cache_info().currsize if hasattr(c, "cache_info") else c:
+                out.append((module, name))
+    return out
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_a_check_leaves_every_cache_empty(name):
+    run_check(name, RunConfig(**{f: 2 for f in INT_FIELDS if f != "jobs"}))
+    assert filled_caches() == []
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_a_raising_check_leaves_every_cache_empty(monkeypatch, error):
+    from qvir.partitions import partitions_min2
+
+    def raising():
+        partitions_min2(6)
+        raise error("stop")
+
+    monkeypatch.setitem(COMMANDS, "lemma-b", ((), raising))
+    with contextlib.suppress(KeyboardInterrupt):
+        assert not run_check("lemma-b", RunConfig())["passed"]
+    assert filled_caches() == []
+
+
+def test_the_cache_probe_sees_a_filled_cache():
+    from qvir import diffalg, partitions, virasoro
+    diffalg.hilbert_quotient((diffalg.GEN_A,), 8)
+    partitions.partitions_min2(6)
+    virasoro.apply_mode(-2, virasoro.VirVector(Fraction(1, 2), {(): 1}))
+    assert filled_caches() == [("qvir.diffalg", "_BLOCK_CACHE"), ("qvir.diffalg", "_DD_CACHE"),
+                               ("qvir.partitions", "partitions_min2"),
+                               ("qvir.partitions", "partitions_min2_length"),
+                               ("qvir.virasoro", "_apply_one")]
+
+
+def test_a_report_after_all_equals_the_report_run_alone():
+    # no check reads what an earlier one left behind
+    after_all = run_all(TINY)[:-1]
+    alone = [run_check(name, TINY) for name in reversed(COMMANDS)][::-1]
+    for r in after_all + alone:
+        del r["elapsed_s"]
+    assert after_all == alone
 
 
 def test_parallel_jobs(tmp_path):

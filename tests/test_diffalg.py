@@ -236,8 +236,6 @@ def test_slice_rows_are_integer_from_the_start(monkeypatch):
         assert all(type(v) is int for v in row.values()), row
         return insert(self, row)
 
-    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
-    monkeypatch.setattr(diffalg, "_DD_CACHE", {})
     monkeypatch.setattr(Echelon, "insert", spy)
     h = hilbert_quotient(GENS, 20)
     assert h.equal_mod(feigin_fuchs_character(MinimalModelLabel(3, 4), 21))
@@ -264,9 +262,6 @@ def test_exact_containers_store_ints_while_integral(monkeypatch):
 
     monkeypatch.setattr(DiffPoly, "__init__", poly_spy)
     monkeypatch.setattr(VirVector, "__init__", vec_spy)
-    monkeypatch.setattr(diffalg, "_DD_CACHE", {})
-    monkeypatch.setattr(diffalg, "_ELEMENT_CACHE", {})
-    monkeypatch.setattr(virasoro, "_APPLY_CACHE", {})
     for name in ELEMENT_NAMES:
         for k in range(1 if name.startswith("e") else 3):
             build_element(name, k)
@@ -292,8 +287,6 @@ def test_prop51_path_hands_no_integral_fraction(monkeypatch):
         init(self, terms)
 
     monkeypatch.setattr(DiffPoly, "__init__", spy)
-    monkeypatch.setattr(diffalg, "_DD_CACHE", {})
-    monkeypatch.setattr(diffalg, "_ELEMENT_CACHE", {})
     for gen in (GEN_A, GEN_B_SCALED):
         cached_divided_derivative(gen, 24)
     assert handed and all(type(c) is int for c in handed)
@@ -366,10 +359,9 @@ def test_multiplying_by_a_part_keeps_the_multiplier_order():
     ((diffalg.arc_generator(3),), 25),
     ((diffalg.arc_generator(4), virasoro.kernel_generator_symbol(5)), 21),
 ], ids=["ab", "arc2", "arc3", "3-5"])
-def test_skipping_blocks_match_the_all_rows_build(monkeypatch, gens, n):
+def test_skipping_blocks_match_the_all_rows_build(gens, n):
     # every block the hilbert subcommand builds, lower blocks read by the
     # skip rule included, has the rank and reduced form of inserting every row
-    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
     hilbert_quotient(gens, n)
     assert diffalg._BLOCK_CACHE
     for (_, d, l), (ech, _, _) in diffalg._BLOCK_CACHE.items():
@@ -389,7 +381,6 @@ def test_skipped_rows_leave_few_zero_reductions(monkeypatch):
             redundant.append(row)
         return kept
 
-    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
     monkeypatch.setattr(Echelon, "insert", spy)
     hilbert_quotient(GENS, 30)
     assert len(redundant) <= 10
@@ -409,7 +400,6 @@ def test_a_derived_row_is_inserted_only_after_its_predecessor_was_kept(monkeypat
         inserted.append((self, frozenset(row.items())))
         return insert(self, row)
 
-    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
     monkeypatch.setattr(Echelon, "insert", spy)
     hilbert_quotient(gens, n)
     blocks = {id(ech): (d, l) for (_, d, l), (ech, _, _) in diffalg._BLOCK_CACHE.items()}
@@ -429,8 +419,7 @@ def test_a_derived_row_is_inserted_only_after_its_predecessor_was_kept(monkeypat
     assert derived
 
 
-def test_a_full_block_keeps_unit_rows(monkeypatch):
-    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
+def test_a_full_block_keeps_unit_rows():
     hilbert_quotient(GENS, 24)
     full = [(d, l, ech, monos) for (_, d, l), (ech, monos, _) in diffalg._BLOCK_CACHE.items()
             if ech.rank == len(monos)]
@@ -440,17 +429,16 @@ def test_a_full_block_keeps_unit_rows(monkeypatch):
         assert all(membership(DiffPoly({m: 1}), GENS) for m in monos), (d, l)
 
 
-def test_a_cold_slice_out_of_order_equals_the_ascending_build(monkeypatch, reduced_slice):
+def test_a_cold_slice_out_of_order_equals_the_ascending_build(reduced_slice):
     # the weight-24 blocks built first read the lower blocks they need
     probes = [DiffPoly({m: 1}) for m in partitions_min2(24)[::-1][::7]]
     probes += [build_element("s", 4), build_element("w", 2),
                build_element("w", 2) + DiffPoly({(8, 6, 5, 3, 2): 1})]
-    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
     cold = reduced_slice(GENS, 24)
     cold_members = [membership(f, GENS) for f in probes]
-    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
+    diffalg._BLOCK_CACHE.clear()
     cold_members_first = [membership(f, GENS) for f in probes]
-    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
+    diffalg._BLOCK_CACHE.clear()
     for d in range(25):
         ascending = reduced_slice(GENS, d)
     assert cold == ascending
@@ -521,7 +509,6 @@ def test_prop51_fails_on_a_wrong_printed_element(monkeypatch):
         return out
 
     monkeypatch.setattr(diffalg, "build_element", corrupted)
-    monkeypatch.setattr(diffalg, "_ELEMENT_CACHE", {})
     rep = prop51_check(1)
     assert not rep["passed"]
     r1 = next(e for e in rep["entries"] if (e["family"], e["k"]) == ("r", 1))
@@ -537,8 +524,6 @@ def test_prop51_builds_no_slice(monkeypatch):
     # weight slice and builds no echelon block
     calls = []
     member, block = diffalg.membership, diffalg._block_cached
-    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
-    monkeypatch.setattr(diffalg, "_ELEMENT_CACHE", {})
     monkeypatch.setattr(diffalg, "membership",
                         lambda *args: calls.append("membership") or member(*args))
     monkeypatch.setattr(diffalg, "_block_cached",
@@ -546,9 +531,9 @@ def test_prop51_builds_no_slice(monkeypatch):
     rep = prop51_check(3)
     assert rep["passed"]
     assert {e["membership"] for e in rep["entries"]} == {"construction"}
+    assert diffalg._BLOCK_CACHE == {}
     assert cli.run_check("prop51", cli.RunConfig(prop51_kmax=3, deriv_kmax=2))["passed"]
     assert calls == []
-    assert diffalg._BLOCK_CACHE == {}
 
 
 def test_printed_elements_are_built_from_ideal_bases():
@@ -577,7 +562,6 @@ def test_a_base_outside_the_ideal_fails_the_build(monkeypatch, extra):
         return out + [extra] if (name, k) == ("r", 1) else out
 
     monkeypatch.setattr(diffalg, "_element_ingredients", mutated)
-    monkeypatch.setattr(diffalg, "_ELEMENT_CACHE", {})
     with pytest.raises(ValueError):
         build_element("r", 1)
     report = cli.run_check("prop51", cli.RunConfig(prop51_kmax=1, deriv_kmax=1))
@@ -629,7 +613,6 @@ def test_groebner_and_hilbert_build_no_reduced_form(monkeypatch):
     def reduced(self):
         raise AssertionError("a report built a reduced echelon form")
 
-    monkeypatch.setattr(diffalg, "_BLOCK_CACHE", {})
     monkeypatch.setattr(Echelon, "reduced", reduced)
     h = hilbert_quotient(GENS, 30)
     assert h.equal_mod(feigin_fuchs_character(MinimalModelLabel(3, 4), 31))

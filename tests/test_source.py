@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import qvir
+from qvir.cli import CACHES
 
 SRC = Path(qvir.__file__).parent
 
@@ -63,3 +64,56 @@ def test_the_scan_sees_each_kind_of_reference(tmp_path):
         "def __dunder__():\n"
         "    pass\n")
     assert unreferenced_definitions(tmp_path) == [("m", "Kept.unused"), ("m", "recursive")]
+
+
+def cache_table_mismatch(table, src=SRC):
+    """The caches defined in the package's modules that the table {module:
+    names} leaves out, and the names it holds that are no cache there.  A
+    cache is a module-level name _*_CACHE or a function decorated by
+    lru_cache or cache, at any depth."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        module, tree = "qvir." + path.stem, ast.parse(path.read_text())
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                getattr(node, "target", None)]
+            found.update((module, t.id) for t in targets if isinstance(t, ast.Name)
+                         and t.id.startswith("_") and t.id.endswith("_CACHE"))
+        for node in ast.walk(tree):
+            for dec in getattr(node, "decorator_list", []):
+                f = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(f, "attr", getattr(f, "id", None)) in ("lru_cache", "cache"):
+                    found.add((module, node.name))
+    tabled = {(module, name) for module, names in table.items() for name in names}
+    return sorted(found - tabled), sorted(tabled - found)
+
+
+def test_every_cache_in_src_is_in_the_table_run_check_empties():
+    assert cache_table_mismatch(CACHES) == ([], [])
+
+
+def test_the_cache_scan_fails_on_a_cache_missing_from_the_table(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "_TABLED_CACHE = {}\n"
+        "_PLANTED_CACHE: dict = {}\n"
+        "_CACHE_SIZE = 8\n"
+        "@lru_cache(maxsize=None)\n"
+        "def tabled(n):\n"
+        "    return n\n"
+        "@functools.cache\n"
+        "def planted(n):\n"
+        "    _LOCAL_CACHE = {}\n"
+        "    return n\n"
+        "class Holder:\n"
+        "    @lru_cache\n"
+        "    def method(self):\n"
+        "        return 0\n"
+        "@staticmethod\n"
+        "def plain():\n"
+        "    return 0\n")
+    table = {"qvir.m": ("_TABLED_CACHE", "tabled", "gone")}
+    assert cache_table_mismatch(table, tmp_path) == (
+        [("qvir.m", "_PLANTED_CACHE"), ("qvir.m", "method"), ("qvir.m", "planted")],
+        [("qvir.m", "gone")])
